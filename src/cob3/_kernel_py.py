@@ -444,17 +444,26 @@ def side_hull(side):
     return max(_side_widths(side))
 
 
-def successors(state, entries):
-    """All one-step rewrites of a normal-form state.
+def successors(state, entries, max_layers):
+    """All one-step rewrites of a normal-form state with at most
+    `max_layers` layers.
 
     `entries` is a sequence of (pattern, replacement, n_meta) triples in the
     order that defines the tie-break. Yields tuples
     (entry_index, pos_bottom, pos_col, pos_layers, new_state) in
     deterministic order.
+
+    Every rewrite by one entry turns an n-layer state into one of
+    n - k_pat + k_rep layers, k_pat and k_rep being the layer counts of its
+    two sides (nf keeps the count), so an entry that would exceed
+    `max_layers` is skipped before any window is scanned or built.
     """
+    n = (len(state) - 1) // 3
     out = []
     for e, (pat, rep, n_meta) in enumerate(entries):
         k = (len(pat) - 1) // 3
+        if n - k + (len(rep) - 1) // 3 > max_layers:
+            continue
         if k == 0:
             hull = side_hull(rep)
             for lvl, col in find_insertions(state, pat[0], hull):

@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 success (and "yes" answers), 1 semantic "no" (terms differ, no
-derivation found), 2 usage or input errors, 3 algebra fails verification.
+derivation found), 2 usage or input errors, 3 algebra fails verification,
+4 internal error (an unexpected exception, reported in one line on stderr).
 All output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -41,7 +43,7 @@ from cob3.rewrite import (
 )
 from cob3.terms import ParseError, TermTypeError, parse, print_term
 
-OK, DIFFER, USAGE, ALGBAD = 0, 1, 2, 3
+OK, DIFFER, USAGE, ALGBAD, INTERNAL = 0, 1, 2, 3, 4
 
 
 def _emit_json(data) -> None:
@@ -418,8 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, TermTypeError) as e:
@@ -437,6 +445,11 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
+    except Exception as e:
+        # Anything else is a fault of the program, not of its input; keep
+        # status 1 for "not equal / not found".
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,33 +1,21 @@
-"""Kernel selection: compiled extension if built, pure Python otherwise.
+"""The diagram kernel: canonical forms, window matching and surgery.
 
-Set COB3_PURE_KERNEL=1 to force the pure-Python implementation (used by the
-benchmark and by tests that compare the two).
+The one implementation is pure Python, in `cob3._kernel_py`; the rest of
+the package imports it under this name. `KERNEL` names it.
 """
 
-import os
+from cob3._kernel_py import (
+    apply_insertion,
+    apply_match,
+    find_insertions,
+    find_matches,
+    instantiate,
+    nf,
+    side_hull,
+    successors,
+)
 
-if os.environ.get("COB3_PURE_KERNEL") == "1":
-    from cob3 import _kernel_py as _impl
-
-    KERNEL = "python"
-else:
-    try:
-        from cob3 import _kernel_cy as _impl  # type: ignore[attr-defined]
-
-        KERNEL = "cython"
-    except ImportError:
-        from cob3 import _kernel_py as _impl
-
-        KERNEL = "python"
-
-nf = _impl.nf
-find_matches = _impl.find_matches
-apply_match = _impl.apply_match
-find_insertions = _impl.find_insertions
-apply_insertion = _impl.apply_insertion
-instantiate = _impl.instantiate
-side_hull = _impl.side_hull
-successors = _impl.successors
+KERNEL = "python"
 
 __all__ = [
     "KERNEL",

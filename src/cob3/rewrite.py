@@ -462,10 +462,11 @@ def find_path(
             prev, e, b, c, k = parents[1][st]
             # The recorded edge runs prev -> st away from the goal; the
             # final path traverses st -> prev, so invert the entry and
-            # recover its window by re-matching.
+            # recover its window by re-matching. prev was stored, so it
+            # lies within layer_cap.
             inv = e ^ 1
             pos = None
-            for (ee, bb, cc, kk, ns) in successors(st, entries):
+            for (ee, bb, cc, kk, ns) in successors(st, entries, layer_cap):
                 if ee == inv and ns == prev:
                     pos = (bb, cc, kk)
                     break
@@ -505,9 +506,7 @@ def find_path(
         new_frontier = []
         for state in frontiers[side]:
             explored += 1
-            for (e, b, c, k, ns) in successors(state, entries):
-                if _n_layers(ns) > layer_cap:
-                    continue
+            for (e, b, c, k, ns) in successors(state, entries, layer_cap):
                 if ns in mine:
                     continue
                 mine[ns] = (state, e, b, c, k)

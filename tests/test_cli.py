@@ -1,11 +1,15 @@
 """Command line driver: exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cob3
 from cob3 import algebra_to_json, hadamard_algebra
-from cob3.cli import ALGBAD, DIFFER, OK, USAGE, main
+from cob3.cli import ALGBAD, DIFFER, INTERNAL, OK, USAGE, main
 
 
 @pytest.fixture()
@@ -19,6 +23,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     cap = capsys.readouterr()
     return code, cap.out, cap.err
+
+
+def run_fresh(*argv):
+    """The same call in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(cob3.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cob3.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=False,
+    )
+    return proc.returncode, proc.stdout
 
 
 def test_eq_equal(capsys):
@@ -200,3 +218,42 @@ def test_output_is_byte_deterministic(capsys, alg_file):
     _, o1, _ = run(capsys, "--format", "json", "eq", "pe(P) . unit", "pu(P)")
     _, o2, _ = run(capsys, "--format", "json", "eq", "pe(P) . unit", "pu(P)")
     assert o1 == o2
+
+
+def test_repeated_calls_match_fresh_processes(capsys):
+    calls = [
+        ("--format", "json", "normalize", "m . swap", "--presentation", "G2"),
+        ("eq", "pe(P)", "pe(Q)"),
+        ("normalize", "m . swap"),
+    ]
+    in_process = [run(capsys, *argv)[:2] for argv in calls]
+    assert in_process == [run_fresh(*argv) for argv in calls]
+
+
+# Both inputs reach known faults: a search edge that successors cannot
+# invert, and parser recursion on a deep term. When one is mended, replace
+# it with another input that still raises unexpectedly.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (
+            "rewrite-path",
+            "swap . (id * unit) . pe(P) . unit",
+            "(unit * id) . pe(P) . unit",
+            "--rules",
+            "CF_LEGS",
+            "--max-steps",
+            "24",
+            "--max-extra-layers",
+            "4",
+        ),
+        ("eq", " . ".join(["pe(P)"] * 1000), "pe(P)"),
+    ],
+    ids=["search-edge-inversion", "deep-chain"],
+)
+def test_unexpected_exception_is_internal_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == INTERNAL
+    assert out == ""
+    assert err.startswith("internal error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -1,18 +1,15 @@
-"""Window matcher, surgery, and pure/compiled kernel parity."""
+"""Window matcher, surgery, and one-step rewrites under a layer bound."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cob3 import _kernel_py as kp
 from cob3.layers import state_to_term, term_to_state
 from cob3.rewrite import _entries
 from cob3.terms import parse, print_term, random_term
-
-try:
-    from cob3 import _kernel_cy as kc
-except ImportError:  # pragma: no cover - build without the extension
-    kc = None
 
 # hand-compiled rule sides (dom, then off/gen/lab per layer; lab -2 is ?p)
 LEGS_L = (2, 0, 5, -2, 0, 0, -1)
@@ -101,7 +98,7 @@ def test_insertion_prunes_disjoint_columns():
 def test_successors_orders_by_entry():
     entries, legend = _entries("CF_LEGS")
     s = nf_of("m . (pe(B) * (pe(A) . unit))")
-    succ = kp.successors(s, entries)
+    succ = kp.successors(s, entries, 20)
     idx = [t[0] for t in succ]
     assert idx == sorted(idx)
     assert all(len(t) == 5 for t in succ)
@@ -109,23 +106,19 @@ def test_successors_orders_by_entry():
     assert len(legend) == len(entries)
 
 
-@pytest.mark.skipif(kc is None, reason="compiled kernel not built")
-class TestParity:
-    def test_nf_and_matches_agree(self):
-        rng = random.Random(5)
-        entries, _ = _entries("G2_FULL")
-        for trial in range(200):
-            st = term_to_state(random_term(rng, max_gens=9))
-            a, b = kp.nf(st), kc.nf(st)
-            assert a == b
-            if trial % 5 == 0:
-                assert kp.successors(a, entries) == kc.successors(a, entries)
+def n_layers(state):
+    return (len(state) - 1) // 3
 
-    def test_oversized_class_greedy_agrees(self):
-        big = (0,) + tuple(x for i in range(9) for x in (0, 1, -1)) + (4, 3, -1)
-        assert kp.nf(big) == kc.nf(big)
 
-    def test_insertions_agree(self):
-        st = kp.nf(term_to_state(parse("m . (pe(B) * (pe(A) . unit))")))
-        assert kp.find_insertions(st, 1, 2) == kc.find_insertions(st, 1, 2)
-        assert kp.side_hull(LEGS_L) == kc.side_hull(LEGS_L) == 2
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**30))
+def test_layer_bound_only_drops_oversized_rewrites(seed):
+    s = kp.nf(term_to_state(random_term(random.Random(seed), max_gens=6)))
+    n = n_layers(s)
+    for rules in ("CF", "CF_LEGS", "G2_FULL"):
+        entries, _ = _entries(rules)
+        unreachable = n + max(n_layers(rep) for _pat, rep, _m in entries)
+        everything = kp.successors(s, entries, unreachable)
+        for bound in range(n - 2, n + 5):
+            kept = [t for t in everything if n_layers(t[4]) <= bound]
+            assert kp.successors(s, entries, bound) == kept
