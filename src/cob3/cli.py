@@ -23,8 +23,6 @@ from cob3.evaluate import (
 )
 from cob3.frobenius import (
     FrobeniusAlgebra,
-    NotScalarOnBlock,
-    ShapeError,
     UnknownPrime,
     algebra_from_json,
     character_on_block,
@@ -33,7 +31,6 @@ from cob3.frobenius import (
 )
 from cob3.linmap import fraction_to_scalar
 from cob3.rewrite import (
-    NoMatch,
     RewriteTrace,
     UnknownRuleSet,
     find_path,
@@ -41,7 +38,7 @@ from cob3.rewrite import (
     normalize_G2,
     verify_ruleset_soundness,
 )
-from cob3.terms import ParseError, TermTypeError, parse, print_term
+from cob3.terms import TermTypeError, parse, print_term
 
 OK, DIFFER, USAGE, ALGBAD, INTERNAL = 0, 1, 2, 3, 4
 
@@ -55,6 +52,18 @@ def _load_algebra(path: str) -> FrobeniusAlgebra:
         return algebra_from_json(fh.read())
 
 
+def _violations(report) -> list:
+    return [
+        {
+            "axiom": v.axiom,
+            "indices": list(v.indices),
+            "lhs": fraction_to_scalar(v.lhs),
+            "rhs": fraction_to_scalar(v.rhs),
+        }
+        for v in report.violations
+    ]
+
+
 def _checked_algebra(path: str, fmt: str):
     """Load and verify; on violation print the report and return None."""
     alg = _load_algebra(path)
@@ -66,15 +75,7 @@ def _checked_algebra(path: str, fmt: str):
             {
                 "ok": False,
                 "error": "algebra fails verification",
-                "violations": [
-                    {
-                        "axiom": v.axiom,
-                        "indices": list(v.indices),
-                        "lhs": fraction_to_scalar(v.lhs),
-                        "rhs": fraction_to_scalar(v.rhs),
-                    }
-                    for v in report.violations
-                ],
+                "violations": _violations(report),
             }
         )
     else:
@@ -194,22 +195,11 @@ def _cmd_verify_algebra(args) -> int:
     legs = alg.verify_legs()
     ok = cf.ok and legs.ok
     if args.format == "json":
-        def vio(rep):
-            return [
-                {
-                    "axiom": v.axiom,
-                    "indices": list(v.indices),
-                    "lhs": fraction_to_scalar(v.lhs),
-                    "rhs": fraction_to_scalar(v.rhs),
-                }
-                for v in rep.violations
-            ]
-
         _emit_json(
             {
                 "ok": ok,
-                "axioms": vio(cf),
-                "legs": vio(legs),
+                "axioms": _violations(cf),
+                "legs": _violations(legs),
                 "dim": alg.dim,
                 "primes": sorted(alg.primes),
             }
@@ -430,19 +420,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, TermTypeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE
-    except (UnknownRuleSet, NoMatch, UnknownPrime) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE
     except json.JSONDecodeError as e:
         print(f"error: malformed JSON: {e}", file=sys.stderr)
         return USAGE
-    except (ShapeError, NotScalarOnBlock, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE
-    except OSError as e:
+    # ParseError, NoMatch, ShapeError and NotScalarOnBlock are ValueErrors.
+    except (ValueError, TermTypeError, UnknownRuleSet, UnknownPrime, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
     except Exception as e:

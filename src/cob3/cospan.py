@@ -17,15 +17,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .terms import Compose, Gen, Tensor, Term, TermTypeError, typecheck
+from .layers import COMUL, M, PU, SWAP, TR, UNIT, label_name, term_to_state
+from .terms import Term
 
 __all__ = [
     "Component",
     "LabelledCospan",
-    "compose_cospans",
-    "tensor_cospans",
-    "identity_cospan",
-    "generator_cospan",
     "cospan_of_term",
     "terms_equal",
     "manifold_signature",
@@ -61,14 +58,12 @@ class LabelledCospan:
 
 
 def _canonical(dom: int, cod: int, comps) -> LabelledCospan:
+    """Sort each (in_ports, out_ports, genus, primes) piece and the pieces."""
     boundary = []
     closed = []
-    for c in comps:
+    for ins, outs, genus, primes in comps:
         comp = Component(
-            tuple(sorted(c.in_ports)),
-            tuple(sorted(c.out_ports)),
-            c.genus,
-            tuple(sorted(c.primes)),
+            tuple(sorted(ins)), tuple(sorted(outs)), genus, tuple(sorted(primes))
         )
         (closed if comp.is_closed() else boundary).append(comp)
     boundary.sort(key=lambda c: (c.in_ports, c.out_ports))
@@ -76,134 +71,64 @@ def _canonical(dom: int, cod: int, comps) -> LabelledCospan:
     return LabelledCospan(dom, cod, tuple(boundary + closed))
 
 
-def identity_cospan(n: int) -> LabelledCospan:
-    return _canonical(
-        n, n, [Component((i,), (i,), 0, ()) for i in range(n)]
-    )
+def cospan_of_term(term: Term) -> LabelledCospan:
+    """The canonical cospan a well-typed term denotes.
 
-
-def generator_cospan(gen: Gen) -> LabelledCospan:
-    name = gen.name
-    if name == "id":
-        return identity_cospan(1)
-    if name == "m":
-        return _canonical(2, 1, [Component((0, 1), (0,), 0, ())])
-    if name == "unit":
-        return _canonical(0, 1, [Component((), (0,), 0, ())])
-    if name == "comul":
-        return _canonical(1, 2, [Component((0,), (0, 1), 0, ())])
-    if name == "tr":
-        return _canonical(1, 0, [Component((0,), (), 0, ())])
-    if name == "swap":
-        return _canonical(
-            2, 2, [Component((0,), (1,), 0, ()), Component((1,), (0,), 0, ())]
-        )
-    if name == "pe":
-        return _canonical(1, 1, [Component((0,), (0,), 0, (gen.label,))])
-    if name == "pu":
-        return _canonical(0, 1, [Component((), (0,), 0, (gen.label,))])
-    raise TermTypeError(f"no bordism for generator {name!r}")
-
-
-def compose_cospans(f: LabelledCospan, g: LabelledCospan) -> LabelledCospan:
-    """f after g: glue g's output spheres to f's input spheres.
-
-    Components falling into one glued class merge; the class genus is the sum
-    of member genera plus the class's cycle rank (gluings - members + 1),
-    which counts the S2 x S1 summands the gluing itself creates.
+    One pass over the term's layers keeps a union-find over pieces and the
+    piece on each wire. Input spheres and births start pieces; a merge unites
+    the pieces of its two wires, and when both already lie on one piece the
+    merge closes a cycle, adding one S2 x S1 summand to that piece.
     """
-    if f.dom != g.cod:
-        raise TermTypeError(
-            f"cannot glue: left factor wants {f.dom} spheres but right factor"
-            f" yields {g.cod}"
-        )
-    members = [("g", i) for i in range(len(g.components))] + [
-        ("f", i) for i in range(len(f.components))
-    ]
-    parent = {m: m for m in members}
+    state = term_to_state(term)
+    dom = state[0]
+    parent = list(range(dom))
+    genus = [0] * dom
+    primes: list[list[str]] = [[] for _ in range(dom)]
+    wires = list(range(dom))
 
-    def find(x):
+    def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    g_of_port = {}
-    for i, c in enumerate(g.components):
-        for p in c.out_ports:
-            g_of_port[p] = i
-    f_of_port = {}
-    for i, c in enumerate(f.components):
-        for p in c.in_ports:
-            f_of_port[p] = i
-    for p in range(f.dom):
-        union(("g", g_of_port[p]), ("f", f_of_port[p]))
-
-    classes: dict = {}
-    for m in members:
-        classes.setdefault(find(m), []).append(m)
-
-    merged = []
-    for mem in classes.values():
-        in_ports: list[int] = []
-        out_ports: list[int] = []
-        primes: list[str] = []
-        genus = 0
-        edges = 0
-        for side, i in mem:
-            c = g.components[i] if side == "g" else f.components[i]
-            primes.extend(c.primes)
-            genus += c.genus
-            if side == "g":
-                in_ports.extend(c.in_ports)
-                edges += len(c.out_ports)
+    for p in range(1, len(state), 3):
+        off, gen, lab = state[p], state[p + 1], state[p + 2]
+        if gen == M:
+            a, b = find(wires[off]), find(wires.pop(off + 1))
+            if a == b:
+                genus[a] += 1
             else:
-                out_ports.extend(c.out_ports)
-        genus += edges - len(mem) + 1
-        merged.append(
-            Component(tuple(in_ports), tuple(out_ports), genus, tuple(primes))
-        )
-    return _canonical(g.dom, f.cod, merged)
+                parent[b] = a
+                genus[a] += genus[b]
+                primes[a] += primes[b]
+        elif gen == UNIT or gen == PU:
+            wires.insert(off, len(parent))
+            parent.append(len(parent))
+            genus.append(0)
+            primes.append([label_name(lab)] if gen == PU else [])
+        elif gen == COMUL:
+            wires.insert(off, wires[off])
+        elif gen == TR:
+            del wires[off]
+        elif gen == SWAP:
+            wires[off], wires[off + 1] = wires[off + 1], wires[off]
+        else:  # PE
+            primes[find(wires[off])].append(label_name(lab))
 
-
-def tensor_cospans(l: LabelledCospan, r: LabelledCospan) -> LabelledCospan:
-    comps = list(l.components) + [
-        Component(
-            tuple(p + l.dom for p in c.in_ports),
-            tuple(p + l.cod for p in c.out_ports),
-            c.genus,
-            c.primes,
-        )
-        for c in r.components
-    ]
-    return _canonical(l.dom + r.dom, l.cod + r.cod, comps)
-
-
-def cospan_of_term(term: Term) -> LabelledCospan:
-    """The canonical cospan a well-typed term denotes."""
-    typecheck(term)
-    return _cospan(term)
-
-
-def _cospan(term: Term) -> LabelledCospan:
-    if isinstance(term, Gen):
-        return generator_cospan(term)
-    if isinstance(term, Compose):
-        return compose_cospans(_cospan(term.f), _cospan(term.g))
-    if isinstance(term, Tensor):
-        return tensor_cospans(_cospan(term.l), _cospan(term.r))
-    raise TermTypeError(f"not a term: {term!r}")
+    ins = {x: [] for x in range(len(parent)) if parent[x] == x}
+    outs = {x: [] for x in ins}
+    for i in range(dom):
+        ins[find(i)].append(i)
+    for j, x in enumerate(wires):
+        outs[find(x)].append(j)
+    return _canonical(
+        dom, len(wires), [(ins[r], outs[r], genus[r], primes[r]) for r in ins]
+    )
 
 
 def terms_equal(a: Term, b: Term) -> bool:
-    """Semantic equality: same arities and identical canonical cospans."""
-    if typecheck(a) != typecheck(b):
-        return False
+    """Semantic equality: identical canonical cospans (so equal arities)."""
     return cospan_of_term(a) == cospan_of_term(b)
 
 
@@ -249,9 +174,6 @@ def cospan_to_json(cospan: LabelledCospan) -> str:
 def cospan_from_json(text: str) -> LabelledCospan:
     data = json.loads(text)
     comps = [
-        Component(
-            tuple(c["in"]), tuple(c["out"]), int(c["genus"]), tuple(c["primes"])
-        )
-        for c in data["components"]
+        (c["in"], c["out"], int(c["genus"]), c["primes"]) for c in data["components"]
     ]
     return _canonical(int(data["dom"]), int(data["cod"]), comps)

@@ -21,7 +21,19 @@ from typing import Dict, Optional, Tuple
 
 from cob3.cospan import LabelledCospan, cospan_of_term
 from cob3.frobenius import FrobeniusAlgebra, UnknownPrime
-from cob3.layers import GEN_DOM, GEN_COD, label_name, term_to_state
+from cob3.layers import (
+    COMUL,
+    GEN_COD,
+    GEN_DOM,
+    M,
+    PE,
+    PU,
+    SWAP,
+    TR,
+    UNIT,
+    label_name,
+    term_to_state,
+)
 from cob3.linmap import LinearMap, _lowest_terms, scalar_to_fraction
 from cob3.terms import Term, parse
 
@@ -33,8 +45,6 @@ __all__ = [
     "closed_invariant",
     "closed_invariant_by_characters",
 ]
-
-_M, _UNIT, _COMUL, _TR, _SWAP, _PE, _PU = range(7)
 
 
 def _scaled(cols):
@@ -56,22 +66,22 @@ def _column_tables(alg: FrobeniusAlgebra):
     d = alg.dim
     one = Fraction(1)
     return {
-        (_M, -1): _scaled(
+        (M, -1): _scaled(
             [
                 [(k, alg.mul[k][i][j]) for k in range(d)]
                 for i in range(d)
                 for j in range(d)
             ]
         ),
-        (_UNIT, -1): _scaled([[(i, alg.unit[i]) for i in range(d)]]),
-        (_COMUL, -1): _scaled(
+        (UNIT, -1): _scaled([[(i, alg.unit[i]) for i in range(d)]]),
+        (COMUL, -1): _scaled(
             [
                 [(j * d + k, alg.comul[i][j][k]) for j in range(d) for k in range(d)]
                 for i in range(d)
             ]
         ),
-        (_TR, -1): _scaled([[(0, alg.trace[i])] for i in range(d)]),
-        (_SWAP, -1): _scaled([[(j * d + i, one)] for i in range(d) for j in range(d)]),
+        (TR, -1): _scaled([[(0, alg.trace[i])] for i in range(d)]),
+        (SWAP, -1): _scaled([[(j * d + i, one)] for i in range(d) for j in range(d)]),
     }
 
 
@@ -112,13 +122,13 @@ def eval_term(
     w = dom
     for p in range(1, len(state), 3):
         off, gen, lab = state[p], state[p + 1], state[p + 2]
-        key = (gen, lab if gen in (_PE, _PU) else -1)
+        key = (gen, lab if gen in (PE, PU) else -1)
         tab = tabs.get(key)
         if tab is None:
             name = label_name(lab)
             tab = (
                 _endo_table(alg, name, overrides, d)
-                if gen == _PE
+                if gen == PE
                 else _unit_table(alg, name, d)
             )
             tabs[key] = tab

@@ -30,7 +30,6 @@ __all__ = [
     "Violation",
     "VerifyReport",
     "FrobeniusAlgebra",
-    "make_algebra",
     "derive_comul",
     "algebra_from_json",
     "algebra_to_json",
@@ -318,48 +317,19 @@ class FrobeniusAlgebra:
         return VerifyReport(tuple(bad))
 
 
-def make_algebra(dim, mul, unit, trace, comul=None, primes=None) -> FrobeniusAlgebra:
-    return FrobeniusAlgebra(dim, mul, unit, trace, comul, primes)
-
-
 # -- exact linear algebra helpers ------------------------------------------
 
 
-def _mat_invert(a):
-    """Gauss-Jordan inverse over Fraction; None when singular."""
-    n = len(a)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _mat_kernel(a):
-    """Basis of the null space of a (rows x cols) Fraction matrix."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [list(r) for r in a]
+def _rref(m, ncols):
+    """Gauss-Jordan over Fraction: reduce the rows of m in place, pivoting
+    only in the first ncols columns. Returns the pivot columns in order."""
+    rows = len(m)
     pivots = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for rr in range(r, rows):
-            if m[rr][c]:
-                piv = rr
-                break
+    for c in range(ncols):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((rr for rr in range(r, rows) if m[rr][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
@@ -370,12 +340,27 @@ def _mat_kernel(a):
                 f = m[rr][c]
                 m[rr] = [x - f * y for x, y in zip(m[rr], m[r])]
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+    return pivots
+
+
+def _mat_invert(a):
+    """Inverse of a square Fraction matrix; None when singular."""
+    n = len(a)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    if len(_rref(aug, n)) < n:
+        return None
+    return [row[n:] for row in aug]
+
+
+def _mat_kernel(a):
+    """Basis of the null space of a (rows x cols) Fraction matrix."""
+    cols = len(a[0]) if a else 0
+    m = [list(r) for r in a]
+    pivots = _rref(m, cols)
     basis = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for pr, pc in enumerate(pivots):
@@ -387,34 +372,13 @@ def _mat_kernel(a):
 def _solve_coords(basis, vec):
     """Coordinates of vec in the span of basis vectors; None if outside."""
     cols = len(basis)
-    rows = len(vec)
-    aug = [[basis[j][i] for j in range(cols)] + [vec[i]] for i in range(rows)]
-    r = 0
-    pivots = []
-    for c in range(cols):
-        piv = None
-        for rr in range(r, rows):
-            if aug[rr][c]:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for rr in range(rows):
-            if rr != r and aug[rr][c]:
-                f = aug[rr][c]
-                aug[rr] = [x - f * y for x, y in zip(aug[rr], aug[r])]
-        pivots.append(c)
-        r += 1
+    aug = [[b[i] for b in basis] + [vec[i]] for i in range(len(vec))]
+    pivots = _rref(aug, cols)
+    if any(row[cols] for row in aug[len(pivots):]):
+        return None
     coords = [Fraction(0)] * cols
     for pr, pc in enumerate(pivots):
         coords[pc] = aug[pr][cols]
-    for rr in range(r, rows):
-        if aug[rr][cols]:
-            return None
-    # consistency: residual rows below rank already checked
     return coords
 
 

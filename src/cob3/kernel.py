@@ -1,19 +1,27 @@
 """The diagram kernel: canonical forms, window matching and surgery.
 
-The one implementation is pure Python, in `cob3._kernel_py`; the rest of
-the package imports it under this name. `KERNEL` names it.
+The one implementation is pure Python; `KERNEL` names it. States and rule
+sides share one flat encoding (see layers.py):
+
+    (dom, off0, gen0, lab0, off1, gen1, lab1, ...)
+
+Adjacent layers commute when their wire supports are disjoint; sliding the
+later layer first adjusts offsets by the width change of the layer it passes.
+`nf` bubble-sorts a state to the lexicographically least representative of
+its slide class, which is the canonical form used for equality and search
+dedup.
+
+Matching is window-based: a rule side is located as a contiguous block of
+layers after sliding independent context layers out of the window (below or
+above). The scan is optimistic — every candidate is verified by rebuilding
+the state with the block in place and comparing normal forms — so a reported
+match is correct by construction even in corner cases the scan arithmetic
+does not model.
 """
 
-from cob3._kernel_py import (
-    apply_insertion,
-    apply_match,
-    find_insertions,
-    find_matches,
-    instantiate,
-    nf,
-    side_hull,
-    successors,
-)
+from __future__ import annotations
+
+from cob3.layers import GEN_COD, GEN_DOM, state_widths
 
 KERNEL = "python"
 
@@ -28,3 +36,426 @@ __all__ = [
     "side_hull",
     "successors",
 ]
+
+
+# Adjacent layers (o1,g1,l1) then (o2,g2,l2) commute when the later one lies
+# entirely left (o2 + dom(g2) <= o1) or entirely right (o2 >= o1 + cod(g1))
+# of the earlier one's wires. Both can hold at once — a 0-input box sitting
+# exactly where a 0-output box ended a wire may pass on either side — so a
+# slide class is explored as a graph, not a single greedy pass.
+
+NF_SLIDE_CAP = 4096
+_NF_CACHE: dict = {}
+_NF_CACHE_MAX = 1 << 18
+
+
+def _neighbours(seq):
+    out = []
+    n = len(seq)
+    for i in range(n - 1):
+        o1, g1, l1 = seq[i]
+        o2, g2, l2 = seq[i + 1]
+        if o2 + GEN_DOM[g2] <= o1:
+            out.append(
+                seq[:i]
+                + ((o2, g2, l2), (o1 + GEN_COD[g2] - GEN_DOM[g2], g1, l1))
+                + seq[i + 2 :]
+            )
+        if o2 >= o1 + GEN_COD[g1]:
+            out.append(
+                seq[:i]
+                + ((o2 - GEN_COD[g1] + GEN_DOM[g1], g2, l2), (o1, g1, l1))
+                + seq[i + 2 :]
+            )
+    return out
+
+
+def nf(state):
+    """Canonical-within-budget representative of the slide class.
+
+    Explores the class breadth-first over single transpositions and returns
+    its lexicographically least member; this is exact (a true canonical
+    form) whenever the class fits under NF_SLIDE_CAP explored orders.
+    Beyond the cap it switches to greedy minimal-arrival extraction and
+    iterates to a fixpoint, which yields a deterministic, idempotent,
+    slide-equivalent representative that may in rare cases differ between
+    two orders of the same oversized class. Callers must not treat nf
+    inequality as semantic inequality; the cospan invariant decides that.
+    """
+    n = (len(state) - 1) // 3
+    if n < 2:
+        return tuple(state)
+    cached = _NF_CACHE.get(state)
+    if cached is not None:
+        return cached
+    start = tuple(
+        (state[p], state[p + 1], state[p + 2]) for p in range(1, len(state), 3)
+    )
+    best = _class_min(start)
+    out = [state[0]]
+    for t in best:
+        out.extend(t)
+    result = tuple(out)
+    if len(_NF_CACHE) >= _NF_CACHE_MAX:
+        _NF_CACHE.clear()
+    _NF_CACHE[state] = result
+    _NF_CACHE[result] = result
+    return result
+
+
+def _class_min(start):
+    seen = {start}
+    queue = [start]
+    qi = 0
+    best = start
+    while qi < len(queue):
+        seq = queue[qi]
+        qi += 1
+        for nb in _neighbours(seq):
+            if nb not in seen:
+                seen.add(nb)
+                if len(seen) > NF_SLIDE_CAP:
+                    cur = start
+                    while True:
+                        nxt = _greedy_min(cur)
+                        if not nxt < cur:
+                            return cur
+                        cur = nxt
+                if nb < best:
+                    best = nb
+                queue.append(nb)
+    return best
+
+
+def _greedy_min(start):
+    """Frontier-greedy lexicographic extraction (fallback above the cap)."""
+    frontier = {start}
+    out = []
+    for _round in range(len(start)):
+        best = None
+        cands = []
+        for rem in frontier:
+            for i in range(len(rem)):
+                o, g, l = rem[i]
+                dg = GEN_DOM[g]
+                ok = True
+                for t in range(i - 1, -1, -1):
+                    ot, gt, _lt = rem[t]
+                    if o + dg <= ot:
+                        continue
+                    if o >= ot + GEN_COD[gt]:
+                        o -= GEN_COD[gt] - GEN_DOM[gt]
+                    else:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                key = (o, g, l)
+                if best is None or key < best:
+                    best = key
+                    cands = [(rem, i)]
+                elif key == best:
+                    cands.append((rem, i))
+        out.append(best)
+        newf = set()
+        for rem, i in cands:
+            o, g, _l = rem[i]
+            dg = GEN_DOM[g]
+            delta = GEN_COD[g] - dg
+            lst = [list(t) for t in rem]
+            for t in range(i - 1, -1, -1):
+                ot = lst[t][0]
+                if o + dg <= ot:
+                    lst[t][0] = ot + delta
+                else:
+                    o -= GEN_COD[lst[t][1]] - GEN_DOM[lst[t][1]]
+            del lst[i]
+            newf.add(tuple((a, b, c) for a, b, c in lst))
+        frontier = newf
+    return tuple(out)
+
+
+def _bind(pl, l, bindings):
+    """Check a pattern label against a state label, binding metavariables."""
+    if pl >= -1:
+        return pl == l
+    slot = -pl - 2
+    if bindings[slot] == -1:
+        bindings[slot] = l
+        return True
+    return bindings[slot] == l
+
+
+def instantiate(side, bindings, col):
+    """Ground a rule side's layers at column `col` (flat layer list)."""
+    out = []
+    for p in range(1, len(side), 3):
+        lab = side[p + 2]
+        if lab <= -2:
+            lab = bindings[-lab - 2]
+        out.extend((side[p] + col, side[p + 1], lab))
+    return out
+
+
+def find_matches(state, pat, n_meta):
+    """All verified windows where `pat` occurs in `state`.
+
+    `state` must already be in normal form. Returns a sorted list of match
+    tuples (bottom, delta, matched_indices, skipped_flat, skipped_after,
+    bindings): `skipped_flat` are context layers re-homed below the window
+    (offsets adjusted), `skipped_after` those re-homed above it, and the
+    replacement block belongs at column `delta` directly between them.
+    """
+    k = (len(pat) - 1) // 3
+    if k == 0:
+        raise ValueError("zero-layer sides are located by find_insertions")
+    n = (len(state) - 1) // 3
+    if k > n:
+        return []
+    pw = state_widths(pat)
+    widths = state_widths(state)
+    seen = {}
+    for cand in _scan_down(state, pat, pw, widths, n, k, n_meta):
+        key = (cand[0], cand[1], cand[2])
+        if key not in seen and _verify(state, pat, cand):
+            seen[key] = cand
+    for cand in _scan_up(state, pat, pw, widths, n, k, n_meta):
+        key = (cand[0], cand[1], cand[2])
+        if key not in seen and _verify(state, pat, cand):
+            seen[key] = cand
+    return sorted(seen.values())
+
+
+def _scan_down(state, pat, pw, widths, n, k, n_meta):
+    """Anchor the top pattern layer and scan downward, skipping context
+    layers into the region below the window."""
+    top_off = pat[1 + 3 * (k - 1)]
+    top_gen = pat[2 + 3 * (k - 1)]
+    top_lab = pat[3 + 3 * (k - 1)]
+    out = []
+    for it in range(n):
+        p = 1 + 3 * it
+        if state[p + 1] != top_gen:
+            continue
+        shift = state[p] - top_off
+        if shift < 0 or shift + pw[k] > widths[it + 1]:
+            continue
+        bindings = [-1] * n_meta
+        if not _bind(top_lab, state[p + 2], bindings):
+            continue
+        matched = [it]
+        skipped = []  # (orig_idx, off, gen, lab), below-window placement
+        leftdelta = 0
+        j = k - 2
+        i = it - 1
+        ok = True
+        while j >= 0:
+            if i < 0:
+                ok = False
+                break
+            q = 1 + 3 * i
+            o2, g2, l2 = state[q], state[q + 1], state[q + 2]
+            if (
+                g2 == pat[2 + 3 * j]
+                and o2 == pat[1 + 3 * j] + shift
+                and _bind(pat[3 + 3 * j], l2, bindings)
+            ):
+                matched.append(i)
+                j -= 1
+                i -= 1
+                continue
+            ext = GEN_DOM[g2] if GEN_DOM[g2] > GEN_COD[g2] else GEN_COD[g2]
+            if o2 + ext <= shift:
+                skipped.append((i, o2, g2, l2))
+                d2 = GEN_COD[g2] - GEN_DOM[g2]
+                shift -= d2
+                leftdelta += d2
+            else:
+                adj = o2 - (pw[j + 1] - pw[0])
+                if adj < 0:
+                    ok = False
+                    break
+                skipped.append((i, adj, g2, l2))
+            i -= 1
+        if not ok or j >= 0 or shift < 0:
+            continue
+        delta = shift + leftdelta
+        if delta < 0:
+            continue
+        matched.reverse()
+        skipped.reverse()
+        below = []
+        for _idx, o, g, l in skipped:
+            below.extend((o, g, l))
+        out.append(
+            (
+                matched[0],
+                delta,
+                tuple(matched),
+                tuple(below),
+                (),
+                tuple(bindings),
+            )
+        )
+    return out
+
+
+def _scan_up(state, pat, pw, widths, n, k, n_meta):
+    """Anchor the bottom pattern layer and scan upward, skipping context
+    layers into the region above the window."""
+    bot_off = pat[1]
+    bot_gen = pat[2]
+    bot_lab = pat[3]
+    block_delta = pw[k] - pw[0]
+    out = []
+    for ib in range(n):
+        p = 1 + 3 * ib
+        if state[p + 1] != bot_gen:
+            continue
+        delta = state[p] - bot_off
+        if delta < 0 or delta + pw[0] > widths[ib]:
+            continue
+        bindings = [-1] * n_meta
+        if not _bind(bot_lab, state[p + 2], bindings):
+            continue
+        matched = [ib]
+        skipped = []  # above-window placement
+        shift = delta
+        j = 1
+        i = ib + 1
+        ok = True
+        while j < k:
+            if i >= n:
+                ok = False
+                break
+            q = 1 + 3 * i
+            o2, g2, l2 = state[q], state[q + 1], state[q + 2]
+            if (
+                g2 == pat[2 + 3 * j]
+                and o2 == pat[1 + 3 * j] + shift
+                and _bind(pat[3 + 3 * j], l2, bindings)
+            ):
+                matched.append(i)
+                j += 1
+                i += 1
+                continue
+            ext = GEN_DOM[g2] if GEN_DOM[g2] > GEN_COD[g2] else GEN_COD[g2]
+            if o2 + ext <= shift:
+                skipped.append((i, o2, g2, l2))
+                shift += GEN_COD[g2] - GEN_DOM[g2]
+            else:
+                adj = o2 + block_delta - (pw[j] - pw[0])
+                if adj < 0:
+                    ok = False
+                    break
+                skipped.append((i, adj, g2, l2))
+            i += 1
+        if not ok or j < k:
+            continue
+        above = []
+        for _idx, o, g, l in skipped:
+            above.extend((o, g, l))
+        out.append(
+            (
+                ib,
+                delta,
+                tuple(matched),
+                (),
+                tuple(above),
+                tuple(bindings),
+            )
+        )
+    return out
+
+
+def _rebuild(state, match, block_layers):
+    """State with the window replaced by `block_layers` (already placed)."""
+    bottom, _delta, matched, below, above, _bindings = match
+    top = matched[-1]
+    out = list(state[: 1 + 3 * bottom])
+    out.extend(below)
+    out.extend(block_layers)
+    out.extend(above)
+    out.extend(state[1 + 3 * (top + 1) :])
+    return tuple(out)
+
+
+def _verify(state, pat, match):
+    """A candidate is real iff rebuilding with the matched side itself
+    reproduces the state's normal form."""
+    block = instantiate(pat, match[5], match[1])
+    return nf(_rebuild(state, match, block)) == state
+
+
+def apply_match(state, match, rep):
+    """Replace a verified match window by rule side `rep` (normalized)."""
+    block = instantiate(rep, match[5], match[1])
+    return nf(_rebuild(state, match, block))
+
+
+def find_insertions(state, width, hull):
+    """Placements (level, col) for a zero-layer side's replacement block.
+
+    Positions whose block would be independent of the layer directly below
+    are pruned: an equivalent lower placement exists, so only the lowest
+    representative of each slide class is kept.
+    """
+    widths = state_widths(state)
+    n = (len(state) - 1) // 3
+    out = []
+    for lvl in range(n + 1):
+        wmax = widths[lvl] - width
+        for col in range(wmax + 1):
+            if lvl > 0:
+                p = 1 + 3 * (lvl - 1)
+                o, g = state[p], state[p + 1]
+                ext = GEN_DOM[g] if GEN_DOM[g] > GEN_COD[g] else GEN_COD[g]
+                if o + ext <= col or o >= col + hull:
+                    continue
+            out.append((lvl, col))
+    return out
+
+
+def apply_insertion(state, lvl, col, rep):
+    """Insert rule side `rep` at a level/column of an identity window."""
+    out = list(state[: 1 + 3 * lvl])
+    out.extend(instantiate(rep, (), col))
+    out.extend(state[1 + 3 * lvl :])
+    return nf(tuple(out))
+
+
+def side_hull(side):
+    """Max wire count across a side's levels: the block's column span."""
+    return max(state_widths(side))
+
+
+def successors(state, entries, max_layers):
+    """All one-step rewrites of a normal-form state with at most
+    `max_layers` layers.
+
+    `entries` is a sequence of (pattern, replacement, n_meta) triples in the
+    order that defines the tie-break. Yields tuples
+    (entry_index, pos_bottom, pos_col, pos_layers, new_state) in
+    deterministic order.
+
+    Every rewrite by one entry turns an n-layer state into one of
+    n - k_pat + k_rep layers, k_pat and k_rep being the layer counts of its
+    two sides (nf keeps the count), so an entry that would exceed
+    `max_layers` is skipped before any window is scanned or built.
+    """
+    n = (len(state) - 1) // 3
+    out = []
+    for e, (pat, rep, n_meta) in enumerate(entries):
+        k = (len(pat) - 1) // 3
+        if n - k + (len(rep) - 1) // 3 > max_layers:
+            continue
+        if k == 0:
+            hull = side_hull(rep)
+            for lvl, col in find_insertions(state, pat[0], hull):
+                out.append((e, lvl, col, 0, apply_insertion(state, lvl, col, rep)))
+        else:
+            for match in find_matches(state, pat, n_meta):
+                out.append(
+                    (e, match[0], match[1], k, apply_match(state, match, rep))
+                )
+    return out

@@ -6,8 +6,10 @@ diagram exactly when they differ by associativity/unit laws of "." and "*"
 and by the interchange law — the structural congruence of a strict monoidal
 category. This module converts terms to and from a flat layer encoding and
 exposes the canonical (slide-sorted) representative computed by the kernel.
+The generator codes and arities below are the one table every consumer of
+the encoding (kernel, cospan, evaluator, rule compiler) reads.
 
-Encoding (shared with the compiled kernel): a state is a flat int tuple
+Encoding: a state is a flat int tuple
 
     (dom, off0, gen0, lab0, off1, gen1, lab1, ...)
 
@@ -31,6 +33,13 @@ from cob3.terms import (
 )
 
 __all__ = [
+    "M",
+    "UNIT",
+    "COMUL",
+    "TR",
+    "SWAP",
+    "PE",
+    "PU",
     "GEN_CODES",
     "GEN_NAMES",
     "GEN_DOM",
@@ -46,8 +55,9 @@ __all__ = [
     "slice_path",
 ]
 
-GEN_CODES = {"m": 0, "unit": 1, "comul": 2, "tr": 3, "swap": 4, "pe": 5, "pu": 6}
 GEN_NAMES = ("m", "unit", "comul", "tr", "swap", "pe", "pu")
+M, UNIT, COMUL, TR, SWAP, PE, PU = range(len(GEN_NAMES))
+GEN_CODES = {name: code for code, name in enumerate(GEN_NAMES)}
 GEN_DOM = (2, 0, 1, 1, 2, 1, 0)
 GEN_COD = (1, 1, 2, 0, 2, 1, 1)
 

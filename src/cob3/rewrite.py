@@ -29,7 +29,8 @@ from .kernel import (
     successors,
 )
 from .layers import (
-    GEN_CODES,
+    PE,
+    PU,
     intern_label,
     slice_path,
     state_to_term,
@@ -198,7 +199,7 @@ def _compile_side(term: Term, mvs: tuple[str, ...]) -> tuple[int, ...]:
     slot_of = {intern_label(mv): -2 - i for i, mv in enumerate(mvs)}
     out = list(state)
     for p in range(3, len(out), 3):
-        if out[p] in slot_of and out[p - 1] in (GEN_CODES["pe"], GEN_CODES["pu"]):
+        if out[p] in slot_of and out[p - 1] in (PE, PU):
             out[p] = slot_of[out[p]]
     return tuple(out)
 

@@ -1,20 +1,26 @@
 """Labelled-cospan invariant: gluing, genus counting, signatures."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cob3 import (
     Component,
     LabelledCospan,
     TermTypeError,
-    compose_cospans,
     cospan_from_json,
     cospan_of_term,
     cospan_to_json,
-    identity_cospan,
     manifold_signature,
     parse,
+    random_term,
     terms_equal,
 )
+from cob3.kernel import nf, successors
+from cob3.layers import state_to_term, term_to_state
+from cob3.rewrite import _entries
 
 
 def cos(text):
@@ -31,7 +37,7 @@ def test_generator_cospans():
     )
     assert cos("pe(P)") == LabelledCospan(1, 1, (Component((0,), (0,), 0, ("P",)),))
     assert cos("pu(P)") == LabelledCospan(0, 1, (Component((), (0,), 0, ("P",)),))
-    assert cos("id") == identity_cospan(1)
+    assert cos("id") == LabelledCospan(1, 1, (Component((0,), (0,), 0, ()),))
 
 
 def split_merge(b):
@@ -85,6 +91,7 @@ def test_closed_pieces_sort_after_boundary():
     comps = cos(t).components
     assert comps[0].primes == ("Q",) and not comps[0].is_closed()
     assert comps[1].primes == ("P",) and comps[1].is_closed()
+    assert cos("tr . pu(P)") == LabelledCospan(0, 0, (Component((), (), 0, ("P",)),))
 
 
 def test_self_gluing_makes_handles():
@@ -94,6 +101,9 @@ def test_self_gluing_makes_handles():
     c2 = cos("tr . m . (pe(P) * id) . comul . unit")
     assert c2.components[0].genus == 1
     assert c2.components[0].primes == ("P",)
+    # a handle made on one piece survives the merge into another
+    c3 = cos("m . (id * (m . comul))")
+    assert c3 == LabelledCospan(2, 1, (Component((0, 1), (0,), 1, ()),))
 
 
 def test_signature_strings():
@@ -106,7 +116,7 @@ def test_signature_strings():
         manifold_signature(cos("pe(P) * (tr . unit)"))
         == "P \\ 2 balls (1 in, 1 out) | S3 closed"
     )
-    assert manifold_signature(identity_cospan(0)) == "(empty)"
+    assert manifold_signature(LabelledCospan(0, 0, ())) == "(empty)"
 
 
 def test_json_round_trip():
@@ -119,9 +129,18 @@ def test_json_round_trip():
 
 def test_compose_requires_matching_interfaces():
     with pytest.raises(TermTypeError):
-        compose_cospans(cos("m"), cos("unit"))
+        cos("m . unit")
 
 
-def test_compose_convention_is_f_after_g():
-    got = compose_cospans(cos("tr"), cos("pu(P)"))
-    assert got == LabelledCospan(0, 0, (Component((), (), 0, ("P",)),))
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**30))
+def test_every_rewrite_preserves_the_cospan(seed):
+    term = random_term(random.Random(seed), max_gens=5)
+    want = cospan_of_term(term)
+    state = nf(term_to_state(term))
+    bound = (len(state) - 1) // 3 + 2
+    for rules in ("CF_LEGS", "G2_FULL"):
+        entries, _ = _entries(rules)
+        for *_pos, new in successors(state, entries, bound):
+            if new != (0,):
+                assert cospan_of_term(state_to_term(new)) == want

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cob3 import _kernel_py as kp
+from cob3 import kernel as kp
 from cob3.layers import state_to_term, term_to_state
 from cob3.rewrite import _entries
 from cob3.terms import parse, print_term, random_term

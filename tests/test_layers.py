@@ -5,8 +5,10 @@ import random
 import pytest
 
 from cob3 import kernel
-from cob3._kernel_py import GEN_COD, GEN_DOM, NF_SLIDE_CAP, _neighbours
+from cob3.kernel import NF_SLIDE_CAP, _neighbours
 from cob3.layers import (
+    GEN_COD,
+    GEN_DOM,
     canonical_state,
     diagram_equal,
     slice_path,
