@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Dict, List, Sequence, Tuple
 
 from cob3.linmap import fraction_to_scalar, scalar_to_fraction
@@ -188,133 +189,74 @@ class FrobeniusAlgebra:
         so a bad algebra pinpoints exactly which structure constant clash
         broke which law.
         """
-        d = self.dim
         mul, unit, trace, comul = self.mul, self.unit, self.trace, self.comul
+        S = range(self.dim)
         bad: List[Violation] = []
 
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    for out in range(d):
-                        lhs = sum(
-                            (mul[s][i][j] * mul[out][s][k] for s in range(d)),
-                            Fraction(0),
-                        )
-                        rhs = sum(
-                            (mul[s][j][k] * mul[out][i][s] for s in range(d)),
-                            Fraction(0),
-                        )
-                        if lhs != rhs:
-                            bad.append(
-                                Violation("associativity", (i, j, k, out), lhs, rhs)
-                            )
+        def law(axiom, arity, *checks):
+            """Each check maps basis indices to (lhs, rhs); with two checks
+            per index tuple, the check's number is the witness's first index."""
+            for idx in product(S, repeat=arity):
+                for n, check in enumerate(checks):
+                    lhs, rhs = check(*idx)
+                    if lhs != rhs:
+                        where = (n, *idx) if len(checks) > 1 else idx
+                        bad.append(Violation(axiom, where, lhs, rhs))
 
-        for i in range(d):
-            for j in range(d):
-                for out in range(d):
-                    if mul[out][i][j] != mul[out][j][i]:
-                        bad.append(
-                            Violation(
-                                "commutativity",
-                                (i, j, out),
-                                mul[out][i][j],
-                                mul[out][j][i],
-                            )
-                        )
+        def delta(a, b):
+            return Fraction(int(a == b))
 
-        for i in range(d):
-            for out in range(d):
-                lhs = sum((unit[s] * mul[out][s][i] for s in range(d)), Fraction(0))
-                want = Fraction(1) if out == i else Fraction(0)
-                if lhs != want:
-                    bad.append(Violation("unit", (0, i, out), lhs, want))
-                rhs = sum((unit[s] * mul[out][i][s] for s in range(d)), Fraction(0))
-                if rhs != want:
-                    bad.append(Violation("unit", (1, i, out), rhs, want))
+        law("associativity", 4, lambda i, j, k, o: (
+            _total(mul[s][i][j] * mul[o][s][k] for s in S),
+            _total(mul[s][j][k] * mul[o][i][s] for s in S),
+        ))
+        law("commutativity", 3, lambda i, j, o: (mul[o][i][j], mul[o][j][i]))
+        law(
+            "unit", 2,
+            lambda i, o: (_total(unit[s] * mul[o][s][i] for s in S), delta(o, i)),
+            lambda i, o: (_total(unit[s] * mul[o][i][s] for s in S), delta(o, i)),
+        )
+        law("coassociativity", 4, lambda i, j, k, l: (
+            _total(comul[i][s][l] * comul[s][j][k] for s in S),
+            _total(comul[i][j][s] * comul[s][k][l] for s in S),
+        ))
+        law("cocommutativity", 3, lambda i, j, k: (comul[i][j][k], comul[i][k][j]))
+        law(
+            "counit", 2,
+            lambda i, o: (_total(comul[i][s][o] * trace[s] for s in S), delta(o, i)),
+            lambda i, o: (_total(comul[i][o][s] * trace[s] for s in S), delta(o, i)),
+        )
 
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    for l in range(d):
-                        lhs = sum(
-                            (comul[i][s][l] * comul[s][j][k] for s in range(d)),
-                            Fraction(0),
-                        )
-                        rhs = sum(
-                            (comul[i][j][s] * comul[s][k][l] for s in range(d)),
-                            Fraction(0),
-                        )
-                        if lhs != rhs:
-                            bad.append(
-                                Violation("coassociativity", (i, j, k, l), lhs, rhs)
-                            )
+        def mid(i, j, k, l):
+            return _total(comul[j][s][l] * mul[k][i][s] for s in S)
 
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    if comul[i][j][k] != comul[i][k][j]:
-                        bad.append(
-                            Violation(
-                                "cocommutativity",
-                                (i, j, k),
-                                comul[i][j][k],
-                                comul[i][k][j],
-                            )
-                        )
-
-        for i in range(d):
-            for out in range(d):
-                want = Fraction(1) if out == i else Fraction(0)
-                lhs = sum((comul[i][s][out] * trace[s] for s in range(d)), Fraction(0))
-                if lhs != want:
-                    bad.append(Violation("counit", (0, i, out), lhs, want))
-                rhs = sum((comul[i][out][s] * trace[s] for s in range(d)), Fraction(0))
-                if rhs != want:
-                    bad.append(Violation("counit", (1, i, out), rhs, want))
-
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    for l in range(d):
-                        lhs = sum(
-                            (mul[s][i][j] * comul[s][k][l] for s in range(d)),
-                            Fraction(0),
-                        )
-                        mid = sum(
-                            (comul[j][s][l] * mul[k][i][s] for s in range(d)),
-                            Fraction(0),
-                        )
-                        rhs = sum(
-                            (comul[i][k][s] * mul[l][s][j] for s in range(d)),
-                            Fraction(0),
-                        )
-                        if lhs != mid:
-                            bad.append(Violation("frobenius", (0, i, j, k, l), lhs, mid))
-                        if mid != rhs:
-                            bad.append(Violation("frobenius", (1, i, j, k, l), mid, rhs))
-
+        law(
+            "frobenius", 4,
+            lambda i, j, k, l: (
+                _total(mul[s][i][j] * comul[s][k][l] for s in S), mid(i, j, k, l)
+            ),
+            lambda i, j, k, l: (
+                mid(i, j, k, l), _total(comul[i][k][s] * mul[l][s][j] for s in S)
+            ),
+        )
         return VerifyReport(tuple(bad))
 
     def verify_legs(self) -> VerifyReport:
         """Multiplication must accept a prime element on either input."""
-        d = self.dim
+        mul, S = self.mul, range(self.dim)
         bad: List[Violation] = []
         for n, label in enumerate(sorted(self.primes)):
             em = self.prime_endo_matrix(label)
-            for i in range(d):
-                for j in range(d):
-                    for out in range(d):
-                        lhs = sum(
-                            (em[s][i] * self.mul[out][s][j] for s in range(d)),
-                            Fraction(0),
-                        )
-                        rhs = sum(
-                            (em[s][j] * self.mul[out][i][s] for s in range(d)),
-                            Fraction(0),
-                        )
-                        if lhs != rhs:
-                            bad.append(Violation("legs", (n, i, j, out), lhs, rhs))
+            for i, j, o in product(S, repeat=3):
+                lhs = _total(em[s][i] * mul[o][s][j] for s in S)
+                rhs = _total(em[s][j] * mul[o][i][s] for s in S)
+                if lhs != rhs:
+                    bad.append(Violation("legs", (n, i, j, o), lhs, rhs))
         return VerifyReport(tuple(bad))
+
+
+def _total(terms) -> Fraction:
+    return sum(terms, Fraction(0))
 
 
 # -- exact linear algebra helpers ------------------------------------------

@@ -27,9 +27,10 @@ from cob3.terms import (
     Gen,
     Tensor,
     Term,
-    TermTypeError,
+    _compose_type,
+    fold,
     id_n,
-    typecheck,
+    whisker,
 )
 
 __all__ = [
@@ -80,32 +81,53 @@ def label_name(lid: int) -> str:
 
 
 def term_to_state(term: Term) -> tuple[int, ...]:
-    """Flatten a term to its layer encoding (not yet slide-sorted)."""
-    typecheck(term)
-    dom, _cod, layers = _layers(term)
+    """Flatten a term to its layer encoding (not yet slide-sorted).
+
+    One fold both checks arities, raising what typecheck would, and
+    collects the layers.
+    """
+    dom, _cod, base, layers = fold(term, _gen_layers, _compose_layers, _tensor_layers)
     out = [dom]
-    for layer in layers:
-        out.extend(layer)
+    for off, gen, label in layers:
+        # interned in layer order, so label ids do not depend on the walk
+        out += (off + base, gen, -1 if label is None else intern_label(label))
     return tuple(out)
 
 
-def _layers(term: Term):
-    if isinstance(term, Gen):
-        if term.name == "id":
-            return 1, 1, []
-        code = GEN_CODES[term.name]
-        lab = intern_label(term.label) if term.label is not None else -1
-        return GEN_DOM[code], GEN_COD[code], [(0, code, lab)]
-    if isinstance(term, Compose):
-        gd, gc, gl = _layers(term.g)
-        fd, fc, fl = _layers(term.f)
-        return gd, fc, gl + fl
-    if isinstance(term, Tensor):
-        ld, lc, ll = _layers(term.l)
-        rd, rc, rl = _layers(term.r)
-        shifted = [(off + lc, gen, lab) for (off, gen, lab) in rl]
-        return ld + rd, lc + rc, ll + shifted
-    raise TermTypeError(f"not a term: {term!r}")
+# The fold's value for a subterm is (dom, cod, base, layers): its layers
+# bottom-up as (offset - base, code, label) triples. The shorter side of a
+# join is rebased onto the longer side's base, so a deep or wide term is
+# flattened without re-offsetting its long side at every level.
+
+def _gen_layers(node: Gen):
+    if node.name == "id":
+        return 1, 1, 0, []
+    code = GEN_CODES[node.name]
+    return GEN_DOM[code], GEN_COD[code], 0, [(0, code, node.label)]
+
+
+def _compose_layers(node: Compose, f, g):
+    dom, cod = _compose_type(node, f, g)
+    return (dom, cod) + _join(g, f, 0)
+
+
+def _tensor_layers(node: Tensor, l, r):
+    return (l[0] + r[0], l[1] + r[1]) + _join(l, r, l[1])
+
+
+def _join(first, second, shift: int):
+    """(base, layers) of first's layers then second's raised by shift."""
+    base1, layers1 = first[2], first[3]
+    base2, layers2 = second[2] + shift, second[3]
+    if len(layers1) >= len(layers2):
+        layers1 += _rebase(layers2, base2 - base1)
+        return base1, layers1
+    layers2[:0] = _rebase(layers1, base1 - base2)
+    return base2, layers2
+
+
+def _rebase(layers: list, by: int) -> list:
+    return [(off + by, gen, label) for off, gen, label in layers] if by else layers
 
 
 def state_widths(state: tuple[int, ...]) -> list[int]:
@@ -131,21 +153,10 @@ def state_to_term(state: tuple[int, ...]) -> Term:
     term: Term | None = None
     for i in range(n):
         off, gen, lab = state[1 + 3 * i : 4 + 3 * i]
-        term = _slice(off, gen, lab, widths[i]) if term is None else Compose(
-            _slice(off, gen, lab, widths[i]), term
-        )
+        box = Gen(GEN_NAMES[gen], label_name(lab) if lab >= 0 else None)
+        layer = whisker(box, off, widths[i] - off - GEN_DOM[gen])
+        term = layer if term is None else Compose(layer, term)
     return term
-
-
-def _slice(off: int, gen: int, lab: int, width: int) -> Term:
-    name = GEN_NAMES[gen]
-    box: Term = Gen(name, label_name(lab) if lab >= 0 else None)
-    right = width - off - GEN_DOM[gen]
-    if right > 0:
-        box = Tensor(box, id_n(right))
-    if off > 0:
-        box = Tensor(id_n(off), box)
-    return box
 
 
 def slice_path(n_layers: int, i: int) -> list[int]:

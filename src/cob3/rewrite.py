@@ -16,6 +16,7 @@ rewrites and returns a replayable trace.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .cospan import cospan_of_term, terms_equal
@@ -42,13 +43,13 @@ from .terms import (
     Gen,
     Tensor,
     Term,
+    fold,
     id_n,
     parse,
     permutation_term,
     print_term,
-    replace_at,
-    subterm_at,
     typecheck,
+    whisker,
 )
 
 __all__ = [
@@ -90,42 +91,28 @@ class Rule:
     metavars: tuple[str, ...]
 
 
+def _relabel(term: Term, f) -> Term:
+    """term with every prime label x replaced by f(x)."""
+    return fold(
+        term,
+        lambda g: g if g.label is None else Gen(g.name, f(g.label)),
+        lambda _node, a, b: Compose(a, b),
+        lambda _node, a, b: Tensor(a, b),
+    )
+
+
 def _side(text: str) -> Term:
     """Parse a rule side; ?x metavariables are smuggled past the tokenizer."""
     term = parse(text.replace("?", "__mv_"))
-
-    def walk(t: Term) -> Term:
-        if isinstance(t, Gen):
-            if t.label and t.label.startswith("__mv_"):
-                return Gen(t.name, "?" + t.label[5:])
-            return t
-        if isinstance(t, Compose):
-            return Compose(walk(t.f), walk(t.g))
-        return Tensor(walk(t.l), walk(t.r))
-
-    return walk(term)
+    return _relabel(term, lambda x: x.replace("__mv_", "?"))
 
 
 def _rule(name: str, lhs: str, rhs: str) -> Rule:
     left, right = _side(lhs), _side(rhs)
-    mvs: list[str] = []
-
-    def collect(t: Term):
-        if isinstance(t, Gen):
-            if t.label and t.label.startswith("?") and t.label not in mvs:
-                mvs.append(t.label)
-        elif isinstance(t, Compose):
-            collect(t.f)
-            collect(t.g)
-        elif isinstance(t, Tensor):
-            collect(t.l)
-            collect(t.r)
-
-    collect(left)
-    collect(right)
     if typecheck(left) != typecheck(right):
         raise ArityMismatch(f"rule {name} relates differently-typed sides")
-    return Rule(name, left, right, tuple(sorted(mvs)))
+    metavars = tuple(sorted(set(re.findall(r"\?[a-z]\w*", lhs + rhs))))
+    return Rule(name, left, right, metavars)
 
 
 _RULE_DEFS = [
@@ -255,8 +242,6 @@ def apply_rule(term: Term, rule_name: str, direction: str = "fwd", position=None
 
     position selects where:
       * None: the first window in the kernel's deterministic order;
-      * a child-index path (list of 0/1): the addressed subterm must itself
-        be an instance of the matched side, and is replaced in the tree;
       * a dict {"path", "layers", "offset"}: a window of the canonical
         layered form, as reported in traces.
     Raises NoMatch when the rule does not apply there.
@@ -270,9 +255,8 @@ def apply_rule(term: Term, rule_name: str, direction: str = "fwd", position=None
     rhs = _compile_side(rule.rhs, rule.metavars)
     pat, rep = (lhs, rhs) if direction == "fwd" else (rhs, lhs)
     n_meta = len(rule.metavars)
-
-    if isinstance(position, (list, tuple)):
-        return _apply_at_subtree(term, list(position), pat, rep, n_meta, rule_name)
+    if position is not None and not isinstance(position, dict):
+        raise TypeError(f"position must be None or a window dict, not {position!r}")
 
     state = nf(term_to_state(term))
     n = _n_layers(state)
@@ -296,26 +280,6 @@ def apply_rule(term: Term, rule_name: str, direction: str = "fwd", position=None
             if want is None or (match[0], match[1]) == want:
                 return state_to_term(apply_match(state, match, rep))
     raise NoMatch(f"{rule_name} ({direction}) does not apply at {position!r}")
-
-
-def _apply_at_subtree(term, path, pat, rep, n_meta, rule_name) -> Term:
-    sub = subterm_at(term, path)
-    sub_state = nf(term_to_state(sub))
-    n = _n_layers(sub_state)
-    k = (len(pat) - 1) // 3
-    if k == 0:
-        if sub_state != pat:
-            raise NoMatch(
-                f"subterm at {path!r} is not the identity window {rule_name} needs"
-            )
-        new_state = apply_insertion(sub_state, 0, 0, rep)
-        return replace_at(term, path, state_to_term(new_state))
-    for match in find_matches(sub_state, pat, n_meta):
-        bottom, delta, idxs, below, above, _b = match
-        if bottom == 0 and delta == 0 and len(idxs) == n and not below and not above:
-            new_state = apply_match(sub_state, match, rep)
-            return replace_at(term, path, state_to_term(new_state))
-    raise NoMatch(f"subterm at {path!r} is not an instance of {rule_name}")
 
 
 # ---------------------------------------------------------------------------
@@ -547,16 +511,6 @@ def replay(trace: RewriteTrace) -> Term:
 # ---------------------------------------------------------------------------
 # normalization
 
-def _lay(box: Term, off: int, width: int, arity: int) -> Term:
-    """box placed on wires [off, off+arity) of a width-wide interface."""
-    t = box
-    if width - off - arity > 0:
-        t = Tensor(t, id_n(width - off - arity))
-    if off > 0:
-        t = Tensor(id_n(off), t)
-    return t
-
-
 def _stack(parts: list[Term], width_in: int) -> Term:
     if not parts:
         return id_n(width_in)
@@ -567,11 +521,14 @@ def _stack(parts: list[Term], width_in: int) -> Term:
 
 
 def _is_id_stack(term: Term) -> bool:
-    if isinstance(term, Gen):
-        return term.name == "id"
-    if isinstance(term, Tensor):
-        return _is_id_stack(term.l) and _is_id_stack(term.r)
-    return False
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Tensor):
+            stack += (t.r, t.l)
+        elif not (isinstance(t, Gen) and t.name == "id"):
+            return False
+    return True
 
 
 def _comp(f: Term, g: Term) -> Term:
@@ -591,16 +548,16 @@ def _component_core(n_in: int, genus: int, n_out: int) -> Term:
         parts.append(Gen("unit"))
         w = 1
     while w > 1:
-        parts.append(_lay(Gen("m"), 0, w, 2))
+        parts.append(whisker(Gen("m"), 0, w - 2))
         w -= 1
     for _ in range(genus):
         parts.append(Gen("comul"))
-        parts.append(_lay(Gen("m"), 0, 2, 2))
+        parts.append(Gen("m"))
     if n_out == 0:
         parts.append(Gen("tr"))
     else:
         while w < n_out:
-            parts.append(_lay(Gen("comul"), 0, w, 1))
+            parts.append(whisker(Gen("comul"), 0, w - 1))
             w += 1
     return _stack(parts, n_in)
 
@@ -698,28 +655,11 @@ def verify_ruleset_soundness(rules: str = "G2_FULL") -> dict:
         else:
             assignments.append({})
         for asg in assignments:
-            lhs = _instantiate_term(rule.lhs, asg)
-            rhs = _instantiate_term(rule.rhs, asg)
+            lhs = _relabel(rule.lhs, lambda x: asg.get(x, x))
+            rhs = _relabel(rule.rhs, lambda x: asg.get(x, x))
             if not terms_equal(lhs, rhs):
                 verdict = False
         report["checked"].append({"rule": rule.name, "sound": verdict})
         report["sound"] = report["sound"] and verdict
     return report
 
-
-def _instantiate_term(term: Term, assignment: dict[str, str]) -> Term:
-    if isinstance(term, Gen):
-        if term.label in assignment:
-            return Gen(term.name, assignment[term.label])
-        return term
-    if isinstance(term, Compose):
-        return Compose(
-            _instantiate_term(term.f, assignment),
-            _instantiate_term(term.g, assignment),
-        )
-    if isinstance(term, Tensor):
-        return Tensor(
-            _instantiate_term(term.l, assignment),
-            _instantiate_term(term.r, assignment),
-        )
-    return term

@@ -32,14 +32,14 @@ __all__ = [
     "Term",
     "TermTypeError",
     "GENERATOR_ARITIES",
+    "fold",
     "id_n",
     "parse",
     "permutation_term",
     "print_term",
     "random_term",
-    "replace_at",
-    "subterm_at",
     "typecheck",
+    "whisker",
 ]
 
 
@@ -122,161 +122,184 @@ class Tensor(Term):
     r: Term
 
 
+_JOIN = object()  # stack marker: both children of the node below are done
+
+
+def fold(term: Term, gen, compose, tensor):
+    """Combine a term bottom-up without recursion.
+
+    gen(node) gives a generator's value; compose(node, f_val, g_val) and
+    tensor(node, l_val, r_val) combine the values of a composite's children.
+    Children are visited in printed order (f before g, l before r), so the
+    first combine that raises is the one a recursive post-order walk would
+    reach first.
+    """
+    stack = [term]
+    vals: list = []
+    push, pop, out = stack.extend, stack.pop, vals.append
+    while stack:
+        node = pop()
+        kind = type(node)
+        if kind is Gen:
+            out(gen(node))
+        elif kind is Compose:
+            push((node, _JOIN, node.g, node.f))
+        elif kind is Tensor:
+            push((node, _JOIN, node.r, node.l))
+        elif node is _JOIN:
+            node = pop()
+            second = vals.pop()
+            first = vals.pop()
+            out((compose if type(node) is Compose else tensor)(node, first, second))
+        else:
+            raise TermTypeError(f"not a term: {node!r}")
+    return vals[0]
+
+
+def _gen_type(node: Gen) -> tuple[int, int]:
+    return GENERATOR_ARITIES[node.name]
+
+
+def _compose_type(node: Compose, f, g) -> tuple[int, int]:
+    """(inputs, outputs) of f . g, given those of f and g (read from [0], [1])."""
+    if f[0] != g[1]:
+        raise ArityMismatch(
+            f"cannot compose: left factor wants {f[0]} inputs but right "
+            f"factor yields {g[1]} outputs in {print_term(node)!r}"
+        )
+    return (g[0], f[1])
+
+
+def _tensor_type(node: Tensor, l, r) -> tuple[int, int]:
+    return (l[0] + r[0], l[1] + r[1])
+
+
 def typecheck(term: Term) -> tuple[int, int]:
     """Return (inputs, outputs) or raise TermTypeError naming the bad node."""
-    if isinstance(term, Gen):
-        return GENERATOR_ARITIES[term.name]
-    if isinstance(term, Compose):
-        fa = typecheck(term.f)
-        ga = typecheck(term.g)
-        if fa[0] != ga[1]:
-            raise ArityMismatch(
-                f"cannot compose: left factor wants {fa[0]} inputs but right "
-                f"factor yields {ga[1]} outputs in {print_term(term)!r}"
-            )
-        return (ga[0], fa[1])
-    if isinstance(term, Tensor):
-        la = typecheck(term.l)
-        ra = typecheck(term.r)
-        return (la[0] + ra[0], la[1] + ra[1])
-    raise TermTypeError(f"not a term: {term!r}")
+    return fold(term, _gen_type, _compose_type, _tensor_type)
 
 
 # ---------------------------------------------------------------------------
 # printing
 
-def _print(term: Term) -> str:
-    if isinstance(term, Gen):
-        if term.label is not None:
-            return f"{term.name}({term.label})"
-        return term.name
-    if isinstance(term, Compose):
-        left = _print(term.f)
-        if isinstance(term.f, Compose):
-            left = f"({left})"
-        return f"{left} . {_print(term.g)}"
-    if isinstance(term, Tensor):
-        left = _print(term.l)
-        if isinstance(term.l, (Compose, Tensor)):
-            left = f"({left})"
-        right = _print(term.r)
-        if isinstance(term.r, Compose):
-            right = f"({right})"
-        return f"{left} * {right}"
-    raise TermTypeError(f"not a term: {term!r}")
+def _print_gen(node: Gen) -> str:
+    return node.name if node.label is None else f"{node.name}({node.label})"
+
+
+def _print_compose(node: Compose, left: str, right: str) -> str:
+    if type(node.f) is Compose:
+        left = f"({left})"
+    return f"{left} . {right}"
+
+
+def _print_tensor(node: Tensor, left: str, right: str) -> str:
+    if type(node.l) is not Gen:
+        left = f"({left})"
+    if type(node.r) is Compose:
+        right = f"({right})"
+    return f"{left} * {right}"
 
 
 def print_term(term: Term) -> str:
     """Render with minimal parentheses; parse(print_term(t)) == t."""
-    return _print(term)
+    return fold(term, _print_gen, _print_compose, _print_tensor)
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(r"[A-Za-z0-9_#+-]+|[.*()]")
-_SKIP_RE = re.compile(r"\s+")
+# Each match is optional whitespace, then a token (group 1) or a character
+# that starts no token (group 2).
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z0-9_#+-]+|[.*()])|(\S))")
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, int, int]] = []
-        self._scan()
-        self.index = 0
-
-    def _linecol(self, pos: int) -> tuple[int, int]:
-        line = self.text.count("\n", 0, pos) + 1
-        start = self.text.rfind("\n", 0, pos) + 1
-        return line, pos - start + 1
-
-    def _scan(self):
-        pos = 0
-        n = len(self.text)
-        while pos < n:
-            ws = _SKIP_RE.match(self.text, pos)
-            if ws:
-                pos = ws.end()
-                continue
-            tok = _TOKEN_RE.match(self.text, pos)
-            if not tok:
-                line, col = self._linecol(pos)
-                raise ParseError(f"unexpected character {self.text[pos]!r}", line, col)
-            line, col = self._linecol(pos)
-            self.tokens.append((tok.group(), line, col))
-            pos = tok.end()
-
-    def peek(self) -> str | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index][0]
-        return None
-
-    def next(self) -> tuple[str, int, int]:
-        if self.index >= len(self.tokens):
-            line, col = self._linecol(len(self.text))
-            raise ParseError("unexpected end of input", line, col)
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-
-def _parse_compose(tk: _Tokenizer) -> Term:
-    left = _parse_tensor(tk)
-    if tk.peek() == ".":
-        tk.next()
-        return Compose(left, _parse_compose(tk))
-    return left
-
-
-def _parse_tensor(tk: _Tokenizer) -> Term:
-    left = _parse_atom(tk)
-    if tk.peek() == "*":
-        tk.next()
-        return Tensor(left, _parse_tensor(tk))
-    return left
-
-
-def _parse_atom(tk: _Tokenizer) -> Term:
-    word, line, col = tk.next()
-    if word == "(":
-        inner = _parse_compose(tk)
-        closer, cline, ccol = tk.next()
-        if closer != ")":
-            raise ParseError(f"expected ')', got {closer!r}", cline, ccol)
-        return inner
-    if word in (".", "*", ")"):
-        raise ParseError(f"expected a term, got {word!r}", line, col)
-    if word in _LABELLED:
-        opener, oline, ocol = tk.next()
-        if opener != "(":
-            raise ParseError(f"{word} needs a parenthesized label", oline, ocol)
-        label, lline, lcol = tk.next()
-        if not _LABEL_RE.match(label):
-            raise ParseError(f"bad prime label {label!r}", lline, lcol)
-        closer, cline, ccol = tk.next()
-        if closer != ")":
-            raise ParseError(f"expected ')', got {closer!r}", cline, ccol)
-        return Gen(word, label)
-    if word in GENERATOR_ARITIES:
-        return Gen(word)
-    raise ParseError(f"unknown generator {word!r}", line, col)
+def _error(text: str, message: str, pos: int) -> ParseError:
+    """A ParseError at text offset pos, with its 1-based line and column."""
+    line = text.count("\n", 0, pos) + 1
+    return ParseError(message, line, pos - text.rfind("\n", 0, pos))
 
 
 def parse(text: str) -> Term:
-    """Parse term text; raise ParseError with line/column on malformed input."""
-    tk = _Tokenizer(text)
-    if not tk.tokens:
+    """Parse term text; raise ParseError with line/column on malformed input.
+
+    Recursive descent run on an explicit stack: the stack holds open "("
+    and the left operands of pending "." and "*", so nesting depth costs
+    no Python recursion.
+    """
+    words: list[str] = []
+    starts: list[int] = []
+    for match in _TOKEN_RE.finditer(text):
+        word, bad = match.groups()
+        if bad is not None:
+            raise _error(text, f"unexpected character {bad!r}", match.start(2))
+        words.append(word)
+        starts.append(match.start(1))
+    if not words:
         raise ParseError("empty input", 1, 1)
-    term = _parse_compose(tk)
-    if tk.index != len(tk.tokens):
-        word, line, col = tk.tokens[tk.index]
-        raise ParseError(f"trailing input starting at {word!r}", line, col)
-    return term
+    n = len(words)
+    i = 0
+
+    def take() -> str:
+        nonlocal i
+        if i == n:
+            raise _error(text, "unexpected end of input", len(text))
+        i += 1
+        return words[i - 1]
+
+    def fail(message: str):
+        # the token just taken is the offending one
+        raise _error(text, message, starts[i - 1])
+
+    stack: list = []  # "(" or (operator, left operand)
+    while True:
+        word = take()
+        if word == "(":
+            stack.append("(")
+            continue
+        if word in (".", "*", ")"):
+            fail(f"expected a term, got {word!r}")
+        if word in _LABELLED:
+            if take() != "(":
+                fail(f"{word} needs a parenthesized label")
+            label = take()
+            if not _LABEL_RE.match(label):
+                fail(f"bad prime label {label!r}")
+            if take() != ")":
+                fail(f"expected ')', got {words[i - 1]!r}")
+            term: Term = Gen(word, label)
+        elif word in GENERATOR_ARITIES:
+            term = Gen(word)
+        else:
+            fail(f"unknown generator {word!r}")
+        # term is a complete atom: reduce until an operator wants a right
+        # operand or the input ends.
+        while True:
+            nxt = words[i] if i < n else None
+            if nxt == "*":
+                i += 1
+                stack.append(("*", term))
+                break
+            while stack and stack[-1][0] == "*":
+                term = Tensor(stack.pop()[1], term)
+            if nxt == ".":
+                i += 1
+                stack.append((".", term))
+                break
+            while stack and stack[-1][0] == ".":
+                term = Compose(stack.pop()[1], term)
+            if not stack:
+                if i != n:
+                    raise _error(
+                        text, f"trailing input starting at {nxt!r}", starts[i]
+                    )
+                return term
+            if take() != ")":
+                fail(f"expected ')', got {words[i - 1]!r}")
+            stack.pop()  # the matching "(": the group is an atom
 
 
 # ---------------------------------------------------------------------------
-# builders and tree addressing
+# builders
 
 def id_n(n: int) -> Term:
     """n-fold tensor of id (right-nested); n must be >= 1."""
@@ -286,6 +309,15 @@ def id_n(n: int) -> Term:
     for _ in range(n - 1):
         term = Tensor(Gen("id"), term)
     return term
+
+
+def whisker(box: Term, left: int, right: int) -> Term:
+    """id^left * box * id^right, padded on the right first."""
+    if right > 0:
+        box = Tensor(box, id_n(right))
+    if left > 0:
+        box = Tensor(id_n(left), box)
+    return box
 
 
 def permutation_term(perm) -> Term:
@@ -312,20 +344,11 @@ def permutation_term(perm) -> Term:
                 changed = True
     if not swaps:
         return id_n(n)
-    term = _swap_layer(swaps[0], n)
-    for i in swaps[1:]:
-        term = Compose(_swap_layer(i, n), term)
+    layers = [whisker(Gen("swap"), i, n - i - 2) for i in swaps]
+    term = layers[0]
+    for layer in layers[1:]:
+        term = Compose(layer, term)
     return term
-
-
-def _swap_layer(i: int, n: int) -> Term:
-    """id^i * swap * id^(n-i-2) as a term of width n."""
-    layer: Term = Gen("swap")
-    if i + 2 < n:
-        layer = Tensor(layer, id_n(n - i - 2))
-    if i > 0:
-        layer = Tensor(id_n(i), layer)
-    return layer
 
 
 def random_term(rng, max_gens: int = 12, labels=("P", "Q")) -> Term:
@@ -356,12 +379,7 @@ def random_term(rng, max_gens: int = 12, labels=("P", "Q")) -> Term:
         name, dom, cod, need = rng.choice(options)
         gen = Gen(name, rng.choice(labels)) if name in _LABELLED else Gen(name)
         a = rng.randint(0, width - need)
-        b = width - need - a
-        layer: Term = gen
-        if b > 0:
-            layer = Tensor(layer, id_n(b))
-        if a > 0:
-            layer = Tensor(id_n(a), layer)
+        layer = whisker(gen, a, width - need - a)
         if attach_out:
             return layer, width - dom + cod
         return layer, width - cod + dom
@@ -395,35 +413,3 @@ def random_term(rng, max_gens: int = 12, labels=("P", "Q")) -> Term:
             gens += 1
     return term
 
-
-def subterm_at(term: Term, path) -> Term:
-    """Child-index path lookup: 0 = printed-left child, 1 = printed-right."""
-    node = term
-    for depth, step in enumerate(path):
-        if isinstance(node, Compose):
-            node = node.f if step == 0 else node.g if step == 1 else None
-        elif isinstance(node, Tensor):
-            node = node.l if step == 0 else node.r if step == 1 else None
-        else:
-            node = None
-        if node is None:
-            raise IndexError(f"no child {step} at depth {depth} of {print_term(term)!r}")
-    return node
-
-
-def replace_at(term: Term, path, replacement: Term) -> Term:
-    """Rebuild term with the subterm at path replaced."""
-    if not path:
-        return replacement
-    step, rest = path[0], path[1:]
-    if isinstance(term, Compose):
-        if step == 0:
-            return Compose(replace_at(term.f, rest, replacement), term.g)
-        if step == 1:
-            return Compose(term.f, replace_at(term.g, rest, replacement))
-    elif isinstance(term, Tensor):
-        if step == 0:
-            return Tensor(replace_at(term.l, rest, replacement), term.r)
-        if step == 1:
-            return Tensor(term.l, replace_at(term.r, rest, replacement))
-    raise IndexError(f"no child {step} in {print_term(term)!r}")

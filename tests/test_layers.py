@@ -1,6 +1,7 @@
 """Layered-state round trips and slide-class normalization."""
 
 import random
+import time
 
 import pytest
 
@@ -17,6 +18,25 @@ from cob3.layers import (
     term_to_state,
 )
 from cob3.terms import parse, print_term, random_term, typecheck
+
+
+def test_wide_labelled_tensor_flattens_in_near_linear_time():
+    # re-offsetting the right factor at every level of a right-nested
+    # tensor would take seconds here
+    n = 10_000
+    term = parse(" * ".join(["pe(P)"] * n))
+    started = time.perf_counter()
+    state = term_to_state(term)
+    assert time.perf_counter() - started < 5
+    assert state[0] == n and state[1::3] == tuple(range(n))
+
+
+def test_labels_are_interned_in_layer_order():
+    # g's layer comes first in f . g, so its fresh label is interned first:
+    # label ids, which order nf's ties and so G2 texts, follow layer order
+    # and not the order the fold visits the tree in
+    state = term_to_state(parse("pe(Fresh_b) . pe(Fresh_a)"))
+    assert state[3] + 1 == state[6]
 
 
 def nf_of(text):

@@ -46,9 +46,9 @@ def test_rule_preserves_connectivity(name):
     asg = {mv: f"L{i}" for i, mv in enumerate(rule.metavars)}
 
     def inst(t):
-        from cob3.rewrite import _instantiate_term
+        from cob3.rewrite import _relabel
 
-        return _instantiate_term(t, asg)
+        return _relabel(t, lambda x: asg.get(x, x))
 
     assert terms_equal(inst(rule.lhs), inst(rule.rhs))
 
@@ -76,14 +76,6 @@ def test_apply_legs_moves_the_label():
     assert diagram_equal(out, parse("m . (id * pe(P))"))
 
 
-def test_apply_at_subtree_path():
-    t = parse("pe(P) . (m . (unit * id))")
-    out = apply_rule(t, "unit_l", "fwd", [1])
-    assert diagram_equal(out, parse("pe(P) . id"))
-    with pytest.raises(NoMatch):
-        apply_rule(t, "unit_l", "fwd", [0])
-
-
 def test_apply_rejects_bad_arguments():
     with pytest.raises(UnknownRuleSet):
         apply_rule(parse("m"), "no_such_rule")
@@ -91,6 +83,8 @@ def test_apply_rejects_bad_arguments():
         apply_rule(parse("m"), "unit_l", "sideways")
     with pytest.raises(NoMatch):
         apply_rule(parse("comul"), "unit_l")
+    with pytest.raises(TypeError):  # tree paths are no longer positions
+        apply_rule(parse("m . (unit * id)"), "unit_l", "fwd", [1])
 
 
 def test_apply_at_window_position():

@@ -1,21 +1,25 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cob3.layers import term_to_state
 from cob3.terms import (
     ArityMismatch,
     Compose,
     Gen,
     ParseError,
     Tensor,
+    TermTypeError,
+    fold,
     id_n,
     parse,
     permutation_term,
     print_term,
     random_term,
-    replace_at,
-    subterm_at,
     typecheck,
+    whisker,
 )
 
 
@@ -67,6 +71,22 @@ def test_parse_rejects_junk():
             parse(bad)
 
 
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("m .\n  $", "unexpected character '$'", 2, 3),
+        ("m .\n\n (id *\n  )", "expected a term, got ')'", 4, 3),
+        ("(m .\n m", "unexpected end of input", 2, 3),
+        ("pe(P)\n pe(Q)", "trailing input starting at 'pe'", 2, 2),
+    ],
+)
+def test_parse_error_position(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+
+
 def test_labels_need_generator_support():
     with pytest.raises(ParseError):
         parse("m(P)")
@@ -89,13 +109,51 @@ def test_permutation_term():
     assert typecheck(ident) == (3, 3)
 
 
-def test_subterm_paths():
-    t = parse("m . (pe(P) * id)")
-    assert isinstance(t, Compose)
-    inner = subterm_at(t, [1])
-    assert isinstance(inner, Tensor)
-    swapped = replace_at(t, [1, 0], Gen("pe", "Q"))
-    assert "pe(Q)" in print_term(swapped)
+def test_whisker_pads_right_first():
+    assert whisker(Gen("m"), 0, 0) == Gen("m")
+    assert whisker(Gen("m"), 1, 2) == Tensor(Gen("id"), Tensor(Gen("m"), id_n(2)))
+    assert typecheck(whisker(Gen("comul"), 2, 1)) == (4, 5)
+
+
+def test_fold_visits_children_in_printed_order():
+    seen = []
+    fold(
+        parse("(pe(A) * pe(B)) . pe(C) . pe(D)"),
+        lambda g: seen.append(g.label),
+        lambda *_: None,
+        lambda *_: None,
+    )
+    assert seen == ["A", "B", "C", "D"]
+    with pytest.raises(TermTypeError, match="not a term"):
+        typecheck(Compose(Gen("m"), "m"))
+
+
+def test_first_mismatch_in_printed_order_is_reported():
+    # both factors are ill-typed; the left one is named, as before
+    t = parse("(m . m) . (comul . comul)")
+    with pytest.raises(ArityMismatch, match=r"'m \. m'"):
+        typecheck(t)
+    with pytest.raises(ArityMismatch, match=r"'m \. m'"):
+        term_to_state(t)
+
+
+_LEAVES = st.sampled_from(
+    [Gen(n) for n in ("id", "m", "unit", "comul", "tr", "swap")]
+) | st.builds(Gen, st.sampled_from(["pe", "pu"]), st.sampled_from(["P", "q_2", "#+-"]))
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.builds(Compose, kids, kids) | st.builds(Tensor, kids, kids),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES, st.sampled_from([" ", "  ", "\n", " \n\t "]))
+def test_parse_inverts_print(term, space):
+    # any tree, well-typed or not, and any whitespace between tokens
+    text = print_term(term)
+    assert parse(text) == term
+    assert parse(text.replace(" ", space)) == term
 
 
 def test_random_terms_are_well_typed():
