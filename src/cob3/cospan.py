@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .layers import COMUL, M, PU, SWAP, TR, UNIT, label_name, term_to_state
+from .layers import COMUL, M, PU, SWAP, TR, UNIT, term_to_state
 from .terms import Term
 
 __all__ = [
@@ -106,7 +106,7 @@ def cospan_of_term(term: Term) -> LabelledCospan:
             wires.insert(off, len(parent))
             parent.append(len(parent))
             genus.append(0)
-            primes.append([label_name(lab)] if gen == PU else [])
+            primes.append([lab] if gen == PU else [])
         elif gen == COMUL:
             wires.insert(off, wires[off])
         elif gen == TR:
@@ -114,7 +114,7 @@ def cospan_of_term(term: Term) -> LabelledCospan:
         elif gen == SWAP:
             wires[off], wires[off + 1] = wires[off + 1], wires[off]
         else:  # PE
-            primes[find(wires[off])].append(label_name(lab))
+            primes[find(wires[off])].append(lab)
 
     ins = {x: [] for x in range(len(parent)) if parent[x] == x}
     outs = {x: [] for x in ins}

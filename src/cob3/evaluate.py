@@ -27,11 +27,9 @@ from cob3.layers import (
     GEN_DOM,
     M,
     PE,
-    PU,
     SWAP,
     TR,
     UNIT,
-    label_name,
     term_to_state,
 )
 from cob3.linmap import LinearMap, _lowest_terms, scalar_to_fraction
@@ -66,22 +64,22 @@ def _column_tables(alg: FrobeniusAlgebra):
     d = alg.dim
     one = Fraction(1)
     return {
-        (M, -1): _scaled(
+        (M, ""): _scaled(
             [
                 [(k, alg.mul[k][i][j]) for k in range(d)]
                 for i in range(d)
                 for j in range(d)
             ]
         ),
-        (UNIT, -1): _scaled([[(i, alg.unit[i]) for i in range(d)]]),
-        (COMUL, -1): _scaled(
+        (UNIT, ""): _scaled([[(i, alg.unit[i]) for i in range(d)]]),
+        (COMUL, ""): _scaled(
             [
                 [(j * d + k, alg.comul[i][j][k]) for j in range(d) for k in range(d)]
                 for i in range(d)
             ]
         ),
-        (TR, -1): _scaled([[(0, alg.trace[i])] for i in range(d)]),
-        (SWAP, -1): _scaled([[(j * d + i, one)] for i in range(d) for j in range(d)]),
+        (TR, ""): _scaled([[(0, alg.trace[i])] for i in range(d)]),
+        (SWAP, ""): _scaled([[(j * d + i, one)] for i in range(d) for j in range(d)]),
     }
 
 
@@ -122,16 +120,14 @@ def eval_term(
     w = dom
     for p in range(1, len(state), 3):
         off, gen, lab = state[p], state[p + 1], state[p + 2]
-        key = (gen, lab if gen in (PE, PU) else -1)
-        tab = tabs.get(key)
+        tab = tabs.get((gen, lab))
         if tab is None:
-            name = label_name(lab)
             tab = (
-                _endo_table(alg, name, overrides, d)
+                _endo_table(alg, lab, overrides, d)
                 if gen == PE
-                else _unit_table(alg, name, d)
+                else _unit_table(alg, lab, d)
             )
-            tabs[key] = tab
+            tabs[gen, lab] = tab
         tden, cols = tab
         a, b = GEN_DOM[gen], GEN_COD[gen]
         right = w - off - a
@@ -143,8 +139,8 @@ def eval_term(
             mid = rest % pa
             base = (rest // pa) * pb
             for rg, vg in cols[mid]:
-                key2 = ((base + rg) * pr + lo, c)
-                new[key2] = new.get(key2, 0) + (v if vg is None else v * vg)
+                key = ((base + rg) * pr + lo, c)
+                new[key] = new.get(key, 0) + (v if vg is None else v * vg)
         den, acc = _lowest_terms(den * tden, new)
         w += b - a
     return LinearMap._from_ints(dom, w, d, den, acc)
@@ -298,16 +294,7 @@ def parse_manifold(text: str) -> Tuple[int, Tuple[str, ...]]:
 def closed_invariant(alg: FrobeniusAlgebra, manifold: str) -> Fraction:
     """trace(prime elements * handle^genus * 1), evaluated as a diagram."""
     genus, primes = parse_manifold(manifold)
-    v = alg.unit
-    handle = alg.handle_element()
-    for _ in range(genus):
-        v = alg.multiply(handle, v)
-    for p in primes:
-        vec = alg.primes.get(p)
-        if vec is None:
-            raise UnknownPrime(p)
-        v = alg.multiply(vec, v)
-    return alg.trace_of(v)
+    return _component_map(alg, 0, 0, genus, primes).scalar()
 
 
 def closed_invariant_by_characters(alg: FrobeniusAlgebra, manifold: str) -> Fraction:

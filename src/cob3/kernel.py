@@ -176,14 +176,11 @@ def _greedy_min(start):
 
 
 def _bind(pl, l, bindings):
-    """Check a pattern label against a state label, binding metavariables."""
-    if pl >= -1:
+    """Check a pattern label against a state label, binding metavariables
+    (labels "?x", keys of the `bindings` dict) to the first label they meet."""
+    if pl[:1] != "?":
         return pl == l
-    slot = -pl - 2
-    if bindings[slot] == -1:
-        bindings[slot] = l
-        return True
-    return bindings[slot] == l
+    return bindings.setdefault(pl, l) == l
 
 
 def instantiate(side, bindings, col):
@@ -191,13 +188,11 @@ def instantiate(side, bindings, col):
     out = []
     for p in range(1, len(side), 3):
         lab = side[p + 2]
-        if lab <= -2:
-            lab = bindings[-lab - 2]
-        out.extend((side[p] + col, side[p + 1], lab))
+        out.extend((side[p] + col, side[p + 1], bindings.get(lab, lab)))
     return out
 
 
-def find_matches(state, pat, n_meta):
+def find_matches(state, pat):
     """All verified windows where `pat` occurs in `state`.
 
     `state` must already be in normal form. Returns a sorted list of match
@@ -205,6 +200,7 @@ def find_matches(state, pat, n_meta):
     bindings): `skipped_flat` are context layers re-homed below the window
     (offsets adjusted), `skipped_after` those re-homed above it, and the
     replacement block belongs at column `delta` directly between them.
+    `bindings` maps each of the pattern's metavariables to its label.
     """
     k = (len(pat) - 1) // 3
     if k == 0:
@@ -215,18 +211,18 @@ def find_matches(state, pat, n_meta):
     pw = state_widths(pat)
     widths = state_widths(state)
     seen = {}
-    for cand in _scan_down(state, pat, pw, widths, n, k, n_meta):
+    for cand in _scan_down(state, pat, pw, widths, n, k):
         key = (cand[0], cand[1], cand[2])
         if key not in seen and _verify(state, pat, cand):
             seen[key] = cand
-    for cand in _scan_up(state, pat, pw, widths, n, k, n_meta):
+    for cand in _scan_up(state, pat, pw, widths, n, k):
         key = (cand[0], cand[1], cand[2])
         if key not in seen and _verify(state, pat, cand):
             seen[key] = cand
     return sorted(seen.values())
 
 
-def _scan_down(state, pat, pw, widths, n, k, n_meta):
+def _scan_down(state, pat, pw, widths, n, k):
     """Anchor the top pattern layer and scan downward, skipping context
     layers into the region below the window."""
     top_off = pat[1 + 3 * (k - 1)]
@@ -240,7 +236,7 @@ def _scan_down(state, pat, pw, widths, n, k, n_meta):
         shift = state[p] - top_off
         if shift < 0 or shift + pw[k] > widths[it + 1]:
             continue
-        bindings = [-1] * n_meta
+        bindings = {}
         if not _bind(top_lab, state[p + 2], bindings):
             continue
         matched = [it]
@@ -294,13 +290,13 @@ def _scan_down(state, pat, pw, widths, n, k, n_meta):
                 tuple(matched),
                 tuple(below),
                 (),
-                tuple(bindings),
+                bindings,
             )
         )
     return out
 
 
-def _scan_up(state, pat, pw, widths, n, k, n_meta):
+def _scan_up(state, pat, pw, widths, n, k):
     """Anchor the bottom pattern layer and scan upward, skipping context
     layers into the region above the window."""
     bot_off = pat[1]
@@ -315,7 +311,7 @@ def _scan_up(state, pat, pw, widths, n, k, n_meta):
         delta = state[p] - bot_off
         if delta < 0 or delta + pw[0] > widths[ib]:
             continue
-        bindings = [-1] * n_meta
+        bindings = {}
         if not _bind(bot_lab, state[p + 2], bindings):
             continue
         matched = [ib]
@@ -362,7 +358,7 @@ def _scan_up(state, pat, pw, widths, n, k, n_meta):
                 tuple(matched),
                 (),
                 tuple(above),
-                tuple(bindings),
+                bindings,
             )
         )
     return out
@@ -419,7 +415,7 @@ def find_insertions(state, width, hull):
 def apply_insertion(state, lvl, col, rep):
     """Insert rule side `rep` at a level/column of an identity window."""
     out = list(state[: 1 + 3 * lvl])
-    out.extend(instantiate(rep, (), col))
+    out.extend(instantiate(rep, {}, col))
     out.extend(state[1 + 3 * lvl :])
     return nf(tuple(out))
 
@@ -433,8 +429,8 @@ def successors(state, entries, max_layers):
     """All one-step rewrites of a normal-form state with at most
     `max_layers` layers.
 
-    `entries` is a sequence of (pattern, replacement, n_meta) triples in the
-    order that defines the tie-break. Yields tuples
+    `entries` is a sequence of (pattern, replacement) pairs in the order
+    that defines the tie-break. Yields tuples
     (entry_index, pos_bottom, pos_col, pos_layers, new_state) in
     deterministic order.
 
@@ -445,7 +441,7 @@ def successors(state, entries, max_layers):
     """
     n = (len(state) - 1) // 3
     out = []
-    for e, (pat, rep, n_meta) in enumerate(entries):
+    for e, (pat, rep) in enumerate(entries):
         k = (len(pat) - 1) // 3
         if n - k + (len(rep) - 1) // 3 > max_layers:
             continue
@@ -454,7 +450,7 @@ def successors(state, entries, max_layers):
             for lvl, col in find_insertions(state, pat[0], hull):
                 out.append((e, lvl, col, 0, apply_insertion(state, lvl, col, rep)))
         else:
-            for match in find_matches(state, pat, n_meta):
+            for match in find_matches(state, pat):
                 out.append(
                     (e, match[0], match[1], k, apply_match(state, match, rep))
                 )

@@ -9,15 +9,17 @@ exposes the canonical (slide-sorted) representative computed by the kernel.
 The generator codes and arities below are the one table every consumer of
 the encoding (kernel, cospan, evaluator, rule compiler) reads.
 
-Encoding: a state is a flat int tuple
+Encoding: a state is a flat tuple
 
     (dom, off0, gen0, lab0, off1, gen1, lab1, ...)
 
 listing layers bottom-up (first applied first). A layer (off, gen, lab) is
-generator `gen` (codes below) acting on wires [off, off+arity); `lab` is -1
-for unlabelled generators, an interned prime-label id >= 0, or <= -2 for a
-metavariable slot in rule patterns. Identity wires are not layers; the
-identity on n wires is (n,).
+generator `gen` (codes below) acting on wires [off, off+arity); `lab` is the
+prime label as a string: "" for an unlabelled generator, the label's name
+("P") for pe/pu, or "?p" for a metavariable in a rule side. States are
+compared, and so normal forms chosen, by these names, which makes every
+canonical form independent of the order in which labels were first seen.
+Identity wires are not layers; the identity on n wires is (n,).
 """
 
 from __future__ import annotations
@@ -45,15 +47,11 @@ __all__ = [
     "GEN_NAMES",
     "GEN_DOM",
     "GEN_COD",
-    "intern_label",
-    "label_name",
     "term_to_state",
     "state_to_term",
     "state_widths",
     "canonical_state",
-    "canonical_text",
     "diagram_equal",
-    "slice_path",
 ]
 
 GEN_NAMES = ("m", "unit", "comul", "tr", "swap", "pe", "pu")
@@ -62,25 +60,7 @@ GEN_CODES = {name: code for code, name in enumerate(GEN_NAMES)}
 GEN_DOM = (2, 0, 1, 1, 2, 1, 0)
 GEN_COD = (1, 1, 2, 0, 2, 1, 1)
 
-_LABEL_IDS: dict[str, int] = {}
-_LABEL_NAMES: list[str] = []
-
-
-def intern_label(name: str) -> int:
-    """Map a prime label to a stable nonnegative int (per process)."""
-    lid = _LABEL_IDS.get(name)
-    if lid is None:
-        lid = len(_LABEL_NAMES)
-        _LABEL_IDS[name] = lid
-        _LABEL_NAMES.append(name)
-    return lid
-
-
-def label_name(lid: int) -> str:
-    return _LABEL_NAMES[lid]
-
-
-def term_to_state(term: Term) -> tuple[int, ...]:
+def term_to_state(term: Term) -> tuple:
     """Flatten a term to its layer encoding (not yet slide-sorted).
 
     One fold both checks arities, raising what typecheck would, and
@@ -89,8 +69,7 @@ def term_to_state(term: Term) -> tuple[int, ...]:
     dom, _cod, base, layers = fold(term, _gen_layers, _compose_layers, _tensor_layers)
     out = [dom]
     for off, gen, label in layers:
-        # interned in layer order, so label ids do not depend on the walk
-        out += (off + base, gen, -1 if label is None else intern_label(label))
+        out += (off + base, gen, label)
     return tuple(out)
 
 
@@ -103,7 +82,7 @@ def _gen_layers(node: Gen):
     if node.name == "id":
         return 1, 1, 0, []
     code = GEN_CODES[node.name]
-    return GEN_DOM[code], GEN_COD[code], 0, [(0, code, node.label)]
+    return GEN_DOM[code], GEN_COD[code], 0, [(0, code, node.label or "")]
 
 
 def _compose_layers(node: Compose, f, g):
@@ -130,7 +109,7 @@ def _rebase(layers: list, by: int) -> list:
     return [(off + by, gen, label) for off, gen, label in layers] if by else layers
 
 
-def state_widths(state: tuple[int, ...]) -> list[int]:
+def state_widths(state: tuple) -> list[int]:
     """Wire counts at each level: widths[i] = width below layer i."""
     w = state[0]
     widths = [w]
@@ -141,7 +120,7 @@ def state_widths(state: tuple[int, ...]) -> list[int]:
     return widths
 
 
-def state_to_term(state: tuple[int, ...]) -> Term:
+def state_to_term(state: tuple) -> Term:
     """Render a state as a term: a composition of whiskered slices."""
     dom = state[0]
     n = (len(state) - 1) // 3
@@ -153,23 +132,13 @@ def state_to_term(state: tuple[int, ...]) -> Term:
     term: Term | None = None
     for i in range(n):
         off, gen, lab = state[1 + 3 * i : 4 + 3 * i]
-        box = Gen(GEN_NAMES[gen], label_name(lab) if lab >= 0 else None)
+        box = Gen(GEN_NAMES[gen], lab or None)
         layer = whisker(box, off, widths[i] - off - GEN_DOM[gen])
         term = layer if term is None else Compose(layer, term)
     return term
 
 
-def slice_path(n_layers: int, i: int) -> list[int]:
-    """Child-index path to slice i (0 = first applied) in the rendering."""
-    if not 0 <= i < n_layers:
-        raise IndexError(f"no slice {i} in a {n_layers}-layer rendering")
-    path = [1] * (n_layers - 1 - i)
-    if i > 0:
-        path.append(0)
-    return path
-
-
-def canonical_state(term_or_state) -> tuple[int, ...]:
+def canonical_state(term_or_state) -> tuple:
     """Slide-sorted canonical representative of a term's diagram."""
     from cob3.kernel import nf
 
@@ -177,13 +146,6 @@ def canonical_state(term_or_state) -> tuple[int, ...]:
     if isinstance(state, Term):
         state = term_to_state(state)
     return nf(state)
-
-
-def canonical_text(term: Term) -> str:
-    """Printed canonical form; equal texts <=> structurally equal diagrams."""
-    from cob3.terms import print_term
-
-    return print_term(state_to_term(canonical_state(term)))
 
 
 def diagram_equal(a: Term, b: Term) -> bool:

@@ -15,28 +15,14 @@ rewrites and returns a replayable trace.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
 
 from .cospan import cospan_of_term, terms_equal
-from .kernel import (
-    apply_insertion,
-    apply_match,
-    find_insertions,
-    find_matches,
-    nf,
-    side_hull,
-    successors,
-)
-from .layers import (
-    PE,
-    PU,
-    intern_label,
-    slice_path,
-    state_to_term,
-    term_to_state,
-)
+from .kernel import nf, successors
+from .layers import diagram_equal, state_to_term, term_to_state
 from .terms import (
     ArityMismatch,
     Compose,
@@ -179,59 +165,32 @@ def ruleset(name: str) -> tuple[Rule, ...]:
 # ---------------------------------------------------------------------------
 # compilation to kernel entries
 
-def _compile_side(term: Term, mvs: tuple[str, ...]) -> tuple[int, ...]:
-    state = term_to_state(term)
-    if not mvs:
-        return state
-    slot_of = {intern_label(mv): -2 - i for i, mv in enumerate(mvs)}
-    out = list(state)
-    for p in range(3, len(out), 3):
-        if out[p] in slot_of and out[p - 1] in (PE, PU):
-            out[p] = slot_of[out[p]]
-    return tuple(out)
+@functools.cache
+def _rule_entries(name: str) -> tuple[tuple, tuple]:
+    """The kernel entries (pattern, replacement) of a rule's fwd and rev
+    directions; a side's metavariables are its "?x" labels."""
+    rule = RULES[name]
+    lhs, rhs = term_to_state(rule.lhs), term_to_state(rule.rhs)
+    return (lhs, rhs), (rhs, lhs)
 
 
-_ENTRY_CACHE: dict[str, tuple] = {}
-
-
+@functools.cache
 def _entries(rules_name: str):
-    """Kernel entries + (rule, direction) legend, in tie-break order."""
-    cached = _ENTRY_CACHE.get(rules_name)
-    if cached is not None:
-        return cached
+    """Kernel entries + (rule, direction) legend, in tie-break order.
+
+    Entry 2i is a rule's fwd direction and entry 2i + 1 its rev, so e ^ 1
+    is the opposite direction of entry e.
+    """
     entries = []
     legend = []
     for rule in sorted(ruleset(rules_name), key=lambda r: r.name):
-        lhs = _compile_side(rule.lhs, rule.metavars)
-        rhs = _compile_side(rule.rhs, rule.metavars)
-        for direction in ("fwd", "rev"):
-            pat, rep = (lhs, rhs) if direction == "fwd" else (rhs, lhs)
-            entries.append((pat, rep, len(rule.metavars)))
-            legend.append((rule.name, direction))
-    result = (tuple(entries), tuple(legend))
-    _ENTRY_CACHE[rules_name] = result
-    return result
+        entries += _rule_entries(rule.name)
+        legend += ((rule.name, "fwd"), (rule.name, "rev"))
+    return tuple(entries), tuple(legend)
 
 
 def _n_layers(state) -> int:
     return (len(state) - 1) // 3
-
-
-def _position_dict(n_layers: int, bottom: int, col: int, k: int) -> dict:
-    if k == 0:
-        path = [1] * (n_layers - bottom)
-    else:
-        path = slice_path(n_layers, bottom)
-    return {"path": path, "layers": k, "offset": col}
-
-
-def _position_bottom(n_layers: int, position: dict) -> int:
-    path = list(position["path"])
-    if int(position["layers"]) == 0:
-        return n_layers - len(path)
-    if path and path[-1] == 0:
-        return n_layers - len(path)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -242,43 +201,29 @@ def apply_rule(term: Term, rule_name: str, direction: str = "fwd", position=None
 
     position selects where:
       * None: the first window in the kernel's deterministic order;
-      * a dict {"path", "layers", "offset"}: a window of the canonical
-        layered form, as reported in traces.
+      * a dict {"bottom", "layers", "offset"}, as reported in traces: the
+        window of the term's canonical layered form that starts at layer
+        "bottom" and column "offset" and holds the rule direction's
+        "layers"-layer pattern (zero layers: an insertion point). Other
+        keys, such as a trace's "in", are ignored.
     Raises NoMatch when the rule does not apply there.
     """
     if rule_name not in RULES:
         raise UnknownRuleSet(f"unknown rule {rule_name!r}")
     if direction not in ("fwd", "rev"):
         raise ValueError(f"direction must be 'fwd' or 'rev', not {direction!r}")
-    rule = RULES[rule_name]
-    lhs = _compile_side(rule.lhs, rule.metavars)
-    rhs = _compile_side(rule.rhs, rule.metavars)
-    pat, rep = (lhs, rhs) if direction == "fwd" else (rhs, lhs)
-    n_meta = len(rule.metavars)
-    if position is not None and not isinstance(position, dict):
-        raise TypeError(f"position must be None or a window dict, not {position!r}")
-
-    state = nf(term_to_state(term))
-    n = _n_layers(state)
-    k = (len(pat) - 1) // 3
     if position is None:
         want = None
+    elif isinstance(position, dict):
+        want = tuple(int(position[key]) for key in ("bottom", "layers", "offset"))
     else:
-        want = (_position_bottom(n, position), int(position["offset"]))
-        if int(position["layers"]) != k:
-            raise NoMatch(
-                f"{rule_name} {direction} spans {k} layers, position says "
-                f"{position['layers']}"
-            )
-    if k == 0:
-        hull = side_hull(rep)
-        for lvl, col in find_insertions(state, pat[0], hull):
-            if want is None or (lvl, col) == want:
-                return state_to_term(apply_insertion(state, lvl, col, rep))
-    else:
-        for match in find_matches(state, pat, n_meta):
-            if want is None or (match[0], match[1]) == want:
-                return state_to_term(apply_match(state, match, rep))
+        raise TypeError(f"position must be None or a window dict, not {position!r}")
+    entry = _rule_entries(rule_name)[direction == "rev"]
+    state = nf(term_to_state(term))
+    reach = _n_layers(state) + _n_layers(entry[1])  # no rewrite is skipped
+    for _e, bottom, col, k, new in successors(state, (entry,), reach):
+        if want is None or want == (bottom, k, col):
+            return state_to_term(new)
     raise NoMatch(f"{rule_name} ({direction}) does not apply at {position!r}")
 
 
@@ -289,7 +234,7 @@ def apply_rule(term: Term, rule_name: str, direction: str = "fwd", position=None
 class TraceStep:
     rule: str
     direction: str
-    position: dict
+    position: dict  # {"bottom", "layers", "offset", "in"}, see find_path
     result: str  # canonical text of the state after this step
 
 
@@ -402,50 +347,31 @@ def find_path(
     depths = [0, 0]
     explored = 0
 
-    def rebuild(meet, side_new):
-        """Stitch the two half-paths at the meet state into one trace."""
-        fwd_chain = []
-        st = meet
-        while parents[0].get(st) is not None:
-            prev, e, b, c, k = parents[0][st]
-            fwd_chain.append((prev, e, b, c, k, st))
-            st = prev
-        fwd_chain.reverse()
+    def step(e, where, b, c, k, result):
+        rn, d = legend[e]
+        position = {"bottom": b, "layers": k, "offset": c, "in": where}
+        return TraceStep(rn, d, position, print_term(state_to_term(result)))
+
+    def rebuild(meet):
+        """Stitch the two half-paths at the meet state into one trace.
+
+        A start-side edge prev -> st is a step as found, its window in the
+        step's source. A goal-side edge prev -> st was found away from the
+        goal, so the path takes it backwards, st -> prev, by the opposite
+        direction e ^ 1: its window lies in the step's result and holds
+        that step's replacement side.
+        """
         steps = []
-        for prev, e, b, c, k, st in fwd_chain:
-            rn, d = legend[e]
-            steps.append(
-                TraceStep(
-                    rn,
-                    d,
-                    _position_dict(_n_layers(prev), b, c, k),
-                    print_term(state_to_term(st)) if _n_layers(st) or st[0] else "",
-                )
-            )
         st = meet
-        while parents[1].get(st) is not None:
+        while parents[0][st] is not None:
+            prev, e, b, c, k = parents[0][st]
+            steps.append(step(e, "source", b, c, k, st))
+            st = prev
+        steps.reverse()
+        st = meet
+        while parents[1][st] is not None:
             prev, e, b, c, k = parents[1][st]
-            # The recorded edge runs prev -> st away from the goal; the
-            # final path traverses st -> prev, so invert the entry and
-            # recover its window by re-matching. prev was stored, so it
-            # lies within layer_cap.
-            inv = e ^ 1
-            pos = None
-            for (ee, bb, cc, kk, ns) in successors(st, entries, layer_cap):
-                if ee == inv and ns == prev:
-                    pos = (bb, cc, kk)
-                    break
-            if pos is None:  # pragma: no cover - inverses always re-match
-                raise RuntimeError("could not invert a search edge")
-            rn, d = legend[inv]
-            steps.append(
-                TraceStep(
-                    rn,
-                    d,
-                    _position_dict(_n_layers(st), pos[0], pos[1], pos[2]),
-                    print_term(state_to_term(prev)) if _n_layers(prev) or prev[0] else "",
-                )
-            )
+            steps.append(step(e ^ 1, "result", b, c, k, prev))
             st = prev
         return RewriteTrace(
             start_text, goal_text, rules, tuple(steps), explored=explored
@@ -476,7 +402,7 @@ def find_path(
                     continue
                 mine[ns] = (state, e, b, c, k)
                 if ns in other:
-                    return rebuild(ns, side)
+                    return rebuild(ns)
                 if len(parents[0]) + len(parents[1]) > budget:
                     return not_found("budget", explored)
                 new_frontier.append(ns)
@@ -487,9 +413,13 @@ def find_path(
 def replay(trace: RewriteTrace) -> Term:
     """Re-run a trace step by step, checking every invariant on the way.
 
-    Each step must apply where the trace says, every intermediate must
-    typecheck, and the connectivity invariant must never change. Returns the
-    final term, which denotes the same bordism as the goal.
+    A step whose window is in its source ("in": "source") is applied where
+    the trace says and must give the recorded result. A step whose window
+    is in its result is checked backwards: the opposite direction, applied
+    at that window of the parsed result, must give the diagram before the
+    step. Every intermediate must typecheck, and the connectivity
+    invariant must never change. Returns the final term, which denotes the
+    same bordism as the goal.
     """
     term = parse(trace.start)
     goal = parse(trace.goal)
@@ -497,12 +427,19 @@ def replay(trace: RewriteTrace) -> Term:
     if want != cospan_of_term(goal):
         raise ValueError("trace endpoints denote different bordisms")
     for step in trace.steps:
-        term = apply_rule(term, step.rule, step.direction, step.position)
+        result = parse(step.result)
+        if step.position.get("in") == "result":
+            back = "rev" if step.direction == "fwd" else "fwd"
+            got, expected = apply_rule(result, step.rule, back, step.position), term
+        else:
+            got = apply_rule(term, step.rule, step.direction, step.position)
+            expected = result
+        if not diagram_equal(got, expected):
+            raise ValueError(f"step {step.rule} does not lead to its recorded result")
+        term = result
         typecheck(term)
         if cospan_of_term(term) != want:
             raise ValueError(f"step {step.rule} changed the bordism")
-    from .layers import diagram_equal
-
     if not diagram_equal(term, goal):
         raise ValueError("replay did not reach the goal diagram")
     return term

@@ -81,12 +81,44 @@ _METAVAR_RE = re.compile(r"\?[a-z]\w*\Z")
 
 
 class Term:
-    """Base class for term trees; subclasses are frozen dataclasses."""
+    """Base class for term trees; subclasses are frozen dataclasses.
+
+    Composites compare, hash and print their repr here, without recursion,
+    so a term of any depth can be compared and used as a key.
+    """
 
     __slots__ = ()
 
     def __str__(self) -> str:
         return print_term(self)
+
+    def __repr__(self) -> str:
+        return f"parse({print_term(self)!r})"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Term):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            kind = type(a)
+            if kind is not type(b):
+                return False
+            if kind is Compose:
+                stack += ((a.g, b.g), (a.f, b.f))
+            elif kind is Tensor:
+                stack += ((a.r, b.r), (a.l, b.l))
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        return fold(
+            self,
+            hash,
+            lambda _node, f, g: hash((".", f, g)),
+            lambda _node, l, r: hash(("*", l, r)),
+        )
 
 
 @dataclass(frozen=True)
@@ -106,7 +138,7 @@ class Gen(Term):
             raise ValueError(f"{self.name} does not take a label")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Compose(Term):
     """f . g: first g, then f. Child 0 is f, child 1 is g."""
 
@@ -114,7 +146,7 @@ class Compose(Term):
     g: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Tensor(Term):
     """l * r side by side; l's wires come first. Child 0 is l, child 1 is r."""
 

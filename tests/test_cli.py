@@ -239,32 +239,47 @@ def test_repeated_calls_match_fresh_processes(capsys):
     assert in_process == [run_fresh(*argv) for argv in calls]
 
 
-# The input reaches a known fault: a search edge that successors cannot
-# invert. When it is mended, replace it with another input that still
-# raises unexpectedly.
-@pytest.mark.parametrize(
-    "argv",
-    [
-        (
-            "rewrite-path",
-            "swap . (id * unit) . pe(P) . unit",
-            "(unit * id) . pe(P) . unit",
-            "--rules",
-            "CF_LEGS",
-            "--max-steps",
-            "24",
-            "--max-extra-layers",
-            "4",
-        ),
-    ],
-    ids=["search-edge-inversion"],
-)
-def test_unexpected_exception_is_internal_error(capsys, argv):
-    code, out, err = run(capsys, *argv)
+def test_g2_text_does_not_depend_on_label_order():
+    # one diagram, its two labels met in opposite orders by two processes
+    texts = {
+        run_fresh("normalize", text, "--presentation", "G2")
+        for text in ("(pu(Q) * id) . pu(P)", "(id * pu(P)) . pu(Q)")
+    }
+    assert len(texts) == 1 and texts.pop()[0] == OK
+
+
+# Two equal pairs whose derivations once needed a goal-side edge the
+# matcher could not find backwards.
+EDGE_INVERSION_PAIRS = [
+    ("swap . (id * unit) . pe(P) . unit", "(unit * id) . pe(P) . unit"),
+    ("m . (unit * id) . pu(P) . tr . pe(P) . pu(P)", "pu(P) . tr . pe(P) . pu(P)"),
+]
+
+
+@pytest.mark.parametrize("pair", EDGE_INVERSION_PAIRS)
+def test_rewrite_path_trace_replays(capsys, pair):
+    argv = ("--format", "json", "rewrite-path", *pair, "--rules", "CF_LEGS")
+    code, out, err = run(capsys, *argv, "--max-steps", "24", "--max-extra-layers", "4")
+    assert (code, err) == (OK, "")
+    data = json.loads(out)
+    steps = tuple(
+        cob3.TraceStep(s["rule"], s["direction"], s["position"], s["result"])
+        for s in data["steps"]
+    )
+    trace = cob3.RewriteTrace(data["start"], data["goal"], data["rules"], steps)
+    assert any(s.position["in"] == "result" for s in steps)
+    cob3.replay(trace)
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def broken(*_args, **_kwargs):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cob3.cli, "find_path", broken)
+    code, out, err = run(capsys, "rewrite-path", "m", "m")
     assert code == INTERNAL
     assert out == ""
-    assert err.startswith("internal error: ")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err == "internal error: RuntimeError: unexpected\n"
 
 
 DEEP = 10_000
@@ -282,7 +297,9 @@ def test_deep_input_is_accepted(capsys, name):
     started = time.perf_counter()
     term = parse(text)
     printed = print_term(term)
-    assert print_term(parse(printed)) == printed  # Term == itself recurses
+    again = parse(printed)
+    assert again == term and hash(again) == hash(term)
+    assert repr(again) == repr(term)
     assert typecheck(term) == arity
     assert term_to_state(term)[0] == arity[0]
     assert cospan_of_term(term).cod == arity[1]

@@ -11,12 +11,13 @@ from cob3.layers import state_to_term, term_to_state
 from cob3.rewrite import _entries
 from cob3.terms import parse, print_term, random_term
 
-# hand-compiled rule sides (dom, then off/gen/lab per layer; lab -2 is ?p)
-LEGS_L = (2, 0, 5, -2, 0, 0, -1)
-LEGS_R = (2, 1, 5, -2, 0, 0, -1)
-ASSOC_L = (3, 0, 0, -1, 0, 0, -1)
-ASSOC_R = (3, 1, 0, -1, 0, 0, -1)
-UNITL_L = (1, 0, 1, -1, 0, 0, -1)
+# hand-compiled rule sides (dom, then off/gen/lab per layer; lab "?p" is
+# a metavariable, "" no label)
+LEGS_L = (2, 0, 5, "?p", 0, 0, "")
+LEGS_R = (2, 1, 5, "?p", 0, 0, "")
+ASSOC_L = (3, 0, 0, "", 0, 0, "")
+ASSOC_R = (3, 1, 0, "", 0, 0, "")
+UNITL_L = (1, 0, 1, "", 0, 0, "")
 UNITL_R = (1,)
 
 
@@ -30,14 +31,14 @@ def rendered(state):
 
 def test_zero_layer_pattern_rejected():
     with pytest.raises(ValueError):
-        kp.find_matches(nf_of("m"), (1,), 0)
+        kp.find_matches(nf_of("m"), (1,))
 
 
 def test_legs_match_skips_feeding_context():
     # m(pe(B).x (x) pe(A).unit): the unit/pe(A) stack feeding the right
     # input must slide below the window for the pe(B) leg to match
     u = nf_of("m . (pe(B) * (pe(A) . unit))")
-    ms = kp.find_matches(u, LEGS_L, 1)
+    ms = kp.find_matches(u, LEGS_L)
     assert len(ms) == 1
     res = kp.apply_match(u, ms[0], LEGS_R)
     assert res == nf_of("m . (id * (pe(B) . pe(A) . unit))")
@@ -45,7 +46,7 @@ def test_legs_match_skips_feeding_context():
 
 def test_assoc_match_through_parked_wire():
     s = nf_of("m . (m * (pe(P) . unit))")
-    ms = kp.find_matches(s, ASSOC_L, 0)
+    ms = kp.find_matches(s, ASSOC_L)
     assert len(ms) == 1
     res = kp.apply_match(s, ms[0], ASSOC_R)
     assert res == nf_of("m . (id * m) . (id * id * (pe(P) . unit))")
@@ -53,27 +54,27 @@ def test_assoc_match_through_parked_wire():
 
 def test_assoc_no_false_match_on_right_feeding_m():
     s = nf_of("m . ((pe(P) . unit) * m)")
-    assert kp.find_matches(s, ASSOC_L, 0) == []
+    assert kp.find_matches(s, ASSOC_L) == []
 
 
 def test_unit_collapse_with_bystander():
     s = nf_of("m . (unit * pe(Q))")
-    ms = kp.find_matches(s, UNITL_L, 0)
+    ms = kp.find_matches(s, UNITL_L)
     assert len(ms) == 1
     assert kp.apply_match(s, ms[0], UNITL_R) == nf_of("pe(Q)")
 
 
 def test_metavariable_binding_repeats():
-    pat = (1, 0, 5, -2, 0, 5, -2)  # pe(?p) . pe(?p)
-    assert len(kp.find_matches(nf_of("pe(A) . pe(A)"), pat, 1)) == 1
-    assert kp.find_matches(nf_of("pe(A) . pe(B)"), pat, 1) == []
+    pat = (1, 0, 5, "?p", 0, 5, "?p")  # pe(?p) . pe(?p)
+    assert len(kp.find_matches(nf_of("pe(A) . pe(A)"), pat)) == 1
+    assert kp.find_matches(nf_of("pe(A) . pe(B)"), pat) == []
 
 
 def test_two_distinct_metavariables():
-    pat = (1, 0, 5, -3, 0, 5, -2)  # pe(?p) . pe(?q)
-    ms = kp.find_matches(nf_of("pe(A) . pe(B)"), pat, 2)
+    pat = (1, 0, 5, "?q", 0, 5, "?p")  # pe(?p) . pe(?q)
+    ms = kp.find_matches(nf_of("pe(A) . pe(B)"), pat)
     assert len(ms) == 1
-    swapped = (1, 0, 5, -2, 0, 5, -3)
+    swapped = (1, 0, 5, "?p", 0, 5, "?q")
     res = kp.apply_match(nf_of("pe(A) . pe(B)"), ms[0], swapped)
     assert res == nf_of("pe(B) . pe(A)")
 
@@ -117,7 +118,7 @@ def test_layer_bound_only_drops_oversized_rewrites(seed):
     n = n_layers(s)
     for rules in ("CF", "CF_LEGS", "G2_FULL"):
         entries, _ = _entries(rules)
-        unreachable = n + max(n_layers(rep) for _pat, rep, _m in entries)
+        unreachable = n + max(n_layers(rep) for _pat, rep in entries)
         everything = kp.successors(s, entries, unreachable)
         for bound in range(n - 2, n + 5):
             kept = [t for t in everything if n_layers(t[4]) <= bound]

@@ -12,7 +12,6 @@ from cob3.layers import (
     GEN_DOM,
     canonical_state,
     diagram_equal,
-    slice_path,
     state_to_term,
     state_widths,
     term_to_state,
@@ -31,12 +30,15 @@ def test_wide_labelled_tensor_flattens_in_near_linear_time():
     assert state[0] == n and state[1::3] == tuple(range(n))
 
 
-def test_labels_are_interned_in_layer_order():
-    # g's layer comes first in f . g, so its fresh label is interned first:
-    # label ids, which order nf's ties and so G2 texts, follow layer order
-    # and not the order the fold visits the tree in
-    state = term_to_state(parse("pe(Fresh_b) . pe(Fresh_a)"))
-    assert state[3] + 1 == state[6]
+def test_state_labels_are_their_names():
+    # a layer holds its label's name, "" when it has none, so states and
+    # nf's tie-breaks do not depend on which labels a process saw first
+    state = term_to_state(parse("pe(Fresh_b) . pe(Fresh_a) . m"))
+    assert state[3::3] == ("", "Fresh_a", "Fresh_b")
+    # two births at one column tie on all but the label: the name decides
+    b = term_to_state(parse("(id * pu(Fresh_a)) . pu(Fresh_b)"))
+    assert b[3::3] == ("Fresh_b", "Fresh_a")
+    assert kernel.nf(b)[3::3] == ("Fresh_a", "Fresh_b")
 
 
 def nf_of(text):
@@ -67,14 +69,6 @@ def test_empty_diagram_has_no_term():
 def test_state_widths():
     st = term_to_state(parse("m . (m * id)"))
     assert state_widths(st) == [3, 2, 1]
-
-
-def test_slice_path_addresses():
-    # layer i of an n-layer state sits at this Compose-tree path
-    assert slice_path(3, 2) == [0]
-    assert slice_path(3, 1) == [1, 0]
-    assert slice_path(3, 0) == [1, 1]
-    assert slice_path(1, 0) == []
 
 
 def test_interchange_layerings_equal():
@@ -162,7 +156,7 @@ def test_nf_y_junction_both_orders():
 
 def test_nf_oversized_class_is_deterministic_and_idempotent():
     # ten independent floats: the slide class is way past the cap
-    big = (0,) + tuple(x for i in range(10) for x in (0, 1, -1))
+    big = (0,) + tuple(x for i in range(10) for x in (0, 1, ""))
     out = kernel.nf(big)
     assert kernel.nf(out) == out
     assert kernel.nf(big) == out

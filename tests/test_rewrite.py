@@ -21,7 +21,9 @@ from cob3 import (
     print_term,
     replay,
 )
-from cob3.layers import diagram_equal
+from cob3.kernel import nf, successors
+from cob3.layers import diagram_equal, state_to_term, term_to_state
+from cob3.rewrite import _entries
 from cob3.terms import random_term
 
 
@@ -98,9 +100,14 @@ def test_replay_rejects_foreign_goal():
 
 def test_replay_rejects_tampered_step():
     r = find_path("m . (unit * id)", "id", rules="CF")
-    bent = TraceStep("comm", r.steps[0].direction, r.steps[0].position, "")
+    (s,) = r.steps
+    bent = TraceStep("comm", s.direction, s.position, s.result)
     with pytest.raises((NoMatch, ValueError)):
         replay(RewriteTrace(r.start, r.goal, r.rules, (bent,)))
+    # the right rule and window, but a different recorded result
+    wrong = TraceStep(s.rule, s.direction, s.position, "m . swap . comul")
+    with pytest.raises(ValueError, match="recorded result"):
+        replay(RewriteTrace(r.start, r.goal, r.rules, (wrong,)))
 
 
 SAMPLES = [
@@ -149,3 +156,23 @@ def test_normalizers_on_random_terms(seed):
     assert print_term(normalize_G1(n1)) == print_term(n1)
     n2 = normalize_G2(t)
     assert diagram_equal(n2, t)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**30), st.sampled_from(["CF_LEGS", "G2_FULL"]))
+def test_two_step_rewrites_are_found_and_replay(seed, rules):
+    # t -> r1 -> r2 by two random successors; the search may meet them
+    # from either end, and its trace must replay either way
+    rng = random.Random(seed)
+    entries, _ = _entries(rules)
+    t = nf(term_to_state(random_term(rng, max_gens=3)))
+    bound = (len(t) - 1) // 3 + 4
+    state = t
+    for _ in range(2):
+        state = rng.choice(successors(state, entries, bound))[4]
+    r = find_path(
+        state_to_term(t), state_to_term(state), rules=rules,
+        max_steps=4, max_extra_layers=4,
+    )
+    assert r.found
+    replay(r)

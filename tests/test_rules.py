@@ -89,10 +89,15 @@ def test_apply_rejects_bad_arguments():
 
 def test_apply_at_window_position():
     t = parse("m . (unit * id)")
-    out = apply_rule(t, "unit_l", "fwd", {"path": [1, 0], "layers": 2, "offset": 0})
+    out = apply_rule(t, "unit_l", "fwd", {"bottom": 0, "layers": 2, "offset": 0})
     assert diagram_equal(out, parse("id"))
     with pytest.raises(NoMatch):
-        apply_rule(t, "unit_l", "fwd", {"path": [1, 0], "layers": 1, "offset": 0})
+        apply_rule(t, "unit_l", "fwd", {"bottom": 0, "layers": 1, "offset": 0})
+    with pytest.raises(NoMatch):
+        apply_rule(t, "unit_l", "fwd", {"bottom": 1, "layers": 2, "offset": 0})
+    # a zero-layer side is inserted at a level and column
+    grown = apply_rule(t, "unit_l", "rev", {"bottom": 2, "layers": 0, "offset": 0})
+    assert diagram_equal(grown, parse("m . (unit * id) . m . (unit * id)"))
 
 
 def test_metavariable_rules_bind_any_label():
