@@ -33,7 +33,7 @@ from cob3.layers import (
     term_to_state,
 )
 from cob3.linmap import LinearMap, _lowest_terms, scalar_to_fraction
-from cob3.terms import Term, parse
+from cob3.terms import _LABEL_RE, Term, parse
 
 __all__ = [
     "eval_term",
@@ -263,14 +263,14 @@ def eval_semantic(cospan: LabelledCospan, alg: FrobeniusAlgebra) -> LinearMap:
 
 
 _HANDLES_RE = re.compile(r"\(S2xS1\)\^(\d+)\Z")
-_LABEL_RE = re.compile(r"[A-Za-z]\w*\Z")
 
 
 def parse_manifold(text: str) -> Tuple[int, Tuple[str, ...]]:
     """(genus, primes) of a closed-surface description.
 
     Connected-sum factors are separated by '#': "S3" contributes nothing,
-    "(S2xS1)^k" contributes k handles, anything label-shaped is a prime.
+    "(S2xS1)^k" contributes k handles, and any other factor that is a term
+    label (as in pe(LABEL)) is a prime. "S3" always means the sphere.
     """
     genus = 0
     primes = []

@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
 from cob3.linmap import fraction_to_scalar, scalar_to_fraction
@@ -429,47 +430,67 @@ def _char_poly(m):
     return coeffs
 
 
-def _divisors(n):
-    n = abs(n)
-    out = [1]
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    if n > 1:
-        out.append(n)
-    return sorted(set(out))
+def _horner(poly, x):
+    acc = 0
+    for c in poly:
+        acc = acc * x + c
+    return acc
+
+
+def _poly_rem(a, b):
+    """Remainder of `a` by `b` (coefficient lists, leading term first)."""
+    a = [Fraction(c) for c in a]
+    while len(a) >= len(b):
+        q = a[0] / b[0]
+        for i in range(1, len(b)):
+            a[i] -= q * b[i]
+        a.pop(0)
+    while a and a[0] == 0:
+        a.pop(0)
+    return a
 
 
 def _rational_roots(coeffs):
-    """Distinct rational roots of a monic Fraction polynomial."""
+    """Distinct rational roots of a monic Fraction polynomial, ascending.
+
+    With D the lcm of the coefficients' denominators, y = D*x turns it into a
+    monic integer polynomial, whose rational roots are integers. A Sturm
+    sequence counts its distinct real roots between half-integers; bisection
+    narrows each count down to one integer, which is then tested exactly.
+    """
     n = len(coeffs) - 1
     if n == 0:
         return []
-    from math import lcm
+    den = lcm(*(c.denominator for c in coeffs))
+    f = [int(c * den**i) for i, c in enumerate(coeffs)]
+    sturm = [f, [c * (n - i) for i, c in enumerate(f[:-1])]]
+    while len(sturm[-1]) > 1:
+        r = _poly_rem(sturm[-2], sturm[-1])
+        if not r:
+            break
+        sturm.append([-c for c in r])
 
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-    ic = [int(c * den) for c in coeffs]
-    while len(ic) > 1 and ic[-1] == 0:
-        ic.pop()
-    roots = set()
-    if len(ic) < len(coeffs):
-        roots.add(Fraction(0))
-    if len(ic) > 1:
-        lead, const = ic[0], ic[-1]
-        for p in _divisors(const):
-            for q in _divisors(lead):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    acc = Fraction(0)
-                    for c in coeffs:
-                        acc = acc * cand + c
-                    if acc == 0:
-                        roots.add(cand)
+    def changes(a):
+        """Sign changes of the Sturm sequence at a + 1/2."""
+        x = Fraction(2 * a + 1, 2)
+        signs = [v > 0 for v in (_horner(p, x) for p in sturm) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    # Cauchy's bound: every root y has |y| < b
+    b = 1 + max(abs(c) for c in f[1:])
+    stack = [(-b - 1, changes(-b - 1), b, changes(b))]
+    roots = []
+    while stack:
+        lo, vlo, hi, vhi = stack.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo == 1:
+            if _horner(f, hi) == 0:
+                roots.append(Fraction(hi, den))
+            continue
+        mid = (lo + hi) // 2
+        vmid = changes(mid)
+        stack += [(lo, vlo, mid, vmid), (mid, vmid, hi, vhi)]
     return sorted(roots)
 
 

@@ -12,11 +12,15 @@ its slide class, which is the canonical form used for equality and search
 dedup.
 
 Matching is window-based: a rule side is located as a contiguous block of
-layers after sliding independent context layers out of the window (below or
-above). The scan is optimistic — every candidate is verified by rebuilding
-the state with the block in place and comparing normal forms — so a reported
-match is correct by construction even in corner cases the scan arithmetic
-does not model.
+layers after sliding independent context layers out of the window. One scan
+anchors the side's top layer and moves context below the window. Turned
+upside down, a state is again a state: its domain is the old top width, its
+layers run in reverse order with the same offsets, and each box trades its
+inputs for its outputs. So the same scan, run on the upside-down state and
+side with the arity tables swapped, moves context above the window. The scan
+is optimistic — every candidate is verified by rebuilding the state with the
+block in place and comparing normal forms — so a reported match is correct
+by construction even in corner cases the scan arithmetic does not model.
 """
 
 from __future__ import annotations
@@ -201,6 +205,11 @@ def find_matches(state, pat):
     (offsets adjusted), `skipped_after` those re-homed above it, and the
     replacement block belongs at column `delta` directly between them.
     `bindings` maps each of the pattern's metavariables to its label.
+
+    One scan finds both kinds. Run on the state, it moves context below the
+    window. Run on the upside-down views of state and pattern, with the
+    arity tables swapped, it moves context below the upside-down window,
+    which is above the real one; each such window is mapped back.
     """
     k = (len(pat) - 1) // 3
     if k == 0:
@@ -210,45 +219,62 @@ def find_matches(state, pat):
         return []
     pw = state_widths(pat)
     widths = state_widths(state)
+    cands = []
+    for delta, m, skipped, bindings in _scan(
+        state, pat, pw, widths, n, k, GEN_DOM, GEN_COD
+    ):
+        below = tuple(x for t in reversed(skipped) for x in t)
+        cands.append((m[-1], delta, tuple(reversed(m)), below, (), bindings))
+    for delta, m, skipped, bindings in _scan(
+        _upside_down(state, widths[n]), _upside_down(pat, pw[k]),
+        pw[::-1], widths[::-1], n, k, GEN_COD, GEN_DOM,
+    ):
+        matched = tuple(n - 1 - i for i in m)
+        above = tuple(x for t in skipped for x in t)
+        cands.append((matched[0], delta, matched, (), above, bindings))
     seen = {}
-    for cand in _scan_down(state, pat, pw, widths, n, k):
-        key = (cand[0], cand[1], cand[2])
-        if key not in seen and _verify(state, pat, cand):
-            seen[key] = cand
-    for cand in _scan_up(state, pat, pw, widths, n, k):
+    for cand in cands:
         key = (cand[0], cand[1], cand[2])
         if key not in seen and _verify(state, pat, cand):
             seen[key] = cand
     return sorted(seen.values())
 
 
-def _scan_down(state, pat, pw, widths, n, k):
+def _upside_down(state, top):
+    """The state turned upside down, read with the arity tables swapped:
+    domain `top` (its top width) and the same layers in reverse order."""
+    out = [top, *state[1:]]
+    out[1::3] = state[-3:0:-3]
+    out[2::3] = state[-2:0:-3]
+    out[3::3] = state[-1:0:-3]
+    return tuple(out)
+
+
+def _scan(state, pat, pw, widths, n, k, dom, cod):
     """Anchor the top pattern layer and scan downward, skipping context
-    layers into the region below the window."""
-    top_off = pat[1 + 3 * (k - 1)]
-    top_gen = pat[2 + 3 * (k - 1)]
-    top_lab = pat[3 + 3 * (k - 1)]
-    out = []
+    layers into the region below the window. `dom` and `cod` are the arity
+    tables, swapped when state and pattern are read upside down.
+
+    Yields (delta, matched, skipped, bindings) per candidate window, both
+    lists from the top down: the matched layer indices, and the skipped
+    layers as (off, gen, lab) in their below-window placement.
+    """
+    top_off, top_gen, top_lab = pat[3 * k - 2 : 3 * k + 1]
     for it in range(n):
         p = 1 + 3 * it
         if state[p + 1] != top_gen:
             continue
-        shift = state[p] - top_off
+        delta = shift = state[p] - top_off
         if shift < 0 or shift + pw[k] > widths[it + 1]:
             continue
         bindings = {}
         if not _bind(top_lab, state[p + 2], bindings):
             continue
         matched = [it]
-        skipped = []  # (orig_idx, off, gen, lab), below-window placement
-        leftdelta = 0
+        skipped = []
         j = k - 2
         i = it - 1
-        ok = True
-        while j >= 0:
-            if i < 0:
-                ok = False
-                break
+        while j >= 0 and i >= 0:
             q = 1 + 3 * i
             o2, g2, l2 = state[q], state[q + 1], state[q + 2]
             if (
@@ -258,110 +284,17 @@ def _scan_down(state, pat, pw, widths, n, k):
             ):
                 matched.append(i)
                 j -= 1
-                i -= 1
-                continue
-            ext = GEN_DOM[g2] if GEN_DOM[g2] > GEN_COD[g2] else GEN_COD[g2]
-            if o2 + ext <= shift:
-                skipped.append((i, o2, g2, l2))
-                d2 = GEN_COD[g2] - GEN_DOM[g2]
-                shift -= d2
-                leftdelta += d2
+            elif o2 + (dom[g2] if dom[g2] > cod[g2] else cod[g2]) <= shift:
+                skipped.append((o2, g2, l2))
+                shift -= cod[g2] - dom[g2]
             else:
                 adj = o2 - (pw[j + 1] - pw[0])
                 if adj < 0:
-                    ok = False
                     break
-                skipped.append((i, adj, g2, l2))
+                skipped.append((adj, g2, l2))
             i -= 1
-        if not ok or j >= 0 or shift < 0:
-            continue
-        delta = shift + leftdelta
-        if delta < 0:
-            continue
-        matched.reverse()
-        skipped.reverse()
-        below = []
-        for _idx, o, g, l in skipped:
-            below.extend((o, g, l))
-        out.append(
-            (
-                matched[0],
-                delta,
-                tuple(matched),
-                tuple(below),
-                (),
-                bindings,
-            )
-        )
-    return out
-
-
-def _scan_up(state, pat, pw, widths, n, k):
-    """Anchor the bottom pattern layer and scan upward, skipping context
-    layers into the region above the window."""
-    bot_off = pat[1]
-    bot_gen = pat[2]
-    bot_lab = pat[3]
-    block_delta = pw[k] - pw[0]
-    out = []
-    for ib in range(n):
-        p = 1 + 3 * ib
-        if state[p + 1] != bot_gen:
-            continue
-        delta = state[p] - bot_off
-        if delta < 0 or delta + pw[0] > widths[ib]:
-            continue
-        bindings = {}
-        if not _bind(bot_lab, state[p + 2], bindings):
-            continue
-        matched = [ib]
-        skipped = []  # above-window placement
-        shift = delta
-        j = 1
-        i = ib + 1
-        ok = True
-        while j < k:
-            if i >= n:
-                ok = False
-                break
-            q = 1 + 3 * i
-            o2, g2, l2 = state[q], state[q + 1], state[q + 2]
-            if (
-                g2 == pat[2 + 3 * j]
-                and o2 == pat[1 + 3 * j] + shift
-                and _bind(pat[3 + 3 * j], l2, bindings)
-            ):
-                matched.append(i)
-                j += 1
-                i += 1
-                continue
-            ext = GEN_DOM[g2] if GEN_DOM[g2] > GEN_COD[g2] else GEN_COD[g2]
-            if o2 + ext <= shift:
-                skipped.append((i, o2, g2, l2))
-                shift += GEN_COD[g2] - GEN_DOM[g2]
-            else:
-                adj = o2 + block_delta - (pw[j] - pw[0])
-                if adj < 0:
-                    ok = False
-                    break
-                skipped.append((i, adj, g2, l2))
-            i += 1
-        if not ok or j < k:
-            continue
-        above = []
-        for _idx, o, g, l in skipped:
-            above.extend((o, g, l))
-        out.append(
-            (
-                ib,
-                delta,
-                tuple(matched),
-                (),
-                tuple(above),
-                bindings,
-            )
-        )
-    return out
+        if j < 0:
+            yield delta, matched, skipped, bindings
 
 
 def _rebuild(state, match, block_layers):

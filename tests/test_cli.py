@@ -12,6 +12,7 @@ import cob3
 from cob3 import (
     algebra_to_json,
     cospan_of_term,
+    diagonal_algebra,
     hadamard_algebra,
     parse,
     print_term,
@@ -118,6 +119,22 @@ def test_invariant_values(capsys, alg_file):
     )
     assert code == OK
     assert "13" in out
+
+
+def test_manifold_factor_is_any_term_label(capsys, tmp_path):
+    path = tmp_path / "minus.json"
+    path.write_text(algebra_to_json(diagonal_algebra([1, 1], {"P-1": (1, 4)})))
+    alg = str(path)
+    code, inv, _ = run(
+        capsys, "--format", "json", "invariant", "--algebra", alg, "--manifold", "P-1"
+    )
+    assert code == OK
+    code, ev, _ = run(
+        capsys, "--format", "json", "eval", "tr . pu(P-1)", "--algebra", alg
+    )
+    assert code == OK
+    assert json.loads(inv)["value"] == 5
+    assert json.loads(ev)["entries"] == [[0, 0, 5]]
 
 
 def test_invariant_idempotent_blocks(capsys, alg_file):

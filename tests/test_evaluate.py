@@ -70,7 +70,9 @@ def test_parse_manifold_grammar():
     assert parse_manifold("(S2xS1)^3 # P") == (3, ("P",))
     assert parse_manifold("(S2xS1)^1 # (S2xS1)^2") == (3, ())
     assert parse_manifold("  P#S3 ") == (0, ("P",))
-    for bad in ["", "S3 #", "2P", "(S2xS1)^0x", "S3 S3", "#"]:
+    # factors are term labels, as in pe(2P) or pe(P-1)
+    assert parse_manifold("2P # P-1") == (0, ("2P", "P-1"))
+    for bad in ["", "S3 #", "(S2xS1)^0x", "S3 S3", "#"]:
         with pytest.raises(ValueError):
             parse_manifold(bad)
 

@@ -1,6 +1,7 @@
 """Exact-rational algebra layer: axioms, splitting, characters, fixtures."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,12 @@ from cob3 import (
     hadamard_algebra,
     idempotent_decomposition,
 )
-from cob3.frobenius import ShapeError, derive_comul, random_labelled_algebra
+from cob3.frobenius import (
+    ShapeError,
+    _rational_roots,
+    derive_comul,
+    random_labelled_algebra,
+)
 
 
 def test_componentwise_plane_passes_all_axioms():
@@ -160,6 +166,43 @@ def test_three_block_splitting():
         character_on_block(alg, e, alg.primes["P"]) for e in dec.idempotents
     )
     assert chars == [1, 4, 9]
+
+
+def _poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_rational_roots_of_random_polynomials():
+    rng = random.Random(7)
+    for trial in range(300):
+        roots = [
+            F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(rng.randint(0, 4))
+        ]
+        poly = [F(1)]
+        for r in roots + roots[: rng.randint(0, len(roots))]:
+            poly = _poly_mul(poly, [F(1), -r])
+        if trial % 3:
+            # an irreducible quadratic factor: x^2 + 1 or x^2 - 2
+            poly = _poly_mul(poly, [F(1), F(0), F(1) if trial % 3 == 1 else F(-2)])
+        assert _rational_roots(poly) == sorted(set(roots))
+
+
+def test_splitting_survives_huge_change_of_basis():
+    big = 10**12
+    alg = conjugate_algebra(
+        diagonal_algebra([1, 1], {"P": (2, 3)}), [[big, 1], [big + 1, 1]]
+    )
+    start = time.perf_counter()
+    dec = idempotent_decomposition(alg)
+    assert time.perf_counter() - start < 1.0
+    chars = sorted(
+        character_on_block(alg, e, alg.primes["P"]) for e in dec.idempotents
+    )
+    assert chars == [2, 3]
 
 
 def test_json_round_trip():

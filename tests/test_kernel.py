@@ -1,5 +1,6 @@
 """Window matcher, surgery, and one-step rewrites under a layer bound."""
 
+import hashlib
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from cob3 import kernel as kp
 from cob3.layers import state_to_term, term_to_state
-from cob3.rewrite import _entries
+from cob3.rewrite import _entries, _rule_entries
 from cob3.terms import parse, print_term, random_term
 
 # hand-compiled rule sides (dom, then off/gen/lab per layer; lab "?p" is
@@ -55,6 +56,17 @@ def test_assoc_match_through_parked_wire():
 def test_assoc_no_false_match_on_right_feeding_m():
     s = nf_of("m . ((pe(P) . unit) * m)")
     assert kp.find_matches(s, ASSOC_L) == []
+
+
+def test_context_moves_above_the_window():
+    # colegs' right side (id * pe(?p)) . comul: the left leg's pe(P) sits
+    # on the comul output, so it can only leave the window upward
+    (lhs, rhs), _ = _rule_entries("colegs")
+    s = nf_of("(pe(P) * pe(P)) . comul")
+    ms = kp.find_matches(s, rhs)
+    assert [m[:3] for m in ms] == [(0, 0, (0, 2))]
+    assert ms[0][3] == () and ms[0][4] == (0, 5, "P")
+    assert kp.apply_match(s, ms[0], lhs) == nf_of("(pe(P) * id) . (pe(P) * id) . comul")
 
 
 def test_unit_collapse_with_bystander():
@@ -123,3 +135,22 @@ def test_layer_bound_only_drops_oversized_rewrites(seed):
         for bound in range(n - 2, n + 5):
             kept = [t for t in everything if n_layers(t[4]) <= bound]
             assert kp.successors(s, entries, bound) == kept
+
+
+# sha256 of the successor lists below. A deliberate change to what the
+# matcher finds updates it and says so in CHANGES.md.
+SUCCESSORS_DIGEST = "7d7fa1cf6fa0b2050b285f5eaa33a5d0bea16b44f19bc556aa5265ed9e5b4d1f"
+
+
+def test_successor_lists_are_pinned():
+    h = hashlib.sha256()
+    count = 0
+    for rules in ("CF_LEGS", "G2_FULL"):
+        entries, _ = _entries(rules)
+        for seed in range(100):
+            s = kp.nf(term_to_state(random_term(random.Random(seed), max_gens=5)))
+            succ = kp.successors(s, entries, n_layers(s) + 3)
+            count += len(succ)
+            h.update(repr(succ).encode())
+    assert count == 7013
+    assert h.hexdigest() == SUCCESSORS_DIGEST
