@@ -55,6 +55,9 @@ class DegeneratePairing(ValueError):
 class UnknownPrime(KeyError):
     """A label with no element attached to it."""
 
+    def __str__(self) -> str:  # KeyError would print only the quoted label
+        return f"unknown prime label {self.args[0]!r}"
+
 
 class NotScalarOnBlock(ValueError):
     """The algebra does not split into one-dimensional blocks over Q."""
@@ -93,31 +96,39 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+def _list_of(v, d, what):
+    n = len(v) if isinstance(v, (list, tuple)) else type(v).__name__
+    if n != d:
+        raise ShapeError(f"{what}: expected a list of length {d}, got {n}")
+    return v
+
+
 def _frac_vec(v, d, what) -> Tuple[Fraction, ...]:
-    if len(v) != d:
-        raise ShapeError(f"{what}: expected length {d}, got {len(v)}")
-    return tuple(scalar_to_fraction(x) for x in v)
+    v = _list_of(v, d, what)
+    try:
+        return tuple(scalar_to_fraction(x) for x in v)
+    except (TypeError, ValueError, ZeroDivisionError):
+        msg = f'{what}: expected integers or "p/q" strings, got {v!r}'
+        raise ShapeError(msg) from None
 
 
 def _frac_cube(c, d, what) -> Tuple[Tuple[Tuple[Fraction, ...], ...], ...]:
-    if len(c) != d:
-        raise ShapeError(f"{what}: expected {d} slices, got {len(c)}")
-    out = []
-    for sl in c:
-        if len(sl) != d:
-            raise ShapeError(f"{what}: ragged slice of length {len(sl)}")
-        out.append(tuple(_frac_vec(row, d, what) for row in sl))
-    return tuple(out)
+    return tuple(
+        tuple(_frac_vec(row, d, what) for row in _list_of(sl, d, what))
+        for sl in _list_of(c, d, what)
+    )
 
 
 class FrobeniusAlgebra:
     def __init__(self, dim, mul, unit, trace, comul=None, primes=None):
-        if dim < 1:
-            raise ShapeError("dimension must be positive")
-        self.dim = int(dim)
+        if not isinstance(dim, int) or dim < 1:
+            raise ShapeError(f"dim: expected a positive integer, got {dim!r}")
+        self.dim = dim
         self.mul = _frac_cube(mul, self.dim, "mul")
         self.unit = _frac_vec(unit, self.dim, "unit")
         self.trace = _frac_vec(trace, self.dim, "trace")
+        if not isinstance(primes or {}, dict):
+            raise ShapeError("primes: expected an object mapping labels to elements")
         self.primes: Dict[str, Tuple[Fraction, ...]] = {}
         for label, vec in (primes or {}).items():
             self.primes[str(label)] = _frac_vec(vec, self.dim, f"primes[{label}]")
@@ -295,36 +306,6 @@ def _mat_invert(a):
     return [row[n:] for row in aug]
 
 
-def _mat_kernel(a):
-    """Basis of the null space of a (rows x cols) Fraction matrix."""
-    cols = len(a[0]) if a else 0
-    m = [list(r) for r in a]
-    pivots = _rref(m, cols)
-    basis = []
-    for fc in range(cols):
-        if fc in pivots:
-            continue
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            v[pc] = -m[pr][fc]
-        basis.append(tuple(v))
-    return basis
-
-
-def _solve_coords(basis, vec):
-    """Coordinates of vec in the span of basis vectors; None if outside."""
-    cols = len(basis)
-    aug = [[b[i] for b in basis] + [vec[i]] for i in range(len(vec))]
-    pivots = _rref(aug, cols)
-    if any(row[cols] for row in aug[len(pivots):]):
-        return None
-    coords = [Fraction(0)] * cols
-    for pr, pc in enumerate(pivots):
-        coords[pc] = aug[pr][cols]
-    return coords
-
-
 def derive_comul(mul, trace, dim):
     """Comultiplication from the trace pairing.
 
@@ -382,6 +363,8 @@ def algebra_to_json(alg: FrobeniusAlgebra) -> str:
 
 def algebra_from_json(text: str) -> FrobeniusAlgebra:
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ShapeError("an algebra file holds one JSON object")
     for key in ("dim", "mul", "unit", "trace"):
         if key not in data:
             raise ShapeError(f"missing field {key!r}")
@@ -497,82 +480,56 @@ def _rational_roots(coeffs):
 def idempotent_decomposition(alg: FrobeniusAlgebra) -> IdempotentDecomposition:
     """Split the algebra into one-dimensional blocks over Q.
 
-    Common eigenspaces of the basis multiplication operators are refined
-    until every block is a line; each line then carries a unique idempotent.
-    Raises NotScalarOnBlock when some block refuses to split (irrational
-    spectrum or a nilpotent direction).
+    An element x separates the blocks when multiplication by x has dim
+    distinct rational eigenvalues; the idempotent of the eigenvalue l is then
+    the product over the other eigenvalues m of (x - m) / (l - m). The
+    candidates are x = sum_k c^k e_k for c = 0, 1, ...: two distinct
+    characters agree at fewer than dim values of c, so one of the first
+    1 + (dim - 1) * dim * (dim - 1) / 2 candidates separates a split algebra.
+    Raises NotScalarOnBlock at once on a nilpotent direction (the regular
+    trace form t(ab), t(a) = Tr(L_a), is degenerate) or an irrational
+    eigenvalue.
     """
-    d = alg.dim
-    blocks = [[tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d)]]
-    for gen in range(d):
-        e = tuple(Fraction(int(i == gen)) for i in range(d))
-        newblocks = []
-        for basis in blocks:
-            if len(basis) == 1:
-                newblocks.append(basis)
-                continue
-            images = [alg.multiply(e, b) for b in basis]
-            k = len(basis)
-            restr = []
-            for img in images:
-                coords = _solve_coords(basis, img)
-                if coords is None:
-                    raise NotScalarOnBlock(
-                        "block is not invariant; algebra is not commutative"
-                    )
-                restr.append(coords)
-            # restr[j][i]: coefficient of basis[i] in image of basis[j]
-            m = [[restr[j][i] for j in range(k)] for i in range(k)]
-            roots = _rational_roots(_char_poly(m))
-            split = []
-            total = 0
-            for lam in roots:
-                shifted = [
-                    [m[i][j] - (lam if i == j else 0) for j in range(k)]
-                    for i in range(k)
-                ]
-                for kv in _mat_kernel(shifted):
-                    vec = tuple(
-                        sum(
-                            (kv[t] * basis[t][c] for t in range(k)),
-                            Fraction(0),
-                        )
-                        for c in range(d)
-                    )
-                    split.append((lam, vec))
-                    total += 1
-            if total < k:
-                raise NotScalarOnBlock(
-                    "multiplication operator does not diagonalize over Q"
-                )
-            groups: Dict[Fraction, list] = {}
-            for lam, vec in split:
-                groups.setdefault(lam, []).append(vec)
-            for lam in sorted(groups):
-                newblocks.append(groups[lam])
-        blocks = newblocks
+    d, mul, S = alg.dim, alg.mul, range(alg.dim)
+    t = [_total(mul[k][i][k] for k in S) for i in S]
+    form = [[_total(mul[k][i][j] * t[k] for k in S) for j in S] for i in S]
+    if len(_rref(form, d)) < d:
+        raise NotScalarOnBlock("the trace form is degenerate: a nilpotent direction")
+    for c in range(1 + (d - 1) * d * (d - 1) // 2):
+        x = tuple(Fraction(c**k) for k in S)
+        lx = [list(row) for row in alg.element_endo(x)]
+        roots = _rational_roots(_char_poly(lx))
+        if len(roots) == d:
+            break
+        # x is semisimple, so the product of x - r over its rational
+        # eigenvalues r vanishes iff it has no irrational one
+        y = alg.unit
+        for r in roots:
+            y = alg.multiply(y, [a - r * u for a, u in zip(x, alg.unit)])
+        if any(y):
+            raise NotScalarOnBlock("an eigenvalue is irrational: no split over Q")
+    else:
+        raise NotScalarOnBlock("no element separates the blocks")
     idems = []
-    for basis in blocks:
-        if len(basis) != 1:
-            raise NotScalarOnBlock("basis operators leave a block unseparated")
-        w = basis[0]
-        w2 = alg.multiply(w, w)
-        coords = _solve_coords([w], list(w2))
-        if coords is None or coords[0] == 0:
-            raise NotScalarOnBlock("block carries no idempotent")
-        c = Fraction(1) / coords[0]
-        idems.append(tuple(c * x for x in w))
-    idems.sort()
-    return IdempotentDecomposition(tuple(idems))
+    for lam in roots:
+        e = alg.unit
+        for mu in roots:
+            if mu != lam:
+                shifted = [a - mu * u for a, u in zip(x, alg.unit)]
+                e = tuple(v / (lam - mu) for v in alg.multiply(e, shifted))
+        if alg.multiply(e, e) != e:
+            raise NotScalarOnBlock("interpolated block element is not idempotent")
+        idems.append(e)
+    return IdempotentDecomposition(tuple(sorted(idems)))
 
 
 def character_on_block(alg: FrobeniusAlgebra, idem, element) -> Fraction:
     """The scalar by which `element` acts on the block of `idem`."""
     y = alg.multiply(element, idem)
-    coords = _solve_coords([idem], list(y))
-    if coords is None:
+    chi = next((a / b for a, b in zip(y, idem) if b), Fraction(0))
+    if any(a != chi * b for a, b in zip(y, idem)):
         raise NotScalarOnBlock("element does not act as a scalar on the block")
-    return coords[0]
+    return chi
 
 
 # -- fixtures ----------------------------------------------------------------

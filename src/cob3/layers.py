@@ -25,6 +25,7 @@ Identity wires are not layers; the identity on n wires is (n,).
 from __future__ import annotations
 
 from cob3.terms import (
+    GENERATOR_ARITIES,
     Compose,
     Gen,
     Tensor,
@@ -57,8 +58,7 @@ __all__ = [
 GEN_NAMES = ("m", "unit", "comul", "tr", "swap", "pe", "pu")
 M, UNIT, COMUL, TR, SWAP, PE, PU = range(len(GEN_NAMES))
 GEN_CODES = {name: code for code, name in enumerate(GEN_NAMES)}
-GEN_DOM = (2, 0, 1, 1, 2, 1, 0)
-GEN_COD = (1, 1, 2, 0, 2, 1, 1)
+GEN_DOM, GEN_COD = zip(*(GENERATOR_ARITIES[name] for name in GEN_NAMES))
 
 def term_to_state(term: Term) -> tuple:
     """Flatten a term to its layer encoding (not yet slide-sorted).

@@ -2,9 +2,12 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +159,45 @@ def test_invariant_idempotent_blocks(capsys, alg_file):
     assert {b["prime_characters"]["P"] for b in data["blocks"]} == {2, 3}
 
 
+def test_unknown_prime_names_the_label(capsys, alg_file):
+    for argv in (
+        ("eval", "pe(Z)", "--algebra", alg_file),
+        ("invariant", "--algebra", alg_file, "--manifold", "Z"),
+    ):
+        assert run(capsys, *argv) == (USAGE, "", "error: unknown prime label 'Z'\n")
+
+
+PLANE = {
+    "dim": 2,
+    "mul": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+    "unit": [1, 1],
+    "trace": [1, 1],
+    "primes": {"P": [2, 3]},
+}
+MALFORMED_ALGEBRAS = {
+    "float-scalar": {**PLANE, "trace": [0.5, 1]},
+    "zero-denominator": {**PLANE, "unit": ["1/0", 1]},
+    "string-dim": {**PLANE, "dim": "2"},
+    "float-dim": {"dim": 1.5, "mul": [[[1]]], "unit": [1], "trace": [1]},
+    "scalar-mul": {**PLANE, "mul": 5},
+    "list-primes": {**PLANE, "primes": [1]},
+    "scalar-prime": {**PLANE, "primes": {"P": 3}},
+    "number-file": 5,
+    "null-file": None,
+}
+
+
+@pytest.mark.parametrize("command", ["verify-algebra", "eval"])
+@pytest.mark.parametrize("name", MALFORMED_ALGEBRAS)
+def test_malformed_algebra_is_usage(capsys, tmp_path, command, name):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED_ALGEBRAS[name]))
+    argv = ["m", "--algebra", str(path)] if command == "eval" else [str(path)]
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out) == (USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_invariant_bad_manifold_is_usage(capsys, alg_file):
     code, _, err = run(
         capsys, "invariant", "--algebra", alg_file, "--manifold", "P ##"
@@ -263,6 +305,27 @@ def test_g2_text_does_not_depend_on_label_order():
         for text in ("(pu(Q) * id) . pu(P)", "(id * pu(P)) . pu(Q)")
     }
     assert len(texts) == 1 and texts.pop()[0] == OK
+
+
+def _readme_command_line():
+    """The `cob3 ...` lines and the algebra file of README's "Command line"."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    commands = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = commands.replace("\\\n", " ").splitlines()
+    plane = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(line)[1:] for line in lines if line.startswith("cob3 ")], plane
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    commands, plane = _readme_command_line()
+    (tmp_path / "plane.json").write_text(plane)
+    monkeypatch.chdir(tmp_path)
+    assert len(commands) == 12
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert (argv, code, err) == (argv, OK, "")
+        assert out
 
 
 # Two equal pairs whose derivations once needed a goal-side edge the

@@ -168,6 +168,68 @@ def test_three_block_splitting():
     assert chars == [1, 4, 9]
 
 
+def _assert_complete_orthogonal(alg, dec):
+    assert len(dec) == alg.dim
+    for i, e in enumerate(dec.idempotents):
+        for j, f in enumerate(dec.idempotents):
+            assert alg.multiply(e, f) == (e if i == j else (F(0),) * alg.dim)
+    assert tuple(map(sum, zip(*dec.idempotents))) == alg.unit
+
+
+def test_random_algebras_split_into_orthogonal_idempotents():
+    rng = random.Random(13)
+    for _ in range(40):
+        alg = random_labelled_algebra(rng, max_dim=5)
+        _assert_complete_orthogonal(alg, idempotent_decomposition(alg))
+    for _ in range(20):
+        # repeated trace weights: no trace-based shortcut can tell blocks apart
+        d = rng.randint(2, 5)
+        diag = diagonal_algebra([rng.choice([1, 2]) for _ in range(d)])
+        while True:
+            p = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+            try:
+                alg = conjugate_algebra(diag, p)
+                break
+            except ShapeError:  # singular change of basis
+                continue
+        _assert_complete_orthogonal(alg, idempotent_decomposition(alg))
+
+
+def test_separating_element_may_need_c_2():
+    # x = sum_k c^k e_k has eigenvalues {0, 1} at c = 0, {1, 2} at c = 1 and
+    # {-1, 1, 6} at c = 2
+    p = [[1, 0, 0], [1, 1, -1], [0, 1, 1]]
+    alg = conjugate_algebra(diagonal_algebra([1, 2, 3]), p)
+    dec = idempotent_decomposition(alg)
+    half = F(1, 2)
+    assert dec.idempotents == ((0, half, -half), (0, half, half), (1, -half, half))
+    _assert_complete_orthogonal(alg, dec)
+
+
+def _block_and_three_lines(square, trace):
+    """Q[s]/(s^2 - square) with basis 1, s, beside three idempotent lines."""
+    mul = [[[0] * 5 for _ in range(5)] for _ in range(5)]
+    mul[0][0][0] = mul[1][0][1] = mul[1][1][0] = 1
+    mul[0][1][1] = square
+    for i in (2, 3, 4):
+        mul[i][i][i] = 1
+    return FrobeniusAlgebra(5, mul, [1, 0, 1, 1, 1], trace)
+
+
+@pytest.mark.parametrize(
+    "square, trace",
+    [(2, [1, 0, 1, 1, 1]), (0, [0, 1, 1, 1, 1])],
+    ids=["sqrt2-times-Q3", "dual-numbers-times-Q3"],
+)
+def test_non_split_algebras_are_refused_fast(square, trace):
+    alg = _block_and_three_lines(square, trace)
+    assert alg.verify_cf().ok
+    start = time.perf_counter()
+    with pytest.raises(NotScalarOnBlock):
+        idempotent_decomposition(alg)
+    assert time.perf_counter() - start < 1.0
+
+
 def _poly_mul(a, b):
     out = [F(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):

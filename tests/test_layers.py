@@ -177,3 +177,5 @@ def test_gen_tables_consistent():
     assert len(GEN_DOM) == len(GEN_COD) == 7
     assert GEN_DOM[0] == 2 and GEN_COD[0] == 1  # merge
     assert GEN_DOM[4] == GEN_COD[4] == 2  # crossing
+    assert GEN_DOM == (2, 0, 1, 1, 2, 1, 0)
+    assert GEN_COD == (1, 1, 2, 0, 2, 1, 1)
