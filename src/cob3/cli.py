@@ -18,7 +18,6 @@ from cob3.evaluate import (
     closed_invariant,
     closed_invariant_by_characters,
     eval_term,
-    eval_with_endo_override,
     parse_manifold,
 )
 from cob3.frobenius import (
@@ -245,8 +244,8 @@ def _demo_legs_counterexample(fmt: str) -> int:
     alg = hadamard_algebra()
     override = {"P": [[0, 1], [-1, 0]]}
     lhs_t, rhs_t = "m . (pe(P) * id)", "m . (id * pe(P))"
-    lhs = eval_with_endo_override(lhs_t, alg, override)
-    rhs = eval_with_endo_override(rhs_t, alg, override)
+    lhs = eval_term(lhs_t, alg, override)
+    rhs = eval_term(rhs_t, alg, override)
     col = 1  # e1 (x) e2
     lcol = sorted((r, fraction_to_scalar(v)) for (r, c), v in lhs.entries.items() if c == col)
     rcol = sorted((r, fraction_to_scalar(v)) for (r, c), v in rhs.entries.items() if c == col)
@@ -418,6 +417,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # Exact values may have more digits than str(int) allows by default;
+    # lift that limit for this call only, so in-process callers keep theirs.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except json.JSONDecodeError as e:
@@ -432,6 +436,9 @@ def main(argv=None) -> int:
         # status 1 for "not equal / not found".
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return INTERNAL
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -1,39 +1,26 @@
 """Evaluation of diagrams in a commutative Frobenius algebra.
 
-Both evaluators compute with int numerators over one common denominator and
-hand the result to `LinearMap` in that form. `eval_term` interprets a term
-layer by layer: the accumulated map is kept as a sparse dict and each
-generator acts on its wire window through a column table scaled to ints, so
-wide identity regions cost nothing. `eval_semantic` instead reads the glued
+`eval_term` is the term functor: it composes and tensors the generators'
+linear maps as the term says, with `LinearMap.compose` for `.` and
+`LinearMap.tensor` for `*`. `eval_semantic` instead reads the glued
 surface — it evaluates each connected component from its boundary counts,
 genus, and prime list, then places each component's rows and columns at
-their global wire positions and multiplies the components together. The two
-agree on every well-typed term; that agreement is the whole point of the
-invariant.
+their global wire positions and multiplies the components together. Both
+compute with int numerators over one common denominator, the form
+`LinearMap` stores. The two agree on every well-typed term; that agreement
+is the whole point of the invariant.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
 from typing import Dict, Optional, Tuple
 
-from cob3.cospan import LabelledCospan, cospan_of_term
+from cob3.cospan import LabelledCospan
 from cob3.frobenius import FrobeniusAlgebra, UnknownPrime
-from cob3.layers import (
-    COMUL,
-    GEN_COD,
-    GEN_DOM,
-    M,
-    PE,
-    SWAP,
-    TR,
-    UNIT,
-    term_to_state,
-)
-from cob3.linmap import LinearMap, _lowest_terms, scalar_to_fraction
-from cob3.terms import _LABEL_RE, Term, parse
+from cob3.linmap import LinearMap, identity_map, permutation_map, scalar_to_fraction
+from cob3.terms import _LABEL_RE, GENERATOR_ARITIES, fold, parse, typecheck
 
 __all__ = [
     "eval_term",
@@ -45,60 +32,38 @@ __all__ = [
 ]
 
 
-def _scaled(cols):
-    """(den, table) for a list of columns [(local_row, Fraction)]: the same
-    coefficients as ints over one common denominator, None standing for 1."""
-    den = lcm(*(v.denominator for col in cols for _, v in col))
-    return den, [
-        [
-            (k, None if v * den == 1 else v.numerator * (den // v.denominator))
-            for k, v in col
-            if v
-        ]
-        for col in cols
-    ]
-
-
-def _column_tables(alg: FrobeniusAlgebra):
-    """Per-generator scaled column tables, see `_scaled`."""
+def _generator_map(alg: FrobeniusAlgebra, name, label, overrides) -> LinearMap:
+    """The linear map of one generator; overrides[label], when given,
+    replaces the matrix of pe(label)."""
     d = alg.dim
-    one = Fraction(1)
-    return {
-        (M, ""): _scaled(
-            [
-                [(k, alg.mul[k][i][j]) for k in range(d)]
-                for i in range(d)
-                for j in range(d)
-            ]
-        ),
-        (UNIT, ""): _scaled([[(i, alg.unit[i]) for i in range(d)]]),
-        (COMUL, ""): _scaled(
-            [
-                [(j * d + k, alg.comul[i][j][k]) for j in range(d) for k in range(d)]
-                for i in range(d)
-            ]
-        ),
-        (TR, ""): _scaled([[(0, alg.trace[i])] for i in range(d)]),
-        (SWAP, ""): _scaled([[(j * d + i, one)] for i in range(d) for j in range(d)]),
-    }
-
-
-def _endo_table(alg, label, overrides, d):
-    if overrides and label in overrides:
-        m = overrides[label]
-        if len(m) != d or any(len(r) != d for r in m):
-            raise ValueError(f"override for {label!r} is not {d}x{d}")
-        mat = [[scalar_to_fraction(x) for x in row] for row in m]
-    else:
-        mat = alg.prime_endo_matrix(label)
-    return _scaled([[(k, mat[k][i]) for k in range(d)] for i in range(d)])
-
-
-def _unit_table(alg, label, d):
-    vec = alg.primes.get(label)
-    if vec is None:
-        raise UnknownPrime(label)
-    return _scaled([[(i, vec[i]) for i in range(d)]])
+    r = range(d)
+    if name == "id":
+        return identity_map(d, 1)
+    if name == "swap":
+        return permutation_map(d, (1, 0))
+    if name == "m":
+        entries = {(k, i * d + j): alg.mul[k][i][j] for k in r for i in r for j in r}
+    elif name == "comul":
+        entries = {(j * d + k, i): alg.comul[i][j][k] for i in r for j in r for k in r}
+    elif name == "tr":
+        entries = {(0, i): alg.trace[i] for i in r}
+    elif name == "unit":
+        entries = {(i, 0): alg.unit[i] for i in r}
+    elif name == "pu":
+        vec = alg.primes.get(label)
+        if vec is None:
+            raise UnknownPrime(label)
+        entries = {(i, 0): vec[i] for i in r}
+    else:  # pe
+        if overrides and label in overrides:
+            m = overrides[label]
+            if len(m) != d or any(len(row) != d for row in m):
+                raise ValueError(f"override for {label!r} is not {d}x{d}")
+            mat = [[scalar_to_fraction(x) for x in row] for row in m]
+        else:
+            mat = alg.prime_endo_matrix(label)
+        entries = {(k, i): mat[k][i] for k in r for i in r}
+    return LinearMap(*GENERATOR_ARITIES[name], d, entries)
 
 
 def eval_term(
@@ -106,44 +71,23 @@ def eval_term(
 ) -> LinearMap:
     """The linear map of a term (parse strings on the fly).
 
-    The map so far is kept as int numerators over one denominator; each
-    layer multiplies in its generator's scaled table and table denominator.
+    The term is typechecked first, so an ill-typed term raises what
+    `typecheck` raises before any generator is evaluated.
     """
     if isinstance(term, str):
         term = parse(term)
-    state = term_to_state(term)
-    d = alg.dim
-    dom = state[0]
-    tabs = _column_tables(alg)
-    den = 1
-    acc: Dict[Tuple[int, int], int] = {(i, i): 1 for i in range(d ** dom)}
-    w = dom
-    for p in range(1, len(state), 3):
-        off, gen, lab = state[p], state[p + 1], state[p + 2]
-        tab = tabs.get((gen, lab))
-        if tab is None:
-            tab = (
-                _endo_table(alg, lab, overrides, d)
-                if gen == PE
-                else _unit_table(alg, lab, d)
-            )
-            tabs[gen, lab] = tab
-        tden, cols = tab
-        a, b = GEN_DOM[gen], GEN_COD[gen]
-        right = w - off - a
-        pa, pb, pr = d ** a, d ** b, d ** right
-        new: Dict[Tuple[int, int], int] = {}
-        for (r, c), v in acc.items():
-            lo = r % pr
-            rest = r // pr
-            mid = rest % pa
-            base = (rest // pa) * pb
-            for rg, vg in cols[mid]:
-                key = ((base + rg) * pr + lo, c)
-                new[key] = new.get(key, 0) + (v if vg is None else v * vg)
-        den, acc = _lowest_terms(den * tden, new)
-        w += b - a
-    return LinearMap._from_ints(dom, w, d, den, acc)
+    typecheck(term)
+    maps: Dict[tuple, LinearMap] = {}
+
+    def gen(node):
+        key = (node.name, node.label)
+        if key not in maps:
+            maps[key] = _generator_map(alg, node.name, node.label, overrides)
+        return maps[key]
+
+    return fold(
+        term, gen, lambda _node, f, g: f.compose(g), lambda _node, l, r: l.tensor(r)
+    )
 
 
 def eval_with_endo_override(term, alg: FrobeniusAlgebra, overrides: dict) -> LinearMap:
@@ -177,10 +121,22 @@ def _comul_chain(alg, v, b):
     return cur
 
 
+def _power(alg: FrobeniusAlgebra, x, n: int):
+    """x**n for n >= 1, by repeated squaring."""
+    out = None
+    while True:
+        if n & 1:
+            out = x if out is None else alg.multiply(out, x)
+        n >>= 1
+        if not n:
+            return out
+        x = alg.multiply(x, x)
+
+
 def _component_map(alg: FrobeniusAlgebra, a, b, genus, primes) -> LinearMap:
     """(b-fold comul) . (prime endos) . (handle)^genus . (a-fold mul)."""
     d = alg.dim
-    handle = alg.handle_element() if genus else None
+    handle = _power(alg, alg.handle_element(), genus) if genus else None
     entries: Dict[Tuple[int, int], Fraction] = {}
     for col in range(d ** a):
         if a == 0:
@@ -202,7 +158,7 @@ def _component_map(alg: FrobeniusAlgebra, a, b, genus, primes) -> LinearMap:
                     break
         if not any(v):
             continue
-        for _ in range(genus):
+        if handle is not None:
             v = alg.multiply(handle, v)
         for p in primes:
             vec = alg.primes.get(p)

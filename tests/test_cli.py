@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 import cob3
 from cob3 import (
     algebra_to_json,
+    closed_invariant,
     cospan_of_term,
     diagonal_algebra,
     hadamard_algebra,
@@ -157,6 +159,28 @@ def test_invariant_idempotent_blocks(capsys, alg_file):
     assert len(data["blocks"]) == 2
     assert data["character_sum"] == 5
     assert {b["prime_characters"]["P"] for b in data["blocks"]} == {2, 3}
+
+
+def test_long_exact_value_is_printed(capsys, tmp_path):
+    # trace weight 1/2 gives Z = 2**(g-1) + 3**(1-g): at g = 20000 its
+    # numerator has far more than the 4300 digits str(int) allows by default
+    alg = diagonal_algebra(["1/2", 3])
+    path = tmp_path / "half.json"
+    path.write_text(algebra_to_json(alg))
+    manifold = "(S2xS1)^20000"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, err = run(
+        capsys, "invariant", "--algebra", str(path), "--manifold", manifold
+    )
+    assert (code, err) == (OK, "")
+    if limit:  # main restores the caller's limit; lift it to read the value
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(out.split(" = ")[1]) == closed_invariant(alg, manifold)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_unknown_prime_names_the_label(capsys, alg_file):

@@ -21,8 +21,9 @@ from cob3 import (
     parse,
     parse_manifold,
 )
+from cob3.evaluate import _component_map
 from cob3.frobenius import conjugate_algebra, diagonal_algebra
-from cob3.terms import random_term
+from cob3.terms import ArityMismatch, random_term, typecheck
 
 ALG = hadamard_algebra()  # componentwise plane, P = (2, 3)
 
@@ -84,6 +85,20 @@ def test_unknown_label_is_reported():
         eval_term("pe(Zq)", ALG)
 
 
+def test_type_errors_come_before_unknown_labels():
+    # without the typecheck first, pe(Z) would raise UnknownPrime
+    with pytest.raises(ArityMismatch) as want:
+        typecheck(parse("m . pe(Z)"))
+    with pytest.raises(ArityMismatch) as got:
+        eval_term("m . pe(Z)", ALG)
+    assert str(got.value) == str(want.value)
+
+
+def test_first_unknown_label_in_printed_order_is_named():
+    with pytest.raises(UnknownPrime, match="'Z'"):
+        eval_term("pe(Z) . pe(Y)", ALG)
+
+
 def test_override_changes_pe_but_not_pu():
     rot = [[0, 1], [-1, 0]]
     lhs = eval_with_endo_override("m . (pe(P) * id)", ALG, {"P": rot})
@@ -130,6 +145,18 @@ def test_term_and_connectivity_functors_agree(seed):
     cos = cospan_of_term(term)
     for alg in FUZZ_ALGEBRAS:
         assert eval_term(term, alg) == eval_semantic(cos, alg)
+
+
+def test_handle_power_is_repeated_multiplication():
+    for alg in FUZZ_ALGEBRAS:
+        d = alg.dim
+        handle = alg.handle_element()
+        basis = [tuple(F(int(i == j)) for j in range(d)) for i in range(d)]
+        cols = [alg.multiply(alg.primes["P"], e) for e in basis]
+        for genus in range(10):
+            want = {(k, i): x for i, col in enumerate(cols) for k, x in enumerate(col)}
+            assert _component_map(alg, 1, 1, genus, ("P",)) == LinearMap(1, 1, d, want)
+            cols = [alg.multiply(handle, v) for v in cols]
 
 
 def test_semantic_genus_weighting():

@@ -5,6 +5,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cob3 import LinearMap, identity_map, permutation_map
 
@@ -106,3 +108,47 @@ def test_integer_constructor_rejects_out_of_range():
         LinearMap._from_ints(1, 1, 2, 3, {(0, -1): 1})
     with pytest.raises(ValueError):
         LinearMap._from_ints(0, 2, 2, 1, {(3, 1): 1})
+
+
+FRACTIONS = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
+
+
+def sparse_map(data, d, dom, cod):
+    """A random map with small Fraction entries, some of them zero."""
+    cells = st.tuples(st.integers(0, d**cod - 1), st.integers(0, d**dom - 1))
+    entries = data.draw(st.dictionaries(cells, FRACTIONS, max_size=12))
+    return LinearMap(dom, cod, d, entries)
+
+
+def dense(m):
+    rows = [[F(0)] * m.cols for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_compose_and_tensor_match_dense_references(data):
+    d = data.draw(st.integers(1, 3))
+    a, b, c = (data.draw(st.integers(0, 3)) for _ in range(3))
+    f, g = sparse_map(data, d, b, c), sparse_map(data, d, a, b)
+    ff, gg = dense(f), dense(g)
+    product = [
+        [sum((ff[i][k] * gg[k][j] for k in range(f.cols)), F(0)) for j in range(g.cols)]
+        for i in range(f.rows)
+    ]
+    assert dense(f.compose(g)) == product
+    # big-endian: the left factor's index is the more significant digit
+    rows, cols = g.rows, g.cols
+    kron = [
+        [ff[i // rows][j // cols] * gg[i % rows][j % cols] for j in range(f.cols * cols)]
+        for i in range(f.rows * rows)
+    ]
+    t = f.tensor(g)
+    assert (t.dom_arity, t.cod_arity) == (b + a, c + b)
+    assert dense(t) == kron
+    with pytest.raises(ValueError):
+        f.compose(sparse_map(data, d, a, b + 1))
+    with pytest.raises(ValueError):
+        f.compose(sparse_map(data, d % 3 + 1, a, b))
