@@ -7,9 +7,9 @@ sides share one flat encoding (see layers.py):
 
 Adjacent layers commute when their wire supports are disjoint; sliding the
 later layer first adjusts offsets by the width change of the layer it passes.
-`nf` bubble-sorts a state to the lexicographically least representative of
-its slide class, which is the canonical form used for equality and search
-dedup.
+`nf` walks a state's slide class breadth-first, on layers packed into ints,
+to the lexicographically least representative, which is the canonical form
+used for equality and search dedup.
 
 Matching is window-based: a rule side is located as a contiguous block of
 layers after sliding independent context layers out of the window. One scan
@@ -53,33 +53,13 @@ _NF_CACHE: dict = {}
 _NF_CACHE_MAX = 1 << 18
 
 
-def _neighbours(seq):
-    out = []
-    n = len(seq)
-    for i in range(n - 1):
-        o1, g1, l1 = seq[i]
-        o2, g2, l2 = seq[i + 1]
-        if o2 + GEN_DOM[g2] <= o1:
-            out.append(
-                seq[:i]
-                + ((o2, g2, l2), (o1 + GEN_COD[g2] - GEN_DOM[g2], g1, l1))
-                + seq[i + 2 :]
-            )
-        if o2 >= o1 + GEN_COD[g1]:
-            out.append(
-                seq[:i]
-                + ((o2 - GEN_COD[g1] + GEN_DOM[g1], g2, l2), (o1, g1, l1))
-                + seq[i + 2 :]
-            )
-    return out
-
-
 def nf(state):
     """Canonical-within-budget representative of the slide class.
 
-    Explores the class breadth-first over single transpositions and returns
-    its lexicographically least member; this is exact (a true canonical
-    form) whenever the class fits under NF_SLIDE_CAP explored orders.
+    Explores the class breadth-first over single transpositions, each layer
+    packed into one int that compares as its (off, gen, lab) triple, and
+    returns its lexicographically least member; this is exact (a true
+    canonical form) whenever the class has at most NF_SLIDE_CAP orders.
     Beyond the cap it switches to greedy minimal-arrival extraction and
     iterates to a fixpoint, which yields a deterministic, idempotent,
     slide-equivalent representative that may in rare cases differ between
@@ -108,27 +88,44 @@ def nf(state):
 
 
 def _class_min(start):
-    seen = {start}
-    queue = [start]
-    qi = 0
-    best = start
-    while qi < len(queue):
-        seq = queue[qi]
-        qi += 1
-        for nb in _neighbours(seq):
-            if nb not in seen:
-                seen.add(nb)
-                if len(seen) > NF_SLIDE_CAP:
-                    cur = start
-                    while True:
-                        nxt = _greedy_min(cur)
-                        if not nxt < cur:
-                            return cur
-                        cur = nxt
-                if nb < best:
-                    best = nb
-                queue.append(nb)
-    return best
+    # Layers are packed as (off << bits) | rank, rank the place of (gen, lab)
+    # among the state's sorted pairs, so packed tuples compare as the
+    # triples do and a slide only adds a width change shifted by `bits`.
+    keys = sorted({(g, l) for _o, g, l in start})
+    bits = (len(keys) - 1).bit_length()
+    mask = (1 << bits) - 1
+    rank = {key: r for r, key in enumerate(keys)}
+    dom = [GEN_DOM[g] for g, _l in keys]
+    cod = [GEN_COD[g] for g, _l in keys]
+    grow = [(c - d) << bits for d, c in zip(dom, cod)]
+    first = tuple((o << bits) | rank[g, l] for o, g, l in start)
+    seen = {first}
+    queue = [first]
+    for seq in queue:  # breadth-first: the loop also visits what it appends
+        p2 = seq[0]
+        o2 = p2 >> bits
+        for i in range(1, len(seq)):
+            p1, o1 = p2, o2
+            p2 = seq[i]
+            o2 = p2 >> bits
+            if o2 + dom[p2 & mask] <= o1:
+                nb = seq[: i - 1] + (p2, p1 + grow[p2 & mask]) + seq[i + 1 :]
+                if nb not in seen:
+                    seen.add(nb)
+                    queue.append(nb)
+            if o2 >= o1 + cod[p1 & mask]:
+                nb = seq[: i - 1] + (p2 - grow[p1 & mask], p1) + seq[i + 1 :]
+                if nb not in seen:
+                    seen.add(nb)
+                    queue.append(nb)
+        if len(seen) > NF_SLIDE_CAP:
+            cur = start
+            while True:
+                nxt = _greedy_min(cur)
+                if not nxt < cur:
+                    return cur
+                cur = nxt
+    return tuple((p >> bits, *keys[p & mask]) for p in min(seen))
 
 
 def _greedy_min(start):
@@ -358,14 +355,16 @@ def side_hull(side):
     return max(state_widths(side))
 
 
-def successors(state, entries, max_layers):
+def successors(state, entries, max_layers, until=()):
     """All one-step rewrites of a normal-form state with at most
     `max_layers` layers.
 
     `entries` is a sequence of (pattern, replacement) pairs in the order
-    that defines the tie-break. Yields tuples
+    that defines the tie-break. Returns a list of tuples
     (entry_index, pos_bottom, pos_col, pos_layers, new_state) in
-    deterministic order.
+    deterministic order. It stops right after the first tuple whose
+    new_state is in `until`, so the list is then a prefix of the full one
+    and nothing past a search's meet is built.
 
     Every rewrite by one entry turns an n-layer state into one of
     n - k_pat + k_rep layers, k_pat and k_rep being the layer counts of its
@@ -379,12 +378,15 @@ def successors(state, entries, max_layers):
         if n - k + (len(rep) - 1) // 3 > max_layers:
             continue
         if k == 0:
-            hull = side_hull(rep)
-            for lvl, col in find_insertions(state, pat[0], hull):
-                out.append((e, lvl, col, 0, apply_insertion(state, lvl, col, rep)))
+            spots = find_insertions(state, pat[0], side_hull(rep))
+            steps = ((e, b, c, 0, apply_insertion(state, b, c, rep)) for b, c in spots)
         else:
-            for match in find_matches(state, pat):
-                out.append(
-                    (e, match[0], match[1], k, apply_match(state, match, rep))
-                )
+            steps = (
+                (e, m[0], m[1], k, apply_match(state, m, rep))
+                for m in find_matches(state, pat)
+            )
+        for step in steps:
+            out.append(step)
+            if step[4] in until:
+                return out
     return out

@@ -317,7 +317,16 @@ def find_path(
     budget caps the total number of states stored; max_extra_layers caps how
     far intermediate diagrams may grow beyond the larger endpoint, keeping
     the space finite. Returns a RewriteTrace or a NotFoundWithinBound value.
+    A negative bound raises ValueError: no search could honour it, and an
+    empty one would report a false "exhausted".
     """
+    for name, bound in (
+        ("max_steps", max_steps),
+        ("budget", budget),
+        ("max_extra_layers", max_extra_layers),
+    ):
+        if bound < 0:
+            raise ValueError(f"{name} must not be negative, got {bound}")
     if isinstance(start, str):
         start = parse(start)
     if isinstance(goal, str):
@@ -397,7 +406,9 @@ def find_path(
         new_frontier = []
         for state in frontiers[side]:
             explored += 1
-            for (e, b, c, k, ns) in successors(state, entries, layer_cap):
+            # No state is in both dicts, so the first successor in `other`
+            # is where this loop returns: successors stops right there.
+            for (e, b, c, k, ns) in successors(state, entries, layer_cap, other):
                 if ns in mine:
                     continue
                 mine[ns] = (state, e, b, c, k)

@@ -273,6 +273,16 @@ def test_rewrite_path_not_found(capsys):
     assert "exhausted" in out
 
 
+@pytest.mark.parametrize(
+    "flag", ["--max-steps", "--budget", "--max-extra-layers"]
+)
+def test_rewrite_path_rejects_negative_bounds(capsys, flag):
+    code, out, err = run(capsys, "rewrite-path", "m . (unit * id)", "id", flag, "-3")
+    assert code == USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_rewrite_path_unknown_ruleset(capsys):
     code, _, err = run(capsys, "rewrite-path", "m", "m", "--rules", "XL")
     assert code == USAGE

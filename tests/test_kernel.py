@@ -154,3 +154,24 @@ def test_successor_lists_are_pinned():
             h.update(repr(succ).encode())
     assert count == 7013
     assert h.hexdigest() == SUCCESSORS_DIGEST
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**30))
+def test_successors_stop_at_the_first_state_in_until(seed):
+    rng = random.Random(seed)
+    s = kp.nf(term_to_state(random_term(rng, max_gens=5)))
+    bound = n_layers(s) + 3
+    for rules in ("CF_LEGS", "G2_FULL"):
+        entries, _ = _entries(rules)
+        full = kp.successors(s, entries, bound)
+        states = [t[4] for t in full]
+        # some of the successors (a dict, as find_path passes) and a state
+        # that is none of them
+        until = dict.fromkeys(rng.sample(states, min(len(states), rng.randint(0, 3))))
+        until[s] = None
+        got = kp.successors(s, entries, bound, until)
+        # a list, not a generator: perfbench's tracer takes its len
+        assert isinstance(got, list)
+        cut = next((i + 1 for i, ns in enumerate(states) if ns in until), len(full))
+        assert got == full[:cut]

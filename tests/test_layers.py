@@ -4,12 +4,16 @@ import random
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cob3 import kernel
-from cob3.kernel import NF_SLIDE_CAP, _neighbours
+from cob3.kernel import NF_SLIDE_CAP
 from cob3.layers import (
     GEN_COD,
     GEN_DOM,
+    PE,
+    PU,
     canonical_state,
     diagram_equal,
     state_to_term,
@@ -94,37 +98,118 @@ def test_nf_identity_states():
     assert kernel.nf(one) == one
 
 
-def legal_shuffle(state, rng, walk=12):
-    """Random walk over single adjacent transpositions."""
-    seq = tuple(
+# The slide class as a graph of plain triple tuples: the reference that
+# kernel.nf's packed walk is checked against.
+
+
+def _neighbours(seq):
+    """Layer orders one legal transposition away from `seq`."""
+    out = []
+    n = len(seq)
+    for i in range(n - 1):
+        o1, g1, l1 = seq[i]
+        o2, g2, l2 = seq[i + 1]
+        if o2 + GEN_DOM[g2] <= o1:
+            out.append(
+                seq[:i]
+                + ((o2, g2, l2), (o1 + GEN_COD[g2] - GEN_DOM[g2], g1, l1))
+                + seq[i + 2 :]
+            )
+        if o2 >= o1 + GEN_COD[g1]:
+            out.append(
+                seq[:i]
+                + ((o2 - GEN_COD[g1] + GEN_DOM[g1], g2, l2), (o1, g1, l1))
+                + seq[i + 2 :]
+            )
+    return out
+
+
+def _layers(state):
+    return tuple(
         (state[p], state[p + 1], state[p + 2]) for p in range(1, len(state), 3)
     )
+
+
+def _flat(dom, seq):
+    return (dom,) + tuple(x for t in seq for x in t)
+
+
+def legal_shuffle(state, rng, walk=12):
+    """Random walk over single adjacent transpositions."""
+    seq = _layers(state)
     for _ in range(walk):
         nbs = _neighbours(seq)
         if not nbs:
             break
         seq = rng.choice(nbs)
-    out = [state[0]]
-    for t in seq:
-        out.extend(t)
-    return tuple(out)
+    return _flat(state[0], seq)
 
 
-def class_size(state, cap):
-    seq = tuple(
-        (state[p], state[p + 1], state[p + 2]) for p in range(1, len(state), 3)
-    )
-    seen = {seq}
-    queue = [seq]
-    while queue:
-        cur = queue.pop()
+def slide_class(state, cap):
+    """Breadth-first set of the state's layer orders, cut once past `cap`."""
+    first = _layers(state)
+    seen = {first}
+    queue = [first]
+    for cur in queue:
         for nb in _neighbours(cur):
             if nb not in seen:
                 seen.add(nb)
                 if len(seen) > cap:
-                    return len(seen)
+                    return seen
                 queue.append(nb)
-    return len(seen)
+    return seen
+
+
+def class_min_oracle(state):
+    """The least member of the state's slide class by a plain tuple BFS, or
+    None when the class has more than NF_SLIDE_CAP members."""
+    members = slide_class(state, NF_SLIDE_CAP)
+    if len(members) > NF_SLIDE_CAP:
+        return None
+    return _flat(state[0], min(members))
+
+
+def greedy_fixpoint(state):
+    """nf's answer above the cap: `_greedy_min` from the start order,
+    repeated until it no longer lowers the order."""
+    cur = _layers(state)
+    while (nxt := kernel._greedy_min(cur)) < cur:
+        cur = nxt
+    return _flat(state[0], cur)
+
+
+@st.composite
+def layered_states(draw):
+    """Random states: unlabelled, or with P, Q and metavariable labels,
+    behind 0 to 4097 untouched wires on the left."""
+    gens = range(len(GEN_DOM)) if draw(st.booleans()) else (0, 1, 2, 3, 4)
+    pad = draw(st.sampled_from((0, 1, 256, 4097)))
+    width = draw(st.integers(0, 4))
+    out = [pad + width]
+    for _ in range(draw(st.integers(2, 9))):
+        g = draw(st.sampled_from([g for g in gens if GEN_DOM[g] <= width]))
+        off = draw(st.integers(0, width - GEN_DOM[g]))
+        lab = draw(st.sampled_from(("P", "Q", "?p"))) if g in (PE, PU) else ""
+        out += (pad + off, g, lab)
+        width += GEN_COD[g] - GEN_DOM[g]
+    return tuple(out)
+
+
+# six distinct (gen, label) pairs (so three rank bits) at offsets past 256
+WIDE = (
+    301, 300, 6, "Q", 300, 5, "?p", 301, 1, "", 300, 0, "", 299, 5, "P", 300, 2, ""
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(layered_states())
+@example(WIDE)
+@example((0,) + (0, 1, "", 0, 6, "P", 1, 6, "Q") * 3)
+def test_nf_is_the_least_member_of_its_slide_class(state):
+    want = class_min_oracle(state)
+    if want is None:
+        want = greedy_fixpoint(state)
+    assert kernel.nf(state) == want
 
 
 def test_nf_shuffle_agreement_and_idempotence():
@@ -138,7 +223,7 @@ def test_nf_shuffle_agreement_and_idempotence():
         sh = legal_shuffle(st, rng)
         b = kernel.nf(sh)
         assert kernel.nf(b) == b
-        if class_size(st, NF_SLIDE_CAP) <= NF_SLIDE_CAP:
+        if len(slide_class(st, NF_SLIDE_CAP)) <= NF_SLIDE_CAP:
             # the class fits under the cap: nf is an exact canonical form
             assert a == b, (st, sh)
             checked += 1

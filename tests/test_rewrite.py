@@ -1,5 +1,6 @@
 """Derivation search, trace replay, and the two normalizers."""
 
+import hashlib
 import json
 import random
 
@@ -87,6 +88,14 @@ def test_not_found_exhausted():
     assert r.explored == 2
 
 
+@pytest.mark.parametrize("bound", ["max_steps", "budget", "max_extra_layers"])
+def test_negative_bound_is_rejected(bound):
+    # the pair is one unit_l step apart; a negative bound must not turn
+    # that into a false "exhausted"
+    with pytest.raises(ValueError, match=bound):
+        find_path("m . (unit * id)", "id", **{bound: -1})
+
+
 def test_endpoint_type_mismatch():
     with pytest.raises(ArityMismatch):
         find_path("m", "comul")
@@ -165,7 +174,7 @@ def test_two_step_rewrites_are_found_and_replay(seed, rules):
     # from either end, and its trace must replay either way
     rng = random.Random(seed)
     entries, _ = _entries(rules)
-    t = nf(term_to_state(random_term(rng, max_gens=3)))
+    t = nf(term_to_state(random_term(rng, max_gens=4)))
     bound = (len(t) - 1) // 3 + 4
     state = t
     for _ in range(2):
@@ -176,3 +185,35 @@ def test_two_step_rewrites_are_found_and_replay(seed, rules):
     )
     assert r.found
     replay(r)
+
+
+def two_step_pairs():
+    """60 (rules, start, goal, max_steps): a random term and the end of two
+    random successor steps from it, some with too few steps to meet."""
+    for rules in ("CF_LEGS", "G2_FULL"):
+        entries, _ = _entries(rules)
+        for seed in range(30):
+            rng = random.Random(f"find_path/{rules}/{seed}")
+            t = nf(term_to_state(random_term(rng, max_gens=3)))
+            bound = (len(t) - 1) // 3 + 4
+            state = t
+            for _ in range(2):
+                state = rng.choice(successors(state, entries, bound))[4]
+            yield rules, state_to_term(t), state_to_term(state), 1 + seed % 4
+
+
+# sha256 of to_json() of every find_path result over two_step_pairs(),
+# computed before successors learnt to stop at the search's meet; a change
+# to how find_path searches must leave it as it is.
+FIND_PATH_DIGEST = "e8a3aa348f9e7f3ffc8a43e1cf68abeebe76a9127db0219ddd3b4511b96bba79"
+
+
+def test_find_path_results_are_pinned():
+    h = hashlib.sha256()
+    found = 0
+    for rules, start, goal, steps in two_step_pairs():
+        r = find_path(start, goal, rules=rules, max_steps=steps, max_extra_layers=3)
+        found += r.found
+        h.update(r.to_json().encode())
+    assert found == 43
+    assert h.hexdigest() == FIND_PATH_DIGEST
