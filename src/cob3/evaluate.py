@@ -1,14 +1,16 @@
 """Evaluation of diagrams in a commutative Frobenius algebra.
 
-`eval_term` is the term functor: it composes and tensors the generators'
-linear maps as the term says, with `LinearMap.compose` for `.` and
-`LinearMap.tensor` for `*`. `eval_semantic` instead reads the glued
-surface — it evaluates each connected component from its boundary counts,
-genus, and prime list, then places each component's rows and columns at
-their global wire positions and multiplies the components together. Both
-compute with int numerators over one common denominator, the form
-`LinearMap` stores. The two agree on every well-typed term; that agreement
-is the whole point of the invariant.
+Both evaluators read the generator maps the algebra holds, scaled-int
+`LinearMap`s built once with the algebra. `eval_term` is the term functor:
+it composes and tensors these maps as the term says, with
+`LinearMap.compose` for `.` and `LinearMap.tensor` for `*`. `eval_semantic`
+instead reads the glued surface. It evaluates each connected component as
+(b-fold comul) . (multiplication by z) . (a-fold mul), composed from the
+same maps, where z = handle^genus times the component's prime elements is an
+algebra element with Fraction coordinates. It then places each component's
+rows and columns at their global wire positions and multiplies the components
+together. The two agree on every well-typed term; that agreement is the
+whole point of the invariant.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from cob3.cospan import LabelledCospan
-from cob3.frobenius import FrobeniusAlgebra, UnknownPrime
-from cob3.linmap import LinearMap, identity_map, permutation_map, scalar_to_fraction
-from cob3.terms import _LABEL_RE, GENERATOR_ARITIES, fold, parse, typecheck
+from cob3.frobenius import FrobeniusAlgebra
+from cob3.linmap import LinearMap, scalar_to_fraction
+from cob3.terms import _LABEL_RE, fold, parse, typecheck
 
 __all__ = [
     "eval_term",
@@ -32,38 +34,13 @@ __all__ = [
 ]
 
 
-def _generator_map(alg: FrobeniusAlgebra, name, label, overrides) -> LinearMap:
-    """The linear map of one generator; overrides[label], when given,
-    replaces the matrix of pe(label)."""
-    d = alg.dim
+def _override_map(d: int, label: str, m) -> LinearMap:
+    """The pe(label) map given by a raw d x d matrix."""
+    if len(m) != d or any(len(row) != d for row in m):
+        raise ValueError(f"override for {label!r} is not {d}x{d}")
     r = range(d)
-    if name == "id":
-        return identity_map(d, 1)
-    if name == "swap":
-        return permutation_map(d, (1, 0))
-    if name == "m":
-        entries = {(k, i * d + j): alg.mul[k][i][j] for k in r for i in r for j in r}
-    elif name == "comul":
-        entries = {(j * d + k, i): alg.comul[i][j][k] for i in r for j in r for k in r}
-    elif name == "tr":
-        entries = {(0, i): alg.trace[i] for i in r}
-    elif name == "unit":
-        entries = {(i, 0): alg.unit[i] for i in r}
-    elif name == "pu":
-        vec = alg.primes.get(label)
-        if vec is None:
-            raise UnknownPrime(label)
-        entries = {(i, 0): vec[i] for i in r}
-    else:  # pe
-        if overrides and label in overrides:
-            m = overrides[label]
-            if len(m) != d or any(len(row) != d for row in m):
-                raise ValueError(f"override for {label!r} is not {d}x{d}")
-            mat = [[scalar_to_fraction(x) for x in row] for row in m]
-        else:
-            mat = alg.prime_endo_matrix(label)
-        entries = {(k, i): mat[k][i] for k in r for i in r}
-    return LinearMap(*GENERATOR_ARITIES[name], d, entries)
+    mat = [[scalar_to_fraction(x) for x in row] for row in m]
+    return LinearMap(1, 1, d, {(k, i): mat[k][i] for k in r for i in r})
 
 
 def eval_term(
@@ -72,18 +49,17 @@ def eval_term(
     """The linear map of a term (parse strings on the fly).
 
     The term is typechecked first, so an ill-typed term raises what
-    `typecheck` raises before any generator is evaluated.
+    `typecheck` raises before any generator is evaluated. overrides[label],
+    when given, replaces the matrix of pe(label).
     """
     if isinstance(term, str):
         term = parse(term)
     typecheck(term)
-    maps: Dict[tuple, LinearMap] = {}
 
     def gen(node):
-        key = (node.name, node.label)
-        if key not in maps:
-            maps[key] = _generator_map(alg, node.name, node.label, overrides)
-        return maps[key]
+        if node.name == "pe" and overrides and node.label in overrides:
+            return _override_map(alg.dim, node.label, overrides[node.label])
+        return alg.generator(node.name, node.label)
 
     return fold(
         term, gen, lambda _node, f, g: f.compose(g), lambda _node, l, r: l.tensor(r)
@@ -99,28 +75,6 @@ def eval_with_endo_override(term, alg: FrobeniusAlgebra, overrides: dict) -> Lin
     return eval_term(term, alg, overrides)
 
 
-def _comul_chain(alg, v, b):
-    """Sparse {index-tuple: coeff} of the b-fold comultiplication of v."""
-    d = alg.dim
-    cur: Dict[Tuple[int, ...], Fraction] = {
-        (i,): v[i] for i in range(d) if v[i]
-    }
-    for _ in range(b - 1):
-        new: Dict[Tuple[int, ...], Fraction] = {}
-        for idx, c in cur.items():
-            i = idx[0]
-            for j in range(d):
-                for k in range(d):
-                    cc = alg.comul[i][j][k]
-                    if cc:
-                        t = (j, k) + idx[1:]
-                        prev = new.get(t)
-                        val = c * cc
-                        new[t] = val if prev is None else prev + val
-        cur = {k: v for k, v in new.items() if v != 0}
-    return cur
-
-
 def _power(alg: FrobeniusAlgebra, x, n: int):
     """x**n for n >= 1, by repeated squaring."""
     out = None
@@ -133,49 +87,26 @@ def _power(alg: FrobeniusAlgebra, x, n: int):
         x = alg.multiply(x, x)
 
 
+def _surface_element(alg: FrobeniusAlgebra, genus: int, primes):
+    """handle^genus times the prime elements: what a surface multiplies by."""
+    z = _power(alg, alg.handle_element(), genus) if genus else alg.unit
+    for p in primes:
+        z = alg.multiply(alg.prime(p), z)
+    return z
+
+
 def _component_map(alg: FrobeniusAlgebra, a, b, genus, primes) -> LinearMap:
-    """(b-fold comul) . (prime endos) . (handle)^genus . (a-fold mul)."""
-    d = alg.dim
-    handle = _power(alg, alg.handle_element(), genus) if genus else None
-    entries: Dict[Tuple[int, int], Fraction] = {}
-    for col in range(d ** a):
-        if a == 0:
-            v = alg.unit
-        else:
-            digits = []
-            x = col
-            for _ in range(a):
-                digits.append(x % d)
-                x //= d
-            digits.reverse()
-            v = tuple(
-                Fraction(int(i == digits[0])) for i in range(d)
-            )
-            for t in digits[1:]:
-                e = tuple(Fraction(int(i == t)) for i in range(d))
-                v = alg.multiply(v, e)
-                if not any(v):
-                    break
-        if not any(v):
-            continue
-        if handle is not None:
-            v = alg.multiply(handle, v)
-        for p in primes:
-            vec = alg.primes.get(p)
-            if vec is None:
-                raise UnknownPrime(p)
-            v = alg.multiply(vec, v)
-        if b == 0:
-            s = alg.trace_of(v)
-            if s:
-                entries[(0, col)] = entries.get((0, col), Fraction(0)) + s
-            continue
-        for idx, c in _comul_chain(alg, v, b).items():
-            row = 0
-            for t in idx:
-                row = row * d + t
-            entries[(row, col)] = c
-    return LinearMap(a, b, d, entries)
+    """(b-fold comul) . (multiplication by z) . (a-fold mul), with z the
+    surface element; a 0-fold mul is the unit and a 0-fold comul the trace."""
+    g, ident = alg.generator, alg.generator("id")
+    mul = g("unit") if a == 0 else ident
+    for _ in range(a - 1):
+        mul = g("m").compose(mul.tensor(ident))
+    comul = g("tr") if b == 0 else ident
+    for _ in range(b - 1):
+        comul = comul.tensor(ident).compose(g("comul"))
+    z = alg.element_map(_surface_element(alg, genus, primes))
+    return comul.compose(z).compose(mul)
 
 
 def _place_values(ports, width, d):
@@ -250,7 +181,7 @@ def parse_manifold(text: str) -> Tuple[int, Tuple[str, ...]]:
 def closed_invariant(alg: FrobeniusAlgebra, manifold: str) -> Fraction:
     """trace(prime elements * handle^genus * 1), evaluated as a diagram."""
     genus, primes = parse_manifold(manifold)
-    return _component_map(alg, 0, 0, genus, primes).scalar()
+    return alg.trace_of(_surface_element(alg, genus, primes))
 
 
 def closed_invariant_by_characters(alg: FrobeniusAlgebra, manifold: str) -> Fraction:
@@ -265,10 +196,7 @@ def closed_invariant_by_characters(alg: FrobeniusAlgebra, manifold: str) -> Frac
     for idem in dec.idempotents:
         term = alg.trace_of(idem)
         for p in primes:
-            vec = alg.primes.get(p)
-            if vec is None:
-                raise UnknownPrime(p)
-            term *= character_on_block(alg, idem, vec)
+            term *= character_on_block(alg, idem, alg.prime(p))
         if genus:
             term *= character_on_block(alg, idem, handle) ** genus
         total += term

@@ -11,6 +11,13 @@ plus a mapping from prime labels to distinguished elements 1_p; the
 endomorphism attached to a label is multiplication by its element. The
 comultiplication may be omitted and derived from the trace pairing
 beta(i,j) = trace(e_i e_j), which must be nondegenerate.
+
+An algebra is not changed after it is built. Its constructor builds the
+linear map of every generator once, as a scaled-int `LinearMap`: id, swap,
+m, unit, comul, tr, and pe and pu for each prime label. `generator` returns
+them; both evaluators and the axiom checks read this one table, and each
+axiom is an equation between two composites of its maps. Fractions stay for
+algebra elements, idempotents, characters and JSON.
 """
 
 from __future__ import annotations
@@ -20,9 +27,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from cob3.linmap import fraction_to_scalar, scalar_to_fraction
+from cob3.linmap import (
+    LinearMap,
+    fraction_to_scalar,
+    identity_map,
+    permutation_map,
+    scalar_to_fraction,
+)
 
 __all__ = [
     "ShapeError",
@@ -121,7 +134,7 @@ def _frac_cube(c, d, what) -> Tuple[Tuple[Tuple[Fraction, ...], ...], ...]:
 
 class FrobeniusAlgebra:
     def __init__(self, dim, mul, unit, trace, comul=None, primes=None):
-        if not isinstance(dim, int) or dim < 1:
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise ShapeError(f"dim: expected a positive integer, got {dim!r}")
         self.dim = dim
         self.mul = _frac_cube(mul, self.dim, "mul")
@@ -136,6 +149,33 @@ class FrobeniusAlgebra:
             self.comul = derive_comul(self.mul, self.trace, self.dim)
         else:
             self.comul = _frac_cube(comul, self.dim, "comul")
+        d, r = self.dim, range(self.dim)
+        m = {(k, i * d + j): self.mul[k][i][j] for k in r for i in r for j in r}
+        comul = {(j * d + k, i): self.comul[i][j][k] for i in r for j in r for k in r}
+        self._generators: Dict[Tuple[str, Optional[str]], LinearMap] = {
+            ("id", None): identity_map(d, 1),
+            ("swap", None): permutation_map(d, (1, 0)),
+            ("m", None): LinearMap(2, 1, d, m),
+            ("unit", None): _vector_map(self.unit),
+            ("comul", None): LinearMap(1, 2, d, comul),
+            ("tr", None): LinearMap(1, 0, d, {(0, i): self.trace[i] for i in r}),
+        }
+        for label, vec in self.primes.items():
+            self._generators["pu", label] = _vector_map(vec)
+            self._generators["pe", label] = self.element_map(vec)
+
+    def generator(self, name: str, label: Optional[str] = None) -> LinearMap:
+        """The map of a generator; pe and pu take the label of a prime."""
+        try:
+            return self._generators[name, label]
+        except KeyError:
+            raise UnknownPrime(label) from None
+
+    def prime(self, label: str) -> Tuple[Fraction, ...]:
+        """The element attached to a prime label."""
+        if label not in self.primes:
+            raise UnknownPrime(label)
+        return self.primes[label]
 
     # -- elementwise operations -------------------------------------------
 
@@ -158,113 +198,85 @@ class FrobeniusAlgebra:
     def trace_of(self, x: Sequence[Fraction]) -> Fraction:
         return sum((self.trace[i] * x[i] for i in range(self.dim)), Fraction(0))
 
-    def element_endo(self, v: Sequence[Fraction]):
-        """Matrix [k][i] of multiplication by the element v."""
-        d = self.dim
-        return tuple(
-            tuple(
-                sum((v[j] * self.mul[k][j][i] for j in range(d)), Fraction(0))
-                for i in range(d)
-            )
-            for k in range(d)
-        )
-
-    def prime_endo_matrix(self, label: str):
-        if label not in self.primes:
-            raise UnknownPrime(label)
-        return self.element_endo(self.primes[label])
+    def element_map(self, v: Sequence[Fraction]) -> LinearMap:
+        """Multiplication by the element v: m . (v * id)."""
+        return self.generator("m").compose(_vector_map(v).tensor(self.generator("id")))
 
     def handle_element(self) -> Tuple[Fraction, ...]:
         """m(comul(1)): the element a closed genus handle multiplies by."""
-        d = self.dim
-        out = [Fraction(0)] * d
-        for i in range(d):
-            if not self.unit[i]:
-                continue
-            for j in range(d):
-                for k in range(d):
-                    c = self.comul[i][j][k]
-                    if not c:
-                        continue
-                    for s in range(d):
-                        m = self.mul[s][j][k]
-                        if m:
-                            out[s] += self.unit[i] * c * m
-        return tuple(out)
+        g = self.generator
+        col = g("m").compose(g("comul")).compose(g("unit")).entries
+        return tuple(col.get((i, 0), Fraction(0)) for i in range(self.dim))
 
     # -- axiom verification ------------------------------------------------
 
     def verify_cf(self) -> VerifyReport:
         """Check the seven commutative-Frobenius axiom families.
 
-        Every failing coefficient produces a witness with its basis indices,
-        so a bad algebra pinpoints exactly which structure constant clash
-        broke which law.
+        Each law equates two composites of generator maps (i is the identity
+        on one wire); every entry where they differ is a witness with its
+        basis indices, so a bad algebra pinpoints exactly which structure
+        constant clash broke which law.
         """
-        mul, unit, trace, comul = self.mul, self.unit, self.trace, self.comul
-        S = range(self.dim)
-        bad: List[Violation] = []
-
-        def law(axiom, arity, *checks):
-            """Each check maps basis indices to (lhs, rhs); with two checks
-            per index tuple, the check's number is the witness's first index."""
-            for idx in product(S, repeat=arity):
-                for n, check in enumerate(checks):
-                    lhs, rhs = check(*idx)
-                    if lhs != rhs:
-                        where = (n, *idx) if len(checks) > 1 else idx
-                        bad.append(Violation(axiom, where, lhs, rhs))
-
-        def delta(a, b):
-            return Fraction(int(a == b))
-
-        law("associativity", 4, lambda i, j, k, o: (
-            _total(mul[s][i][j] * mul[o][s][k] for s in S),
-            _total(mul[s][j][k] * mul[o][i][s] for s in S),
-        ))
-        law("commutativity", 3, lambda i, j, o: (mul[o][i][j], mul[o][j][i]))
-        law(
-            "unit", 2,
-            lambda i, o: (_total(unit[s] * mul[o][s][i] for s in S), delta(o, i)),
-            lambda i, o: (_total(unit[s] * mul[o][i][s] for s in S), delta(o, i)),
+        m, unit, comul, tr, i, swap = map(
+            self.generator, ("m", "unit", "comul", "tr", "id", "swap")
         )
-        law("coassociativity", 4, lambda i, j, k, l: (
-            _total(comul[i][s][l] * comul[s][j][k] for s in S),
-            _total(comul[i][j][s] * comul[s][k][l] for s in S),
-        ))
-        law("cocommutativity", 3, lambda i, j, k: (comul[i][j][k], comul[i][k][j]))
-        law(
-            "counit", 2,
-            lambda i, o: (_total(comul[i][s][o] * trace[s] for s in S), delta(o, i)),
-            lambda i, o: (_total(comul[i][o][s] * trace[s] for s in S), delta(o, i)),
-        )
-
-        def mid(i, j, k, l):
-            return _total(comul[j][s][l] * mul[k][i][s] for s in S)
-
-        law(
-            "frobenius", 4,
-            lambda i, j, k, l: (
-                _total(mul[s][i][j] * comul[s][k][l] for s in S), mid(i, j, k, l)
+        mid = m.tensor(i).compose(i.tensor(comul))
+        return VerifyReport((
+            *_law("associativity", (m.compose(m.tensor(i)), m.compose(i.tensor(m)))),
+            *_law("commutativity", (m, m.compose(swap))),
+            *_law(
+                "unit", (m.compose(unit.tensor(i)), i), (m.compose(i.tensor(unit)), i)
             ),
-            lambda i, j, k, l: (
-                mid(i, j, k, l), _total(comul[i][k][s] * mul[l][s][j] for s in S)
+            *_law(
+                "coassociativity",
+                (comul.tensor(i).compose(comul), i.tensor(comul).compose(comul)),
             ),
-        )
-        return VerifyReport(tuple(bad))
+            *_law("cocommutativity", (comul, swap.compose(comul))),
+            *_law(
+                "counit", (tr.tensor(i).compose(comul), i), (i.tensor(tr).compose(comul), i)
+            ),
+            *_law(
+                "frobenius",
+                (comul.compose(m), mid),
+                (mid, i.tensor(m).compose(comul.tensor(i))),
+            ),
+        ))
 
     def verify_legs(self) -> VerifyReport:
         """Multiplication must accept a prime element on either input."""
-        mul, S = self.mul, range(self.dim)
+        m, i = self.generator("m"), self.generator("id")
         bad: List[Violation] = []
         for n, label in enumerate(sorted(self.primes)):
-            em = self.prime_endo_matrix(label)
-            for i, j, o in product(S, repeat=3):
-                lhs = _total(em[s][i] * mul[o][s][j] for s in S)
-                rhs = _total(em[s][j] * mul[o][i][s] for s in S)
-                if lhs != rhs:
-                    bad.append(Violation("legs", (n, i, j, o), lhs, rhs))
+            pe = self.generator("pe", label)
+            sides = (m.compose(pe.tensor(i)), m.compose(i.tensor(pe)))
+            bad += _law("legs", sides, prefix=(n,))
         return VerifyReport(tuple(bad))
+
+
+def _vector_map(v) -> LinearMap:
+    """The map Q -> Q^d that sends 1 to v."""
+    return LinearMap(0, 1, len(v), {(i, 0): x for i, x in enumerate(v)})
+
+
+def _law(axiom, *checks, prefix=()) -> List[Violation]:
+    """A witness for each entry where the two maps of a check differ.
+
+    Its indices are the prefix, the check's number when there are two
+    checks, the input digits and then the output digits. Witnesses come in
+    order of input, then output, then check.
+    """
+    d, a, b = checks[0][0].d, checks[0][0].dom_arity, checks[0][0].cod_arity
+    bad = []
+    for t, idx in enumerate(product(range(d), repeat=a + b)):
+        col, row = divmod(t, d**b)
+        for n, (lhs, rhs) in enumerate(checks):
+            x = lhs.entries.get((row, col), Fraction(0))
+            y = rhs.entries.get((row, col), Fraction(0))
+            if x != y:
+                check = (n,) if len(checks) > 1 else ()
+                bad.append(Violation(axiom, prefix + check + idx, x, y))
+    return bad
 
 
 def _total(terms) -> Fraction:
@@ -497,7 +509,8 @@ def idempotent_decomposition(alg: FrobeniusAlgebra) -> IdempotentDecomposition:
         raise NotScalarOnBlock("the trace form is degenerate: a nilpotent direction")
     for c in range(1 + (d - 1) * d * (d - 1) // 2):
         x = tuple(Fraction(c**k) for k in S)
-        lx = [list(row) for row in alg.element_endo(x)]
+        endo = alg.element_map(x).entries
+        lx = [[endo.get((k, i), Fraction(0)) for i in S] for k in S]
         roots = _rational_roots(_char_poly(lx))
         if len(roots) == d:
             break

@@ -31,12 +31,10 @@ __all__ = [
 
 
 def scalar_to_fraction(v) -> Fraction:
-    """Accept int, "num/den" string, or Fraction."""
+    """Accept int, "num/den" string, or Fraction; bool is not a number here."""
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
+    if isinstance(v, (int, str)) and not isinstance(v, bool):
         return Fraction(v)
     raise TypeError(f"not an exact scalar: {v!r}")
 

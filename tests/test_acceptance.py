@@ -127,11 +127,8 @@ def test_criterion_6_random_labelled_algebras():
         assert alg.verify_cf().ok
         assert alg.verify_legs().ok
         for label, vec in alg.primes.items():
-            mat = alg.prime_endo_matrix(label)
-            got = tuple(
-                sum(F(mat[k][i]) * F(u) for i, u in enumerate(alg.unit))
-                for k in range(alg.dim)
-            )
+            col = alg.generator("pe", label).compose(alg.generator("unit")).entries
+            got = tuple(col.get((k, 0), 0) for k in range(alg.dim))
             assert got == tuple(F(x) for x in vec)
     report("criterion 6 (20 random labelled algebras check out)", t0, 5)
 

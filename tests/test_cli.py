@@ -208,6 +208,9 @@ MALFORMED_ALGEBRAS = {
     "scalar-prime": {**PLANE, "primes": {"P": 3}},
     "number-file": 5,
     "null-file": None,
+    # bool is a kind of int in Python, but not a number in an algebra file
+    "bool-dim": {"dim": True, "mul": [[[1]]], "unit": [True], "trace": [1]},
+    "bool-scalar": {**PLANE, "trace": [True, 1]},
 }
 
 
@@ -235,7 +238,26 @@ def test_verify_algebra_good(capsys, alg_file):
     assert "all axioms hold" in out
 
 
+# The witnesses of the broken algebra below, in the order verify-algebra
+# prints them: (axiom, indices, lhs, rhs).
+BROKEN_WITNESSES = [
+    ("commutativity", [0, 1, 0], 0, 1),
+    ("commutativity", [0, 1, 1], 1, 0),
+    ("commutativity", [1, 0, 0], 1, 0),
+    ("commutativity", [1, 0, 1], 0, 1),
+    ("unit", [0, 0, 0], 2, 1),
+    ("unit", [1, 0, 1], 1, 0),
+    ("unit", [1, 1, 0], 1, 0),
+    ("unit", [0, 1, 1], 2, 1),
+    ("frobenius", [1, 0, 1, 0, 1], 0, 1),
+    ("frobenius", [1, 0, 1, 1, 1], 1, 0),
+    ("frobenius", [1, 1, 0, 0, 0], 1, 0),
+    ("frobenius", [1, 1, 0, 1, 0], 0, 1),
+]
+
+
 def test_verify_algebra_bad_axioms(capsys, tmp_path):
+    # e1*e2 = e1 but e2*e1 = e2
     broken = {
         "dim": 2,
         "mul": [[[1, 0], [1, 0]], [[0, 1], [0, 1]]],
@@ -247,7 +269,31 @@ def test_verify_algebra_bad_axioms(capsys, tmp_path):
     path.write_text(json.dumps(broken))
     code, out, _ = run(capsys, "verify-algebra", str(path))
     assert code == ALGBAD
-    assert "commutativity" in out
+    assert out == (
+        "dim 2, primes: (none)\n"
+        "axioms: 12 violation(s):\n"
+        "  commutativity[0,1,0]: 0 != 1\n"
+        "  commutativity[0,1,1]: 1 != 0\n"
+        "  commutativity[1,0,0]: 1 != 0\n"
+        "  commutativity[1,0,1]: 0 != 1\n"
+        "  unit[0,0,0]: 2 != 1\n"
+        "  unit[1,0,1]: 1 != 0\n"
+        "  unit[1,1,0]: 1 != 0\n"
+        "  unit[0,1,1]: 2 != 1\n"
+        "  frobenius[1,0,1,0,1]: 0 != 1\n"
+        "  frobenius[1,0,1,1,1]: 1 != 0\n"
+        "  frobenius[1,1,0,0,0]: 1 != 0\n"
+        "  frobenius[1,1,0,1,0]: 0 != 1\n"
+        "legs:   all axioms hold\n"
+    )
+    code, out, _ = run(capsys, "--format", "json", "verify-algebra", str(path))
+    assert code == ALGBAD
+    axioms = [
+        {"axiom": a, "indices": idx, "lhs": lhs, "rhs": rhs}
+        for a, idx, lhs, rhs in BROKEN_WITNESSES
+    ]
+    want = {"axioms": axioms, "dim": 2, "legs": [], "ok": False, "primes": []}
+    assert out == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
 def test_rewrite_path_found(capsys):

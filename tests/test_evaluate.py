@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from cob3 import (
     parse_manifold,
 )
 from cob3.evaluate import _component_map
-from cob3.frobenius import conjugate_algebra, diagonal_algebra
+from cob3.frobenius import FrobeniusAlgebra, conjugate_algebra, diagonal_algebra
 from cob3.terms import ArityMismatch, random_term, typecheck
 
 ALG = hadamard_algebra()  # componentwise plane, P = (2, 3)
@@ -145,6 +146,57 @@ def test_term_and_connectivity_functors_agree(seed):
     cos = cospan_of_term(term)
     for alg in FUZZ_ALGEBRAS:
         assert eval_term(term, alg) == eval_semantic(cos, alg)
+
+
+def dense_generator(alg, name, label):
+    """A generator's matrix, rows by columns, written out from the structure
+    constants without LinearMap; basis tensors flatten big-endian."""
+    d, r, rr = alg.dim, range(alg.dim), range(alg.dim**2)
+    if name == "id":
+        return [[F(int(k == i)) for i in r] for k in r]
+    if name == "swap":
+        # e_i (x) e_j, column i*d + j, goes to e_j (x) e_i, row j*d + i
+        return [[F(int(row == (col % d) * d + col // d)) for col in rr] for row in rr]
+    if name == "m":
+        return [[alg.mul[k][col // d][col % d] for col in rr] for k in r]
+    if name == "comul":
+        return [[alg.comul[i][row // d][row % d] for i in r] for row in rr]
+    if name == "unit":
+        return [[x] for x in alg.unit]
+    if name == "tr":
+        return [list(alg.trace)]
+    vec = alg.primes[label]
+    if name == "pu":
+        return [[x] for x in vec]
+    return [[sum(vec[j] * alg.mul[k][j][i] for j in r) for i in r] for k in r]  # pe
+
+
+# No two structure constants alike, so that a slip between any two index
+# slots shows; a lawful algebra is symmetric in the slots of m and comul.
+LOPSIDED = FrobeniusAlgebra(
+    2,
+    [[[1, 2], [3, 4]], [[5, 6], [7, 8]]],
+    [9, 10],
+    [11, 12],
+    [[[13, 14], [15, 16]], [[17, 18], [19, 20]]],
+    {"P": (21, 22), "Q": (23, 24)},
+)
+
+
+@pytest.mark.parametrize("alg", [FUZZ_ALGEBRAS[-1], LOPSIDED], ids=["conjugate", "lopsided"])
+def test_generator_table_matches_the_structure_constants(alg):
+    gens = [("id", None), ("swap", None), ("m", None), ("comul", None)]
+    gens += [("unit", None), ("tr", None)]
+    gens += [(name, p) for name in ("pe", "pu") for p in ("P", "Q")]
+    for name, label in gens:
+        want = dense_generator(alg, name, label)
+        got = alg.generator(name, label)
+        assert (got.rows, got.cols) == (len(want), len(want[0])), name
+        for row, col in product(range(got.rows), range(got.cols)):
+            assert got.entries.get((row, col), 0) == want[row][col], (name, row, col)
+    sw = alg.generator("swap")
+    for i, j in product(range(alg.dim), repeat=2):
+        assert sw.apply({i * alg.dim + j: F(1)}) == {j * alg.dim + i: F(1)}
 
 
 def test_handle_power_is_repeated_multiplication():

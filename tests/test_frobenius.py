@@ -3,8 +3,11 @@
 import random
 import time
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cob3 import (
     DegeneratePairing,
@@ -21,6 +24,7 @@ from cob3 import (
 )
 from cob3.frobenius import (
     ShapeError,
+    Violation,
     _rational_roots,
     derive_comul,
     random_labelled_algebra,
@@ -105,9 +109,9 @@ def test_legs_violation_when_label_breaks_symmetry():
     assert bad.verify_legs().ok  # multiplication operators always commute here
     # a genuinely non-central labelled endomorphism cannot arise from an
     # algebra element, so the check passes exactly on element-induced labels
-    assert bad.prime_endo_matrix("R")[0][0] == 1
+    assert bad.generator("pe", "R").entries == {(0, 0): 1}
     with pytest.raises(UnknownPrime):
-        bad.prime_endo_matrix("Z")
+        bad.generator("pe", "Z")
 
 
 def test_idempotent_splitting_of_the_plane():
@@ -292,16 +296,126 @@ def test_random_labelled_algebras_are_lawful():
         assert alg.verify_cf().ok
         assert alg.verify_legs().ok
         for label, vec in alg.primes.items():
-            mat = alg.prime_endo_matrix(label)
-            # column of the unit recovers the labelled element
-            got = tuple(
-                sum(F(mat[k][i]) * F(u) for i, u in enumerate(alg.unit))
-                for k in range(alg.dim)
-            )
+            # pe applied to the unit recovers the labelled element
+            col = alg.generator("pe", label).compose(alg.generator("unit")).entries
+            got = tuple(col.get((k, 0), 0) for k in range(alg.dim))
             assert got == tuple(F(x) for x in vec)
 
 
-def test_element_endo_is_multiplication():
+def test_element_map_is_multiplication():
     alg = hadamard_algebra()
-    mat = alg.element_endo((F(2), F(3)))
-    assert mat == alg.prime_endo_matrix("P")
+    assert alg.element_map((F(2), F(3))) == alg.generator("pe", "P")
+    assert alg.element_map((F(2), F(3))).entries == {(0, 0): 2, (1, 1): 3}
+
+
+# -- the axioms as index sums over the structure constants -------------------
+
+
+def _total(terms):
+    return sum(terms, F(0))
+
+
+def reference_cf(alg):
+    """verify_cf's witnesses, each coefficient summed over basis indices."""
+    mul, unit, trace, comul = alg.mul, alg.unit, alg.trace, alg.comul
+    S = range(alg.dim)
+    bad = []
+
+    def law(axiom, arity, *checks):
+        """Each check maps basis indices to (lhs, rhs); with two checks
+        per index tuple, the check's number is the witness's first index."""
+        for idx in product(S, repeat=arity):
+            for n, check in enumerate(checks):
+                lhs, rhs = check(*idx)
+                if lhs != rhs:
+                    where = (n, *idx) if len(checks) > 1 else idx
+                    bad.append(Violation(axiom, where, lhs, rhs))
+
+    def delta(a, b):
+        return F(int(a == b))
+
+    law("associativity", 4, lambda i, j, k, o: (
+        _total(mul[s][i][j] * mul[o][s][k] for s in S),
+        _total(mul[s][j][k] * mul[o][i][s] for s in S),
+    ))
+    law("commutativity", 3, lambda i, j, o: (mul[o][i][j], mul[o][j][i]))
+    law(
+        "unit", 2,
+        lambda i, o: (_total(unit[s] * mul[o][s][i] for s in S), delta(o, i)),
+        lambda i, o: (_total(unit[s] * mul[o][i][s] for s in S), delta(o, i)),
+    )
+    law("coassociativity", 4, lambda i, j, k, l: (
+        _total(comul[i][s][l] * comul[s][j][k] for s in S),
+        _total(comul[i][j][s] * comul[s][k][l] for s in S),
+    ))
+    law("cocommutativity", 3, lambda i, j, k: (comul[i][j][k], comul[i][k][j]))
+    law(
+        "counit", 2,
+        lambda i, o: (_total(comul[i][s][o] * trace[s] for s in S), delta(o, i)),
+        lambda i, o: (_total(comul[i][o][s] * trace[s] for s in S), delta(o, i)),
+    )
+
+    def mid(i, j, k, l):
+        return _total(comul[j][s][l] * mul[k][i][s] for s in S)
+
+    law(
+        "frobenius", 4,
+        lambda i, j, k, l: (
+            _total(mul[s][i][j] * comul[s][k][l] for s in S), mid(i, j, k, l)
+        ),
+        lambda i, j, k, l: (
+            mid(i, j, k, l), _total(comul[i][k][s] * mul[l][s][j] for s in S)
+        ),
+    )
+    return tuple(bad)
+
+
+def reference_legs(alg):
+    """verify_legs's witnesses: m(pe(x) * y) against m(x * pe(y))."""
+    mul, S = alg.mul, range(alg.dim)
+    bad = []
+    for n, label in enumerate(sorted(alg.primes)):
+        vec = alg.primes[label]
+        em = [[_total(vec[j] * mul[k][j][i] for j in S) for i in S] for k in S]
+        for i, j, o in product(S, repeat=3):
+            lhs = _total(em[s][i] * mul[o][s][j] for s in S)
+            rhs = _total(em[s][j] * mul[o][i][s] for s in S)
+            if lhs != rhs:
+                bad.append(Violation("legs", (n, i, j, o), lhs, rhs))
+    return tuple(bad)
+
+
+SCALARS = st.sampled_from([0, 0, 0, 1, 1, -1, 2, F(1, 2)])
+
+
+@st.composite
+def structure_constants(draw):
+    """An algebra of dim 1 to 3, mostly a broken one.
+
+    Three draws in four take every constant at random; the fourth starts
+    from a lawful algebra and changes up to two of its coefficients.
+    """
+    if draw(st.integers(0, 3)):
+        d = draw(st.integers(1, 3))
+        vec = st.lists(SCALARS, min_size=d, max_size=d)
+        cube = st.lists(st.lists(vec, min_size=d, max_size=d), min_size=d, max_size=d)
+        primes = draw(st.dictionaries(st.sampled_from("PQR"), vec, max_size=3))
+        return FrobeniusAlgebra(
+            d, draw(cube), draw(vec), draw(vec), draw(cube), primes
+        )
+    alg = random_labelled_algebra(random.Random(draw(st.integers(0, 2**30))))
+    d = alg.dim
+    mul = [[list(row) for row in sl] for sl in alg.mul]
+    comul = [[list(row) for row in sl] for sl in alg.comul]
+    for _ in range(draw(st.integers(0, 2))):
+        c = (mul, comul)[draw(st.integers(0, 1))]
+        i, j, k = (draw(st.integers(0, d - 1)) for _ in range(3))
+        c[i][j][k] += draw(st.sampled_from([-1, 1, F(1, 2)]))
+    return FrobeniusAlgebra(d, mul, alg.unit, alg.trace, comul, alg.primes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(structure_constants())
+def test_witnesses_match_the_index_sums(alg):
+    assert alg.verify_cf().violations == reference_cf(alg)
+    assert alg.verify_legs().violations == reference_legs(alg)
