@@ -4,6 +4,12 @@ Exit codes: 0 success (and "yes" answers), 1 semantic "no" (terms differ, no
 derivation found), 2 usage or input errors, 3 algebra fails verification,
 4 internal error (an unexpected exception, reported in one line on stderr).
 All output is deterministic for fixed inputs.
+
+Each command returns ``(code, data, text)``: ``data`` is what ``--format
+json`` prints (an object, dumped with sorted keys, or JSON text the library
+renders), ``text`` what ``--format text`` prints. Only ``main`` prints. An
+algebra failing its axioms raises ``_AlgebraFails``; ``main`` exits 3 with
+the report in the chosen format.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from cob3.frobenius import (
 )
 from cob3.linmap import fraction_to_scalar
 from cob3.rewrite import (
-    RewriteTrace,
+    RULE_SETS,
     UnknownRuleSet,
     find_path,
     normalize_G1,
@@ -42,8 +48,8 @@ from cob3.terms import TermTypeError, parse, print_term
 OK, DIFFER, USAGE, ALGBAD, INTERNAL = 0, 1, 2, 3, 4
 
 
-def _emit_json(data) -> None:
-    print(json.dumps(data, indent=2, sort_keys=True))
+class _AlgebraFails(Exception):
+    """An algebra file fails its axioms; args are main's (code, data, text)."""
 
 
 def _load_algebra(path: str) -> FrobeniusAlgebra:
@@ -63,168 +69,114 @@ def _violations(report) -> list:
     ]
 
 
-def _checked_algebra(path: str, fmt: str):
-    """Load and verify; on violation print the report and return None."""
+def _checked_algebra(path: str) -> FrobeniusAlgebra:
+    """Load and verify; on violation raise _AlgebraFails with the report."""
     alg = _load_algebra(path)
     report = alg.verify_cf()
-    if report.ok:
-        return alg
-    if fmt == "json":
-        _emit_json(
-            {
-                "ok": False,
-                "error": "algebra fails verification",
-                "violations": _violations(report),
-            }
-        )
-    else:
-        print("algebra fails verification")
-        print(report.describe())
-    return None
+    if not report.ok:
+        data = {
+            "ok": False,
+            "error": "algebra fails verification",
+            "violations": _violations(report),
+        }
+        text = "algebra fails verification\n" + report.describe()
+        raise _AlgebraFails(ALGBAD, data, text)
+    return alg
 
 
-def _map_text(m) -> str:
-    lines = [f"dom_arity: {m.dom_arity}", f"cod_arity: {m.cod_arity}", f"d: {m.d}"]
-    ents = sorted((k, v) for k, v in m.entries.items() if v != 0)
-    if not ents:
-        lines.append("zero map")
-    for (r, c), v in ents:
-        lines.append(f"({r},{c}) = {fraction_to_scalar(v)}")
-    return "\n".join(lines)
-
-
-def _cmd_eq(args) -> int:
-    left = parse(args.left)
-    right = parse(args.right)
-    cl = cospan_of_term(left)
-    cr = cospan_of_term(right)
+def _cmd_eq(args):
+    left, right = parse(args.left), parse(args.right)
+    cl, cr = cospan_of_term(left), cospan_of_term(right)
     equal = cl == cr
-    if args.format == "json":
-        _emit_json(
-            {
-                "equal": equal,
-                "left": print_term(left),
-                "left_signature": manifold_signature(cl),
-                "right": print_term(right),
-                "right_signature": manifold_signature(cr),
-            }
-        )
-    else:
-        print(f"left:  {manifold_signature(cl)}")
-        print(f"right: {manifold_signature(cr)}")
-        print("EQUAL" if equal else "NOT-EQUAL")
-    return OK if equal else DIFFER
+    data = {
+        "equal": equal,
+        "left": print_term(left),
+        "left_signature": manifold_signature(cl),
+        "right": print_term(right),
+        "right_signature": manifold_signature(cr),
+    }
+    text = (
+        f"left:  {data['left_signature']}\nright: {data['right_signature']}\n"
+        + ("EQUAL" if equal else "NOT-EQUAL")
+    )
+    return (OK if equal else DIFFER), data, text
 
 
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args):
     term = parse(args.term)
     normalize = normalize_G1 if args.presentation == "G1" else normalize_G2
-    out = normalize(term)
-    if args.format == "json":
-        _emit_json(
-            {
-                "input": print_term(term),
-                "normal_form": print_term(out),
-                "presentation": args.presentation,
-            }
-        )
-    else:
-        print(print_term(out))
-    return OK
+    out = print_term(normalize(term))
+    data = {
+        "input": print_term(term),
+        "normal_form": out,
+        "presentation": args.presentation,
+    }
+    return OK, data, out
 
 
-def _cmd_eval(args) -> int:
-    alg = _checked_algebra(args.algebra, args.format)
-    if alg is None:
-        return ALGBAD
+def _cmd_eval(args):
+    alg = _checked_algebra(args.algebra)
     m = eval_term(parse(args.term), alg)
-    if args.format == "json":
-        print(m.to_json())
-    else:
-        print(_map_text(m))
-    return OK
+    lines = [f"dom_arity: {m.dom_arity}", f"cod_arity: {m.cod_arity}", f"d: {m.d}"]
+    ents = sorted((k, v) for k, v in m.entries.items() if v != 0)
+    lines += [f"({r},{c}) = {fraction_to_scalar(v)}" for (r, c), v in ents]
+    if not ents:
+        lines.append("zero map")
+    return OK, m.to_json(), "\n".join(lines)
 
 
-def _cmd_invariant(args) -> int:
-    alg = _checked_algebra(args.algebra, args.format)
-    if alg is None:
-        return ALGBAD
-    value = closed_invariant(alg, args.manifold)
-    data = {"manifold": args.manifold, "value": fraction_to_scalar(value)}
-    lines = [f"Z({args.manifold}) = {fraction_to_scalar(value)}"]
+def _cmd_invariant(args):
+    alg = _checked_algebra(args.algebra)
+    value = fraction_to_scalar(closed_invariant(alg, args.manifold))
+    data = {"manifold": args.manifold, "value": value}
+    lines = [f"Z({args.manifold}) = {value}"]
     if args.idempotents:
         dec = idempotent_decomposition(alg)
-        genus, primes = parse_manifold(args.manifold)
+        primes = sorted(set(parse_manifold(args.manifold)[1]))
         handle = alg.handle_element()
-        blocks = []
+        data["blocks"] = []
         for i, idem in enumerate(dec.idempotents):
-            entry = {
+            block = {
                 "idempotent": [fraction_to_scalar(x) for x in idem],
                 "trace": fraction_to_scalar(alg.trace_of(idem)),
                 "handle_character": fraction_to_scalar(
                     character_on_block(alg, idem, handle)
                 ),
                 "prime_characters": {
-                    p: fraction_to_scalar(
-                        character_on_block(alg, idem, alg.primes[p])
-                    )
-                    for p in sorted(set(primes))
+                    p: fraction_to_scalar(character_on_block(alg, idem, alg.primes[p]))
+                    for p in primes
                 },
             }
-            blocks.append(entry)
-            parts = [f"block {i}: trace {entry['trace']}"]
-            parts.append(f"chi(handle) {entry['handle_character']}")
-            for p in sorted(set(primes)):
-                parts.append(f"chi({p}) {entry['prime_characters'][p]}")
+            data["blocks"].append(block)
+            parts = [f"block {i}: trace {block['trace']}"]
+            parts.append(f"chi(handle) {block['handle_character']}")
+            parts += [f"chi({p}) {v}" for p, v in block["prime_characters"].items()]
             lines.append("  " + ", ".join(parts))
         by_chars = closed_invariant_by_characters(alg, args.manifold)
-        data["blocks"] = blocks
         data["character_sum"] = fraction_to_scalar(by_chars)
-        lines.append(f"character sum = {fraction_to_scalar(by_chars)}")
-    if args.format == "json":
-        _emit_json(data)
-    else:
-        print("\n".join(lines))
-    return OK
+        lines.append(f"character sum = {data['character_sum']}")
+    return OK, data, "\n".join(lines)
 
 
-def _cmd_verify_algebra(args) -> int:
+def _cmd_verify_algebra(args):
     alg = _load_algebra(args.algebra)
-    cf = alg.verify_cf()
-    legs = alg.verify_legs()
-    ok = cf.ok and legs.ok
-    if args.format == "json":
-        _emit_json(
-            {
-                "ok": ok,
-                "axioms": _violations(cf),
-                "legs": _violations(legs),
-                "dim": alg.dim,
-                "primes": sorted(alg.primes),
-            }
-        )
-    else:
-        print(f"dim {alg.dim}, primes: {', '.join(sorted(alg.primes)) or '(none)'}")
-        print(f"axioms: {cf.describe()}")
-        print(f"legs:   {legs.describe()}")
-    return OK if ok else ALGBAD
-
-
-def _trace_text(result) -> str:
-    if isinstance(result, RewriteTrace):
-        lines = [
-            f"FOUND in {len(result.steps)} step(s) (explored {result.explored})"
-        ]
-        for i, s in enumerate(result.steps):
-            lines.append(f"  {i + 1}. {s.rule} {s.direction} -> {s.result}")
-        return "\n".join(lines)
-    return (
-        f"NOT FOUND within bounds (reason: {result.reason}, "
-        f"max_steps {result.max_steps}, explored {result.explored})"
+    cf, legs = alg.verify_cf(), alg.verify_legs()
+    data = {
+        "ok": cf.ok and legs.ok,
+        "axioms": _violations(cf),
+        "legs": _violations(legs),
+        "dim": alg.dim,
+        "primes": sorted(alg.primes),
+    }
+    text = (
+        f"dim {alg.dim}, primes: {', '.join(data['primes']) or '(none)'}\n"
+        f"axioms: {cf.describe()}\n"
+        f"legs:   {legs.describe()}"
     )
+    return (OK if data["ok"] else ALGBAD), data, text
 
 
-def _cmd_rewrite_path(args) -> int:
+def _cmd_rewrite_path(args):
     result = find_path(
         args.left,
         args.right,
@@ -233,14 +185,19 @@ def _cmd_rewrite_path(args) -> int:
         budget=args.budget,
         max_extra_layers=args.max_extra_layers,
     )
-    if args.format == "json":
-        print(result.to_json())
+    if result.found:
+        lines = [f"FOUND in {len(result.steps)} step(s) (explored {result.explored})"]
+        for i, s in enumerate(result.steps):
+            lines.append(f"  {i + 1}. {s.rule} {s.direction} -> {s.result}")
     else:
-        print(_trace_text(result))
-    return OK if result.found else DIFFER
+        lines = [
+            f"NOT FOUND within bounds (reason: {result.reason}, "
+            f"max_steps {result.max_steps}, explored {result.explored})"
+        ]
+    return (OK if result.found else DIFFER), result.to_json(), "\n".join(lines)
 
 
-def _demo_legs_counterexample(fmt: str) -> int:
+def _demo_legs_counterexample():
     alg = hadamard_algebra()
     override = {"P": [[0, 1], [-1, 0]]}
     lhs_t, rhs_t = "m . (pe(P) * id)", "m . (id * pe(P))"
@@ -249,28 +206,28 @@ def _demo_legs_counterexample(fmt: str) -> int:
     col = 1  # e1 (x) e2
     lcol = sorted((r, fraction_to_scalar(v)) for (r, c), v in lhs.entries.items() if c == col)
     rcol = sorted((r, fraction_to_scalar(v)) for (r, c), v in rhs.entries.items() if c == col)
-    if fmt == "json":
-        _emit_json(
-            {
-                "algebra": "componentwise product on Q^2, trace = coordinate sum",
-                "override": {"pe(P)": override["P"]},
-                "lhs": lhs_t,
-                "rhs": rhs_t,
-                "column": "e1 (x) e2",
-                "lhs_column": [[r, v] for r, v in lcol],
-                "rhs_column": [[r, v] for r, v in rcol],
-                "equal": lhs == rhs,
-            }
-        )
-    else:
-        print("algebra: componentwise product on Q^2, trace = coordinate sum")
-        print("override: pe(P) acts as the rotation [[0, 1], [-1, 0]]")
-        print(f"lhs = {lhs_t}")
-        print(f"rhs = {rhs_t}")
-        print(f"on e1 (x) e2: lhs -> {lcol}, rhs -> {rcol}")
-        print("every plain axiom holds for this model, yet lhs != rhs:")
-        print("NOT-EQUAL — the two-sided absorption law is independent")
-    return OK if lhs != rhs else DIFFER
+    data = {
+        "algebra": "componentwise product on Q^2, trace = coordinate sum",
+        "override": {"pe(P)": override["P"]},
+        "lhs": lhs_t,
+        "rhs": rhs_t,
+        "column": "e1 (x) e2",
+        "lhs_column": [[r, v] for r, v in lcol],
+        "rhs_column": [[r, v] for r, v in rcol],
+        "equal": lhs == rhs,
+    }
+    text = "\n".join(
+        [
+            "algebra: componentwise product on Q^2, trace = coordinate sum",
+            "override: pe(P) acts as the rotation [[0, 1], [-1, 0]]",
+            f"lhs = {lhs_t}",
+            f"rhs = {rhs_t}",
+            f"on e1 (x) e2: lhs -> {lcol}, rhs -> {rcol}",
+            "every plain axiom holds for this model, yet lhs != rhs:",
+            "NOT-EQUAL — the two-sided absorption law is independent",
+        ]
+    )
+    return (OK if lhs != rhs else DIFFER), data, text
 
 
 _DEMO_PATHS = (
@@ -282,65 +239,48 @@ _DEMO_PATHS = (
 )
 
 
-def _demo_redundancy_paths(fmt: str) -> int:
-    results = []
-    ok = True
+def _demo_redundancy_paths():
+    paths, lines = [], []
     for name, a, b, rules in _DEMO_PATHS:
         r = find_path(a, b, rules=rules, max_steps=24, max_extra_layers=4)
         want_found = rules != "CF"
-        good = r.found == want_found
-        ok = ok and good
-        results.append((name, a, b, rules, r, want_found, good))
-    if fmt == "json":
-        _emit_json(
+        steps = [s.rule + " " + s.direction for s in r.steps] if r.found else None
+        paths.append(
             {
-                "ok": ok,
-                "paths": [
-                    {
-                        "name": name,
-                        "start": a,
-                        "goal": b,
-                        "rules": rules,
-                        "found": r.found,
-                        "expected_found": want,
-                        "steps": [s.rule + " " + s.direction for s in r.steps]
-                        if isinstance(r, RewriteTrace)
-                        else None,
-                        "explored": r.explored,
-                    }
-                    for name, a, b, rules, r, want, _good in results
-                ],
+                "name": name,
+                "start": a,
+                "goal": b,
+                "rules": rules,
+                "found": r.found,
+                "expected_found": want_found,
+                "steps": steps,
+                "explored": r.explored,
             }
         )
-    else:
-        for name, a, b, rules, r, want, good in results:
-            if isinstance(r, RewriteTrace):
-                detail = f"derived in {len(r.steps)} step(s)"
-            else:
-                detail = f"no derivation ({r.reason})"
-            verdict = "ok" if good else "UNEXPECTED"
-            print(f"{name}: {a}  =>  {b}  [{rules}]: {detail} [{verdict}]")
-        print("all as expected" if ok else "MISMATCH against expectations")
-    return OK if ok else DIFFER
+        if r.found:
+            detail = f"derived in {len(r.steps)} step(s)"
+        else:
+            detail = f"no derivation ({r.reason})"
+        verdict = "ok" if r.found == want_found else "UNEXPECTED"
+        lines.append(f"{name}: {a}  =>  {b}  [{rules}]: {detail} [{verdict}]")
+    ok = all(p["found"] == p["expected_found"] for p in paths)
+    lines.append("all as expected" if ok else "MISMATCH against expectations")
+    return (OK if ok else DIFFER), {"ok": ok, "paths": paths}, "\n".join(lines)
 
 
-def _demo_ruleset_soundness(fmt: str) -> int:
+def _demo_ruleset_soundness():
     report = verify_ruleset_soundness("G2_FULL")
-    if fmt == "json":
-        _emit_json(report)
-    else:
-        for entry in report["checked"]:
-            print(f"{entry['rule']}: {'sound' if entry['sound'] else 'UNSOUND'}")
-        print(f"ruleset {report['rules']}: {'sound' if report['sound'] else 'UNSOUND'}")
-    return OK if report["sound"] else DIFFER
+    verdict = {True: "sound", False: "UNSOUND"}
+    lines = [f"{e['rule']}: {verdict[e['sound']]}" for e in report["checked"]]
+    lines.append(f"ruleset {report['rules']}: {verdict[report['sound']]}")
+    return (OK if report["sound"] else DIFFER), report, "\n".join(lines)
 
 
-def _cmd_demo(args) -> int:
-    if args.name == "legs-counterexample":
-        return _demo_legs_counterexample(args.format)
-    if args.name == "redundancy-paths":
-        return _demo_redundancy_paths(args.format)
-    return _demo_ruleset_soundness(args.format)
+_DEMOS = {
+    "legs-counterexample": _demo_legs_counterexample,
+    "redundancy-paths": _demo_redundancy_paths,
+    "ruleset-soundness": _demo_ruleset_soundness,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,18 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rewrite-path", help="search a derivation between terms")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--rules", default="CF_LEGS", help="CF, CF_LEGS, or G2_FULL")
+    p.add_argument("--rules", default="CF_LEGS", help=f"one of {', '.join(RULE_SETS)}")
     p.add_argument("--max-steps", type=int, default=16)
     p.add_argument("--budget", type=int, default=200_000)
     p.add_argument("--max-extra-layers", type=int, default=6)
     p.set_defaults(func=_cmd_rewrite_path)
 
     p = sub.add_parser("demo", help="built-in demonstrations")
-    p.add_argument(
-        "name",
-        choices=("legs-counterexample", "redundancy-paths", "ruleset-soundness"),
-    )
-    p.set_defaults(func=_cmd_demo)
+    p.add_argument("name", choices=_DEMOS)
+    p.set_defaults(func=lambda args: _DEMOS[args.name]())
 
     return ap
 
@@ -423,7 +360,14 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        try:
+            code, data, text = args.func(args)
+        except _AlgebraFails as e:
+            code, data, text = e.args
+        if args.format == "json" and not isinstance(data, str):
+            data = json.dumps(data, indent=2, sort_keys=True)
+        print(data if args.format == "json" else text)
+        return code
     except json.JSONDecodeError as e:
         print(f"error: malformed JSON: {e}", file=sys.stderr)
         return USAGE

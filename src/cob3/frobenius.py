@@ -374,7 +374,10 @@ def algebra_to_json(alg: FrobeniusAlgebra) -> str:
 
 
 def algebra_from_json(text: str) -> FrobeniusAlgebra:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ShapeError("the algebra file nests too deeply") from None
     if not isinstance(data, dict):
         raise ShapeError("an algebra file holds one JSON object")
     for key in ("dim", "mul", "unit", "trace"):

@@ -57,7 +57,7 @@ __all__ = [
 
 
 class UnknownRuleSet(KeyError):
-    """Requested rule set name is not one of CF, CF_LEGS, G2_FULL."""
+    """Requested rule set name is not a key of RULE_SETS."""
 
     def __str__(self) -> str:  # KeyError would wrap the message in quotes
         return self.args[0] if self.args else "unknown rule set"

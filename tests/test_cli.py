@@ -24,7 +24,8 @@ from cob3 import (
     typecheck,
 )
 from cob3.layers import term_to_state
-from cob3.cli import ALGBAD, DIFFER, INTERNAL, OK, USAGE, main
+from cob3.cli import ALGBAD, DIFFER, INTERNAL, OK, USAGE, build_parser, main
+from cob3.rewrite import RULE_SETS
 
 
 @pytest.fixture()
@@ -52,6 +53,10 @@ def run_fresh(*argv):
         check=False,
     )
     return proc.returncode, proc.stdout
+
+
+def _dumps(data, sort_keys=True):
+    return json.dumps(data, indent=2, sort_keys=sort_keys) + "\n"
 
 
 def test_eq_equal(capsys):
@@ -225,6 +230,17 @@ def test_malformed_algebra_is_usage(capsys, tmp_path, command, name):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["verify-algebra", "eval"])
+def test_deeply_nested_algebra_is_usage(capsys, tmp_path, command):
+    # written as raw text: json.dumps recurses as deep as the nesting
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    argv = ["m", "--algebra", str(path)] if command == "eval" else [str(path)]
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out) == (USAGE, "")
+    assert err == "error: the algebra file nests too deeply\n"
+
+
 def test_invariant_bad_manifold_is_usage(capsys, alg_file):
     code, _, err = run(
         capsys, "invariant", "--algebra", alg_file, "--manifold", "P ##"
@@ -256,44 +272,377 @@ BROKEN_WITNESSES = [
 ]
 
 
+# e1*e2 = e1 but e2*e1 = e2
+BROKEN = {
+    "dim": 2,
+    "mul": [[[1, 0], [1, 0]], [[0, 1], [0, 1]]],
+    "unit": [1, 1],
+    "trace": [1, 1],
+    "comul": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+}
+BROKEN_REPORT = (
+    "12 violation(s):\n"
+    "  commutativity[0,1,0]: 0 != 1\n"
+    "  commutativity[0,1,1]: 1 != 0\n"
+    "  commutativity[1,0,0]: 1 != 0\n"
+    "  commutativity[1,0,1]: 0 != 1\n"
+    "  unit[0,0,0]: 2 != 1\n"
+    "  unit[1,0,1]: 1 != 0\n"
+    "  unit[1,1,0]: 1 != 0\n"
+    "  unit[0,1,1]: 2 != 1\n"
+    "  frobenius[1,0,1,0,1]: 0 != 1\n"
+    "  frobenius[1,0,1,1,1]: 1 != 0\n"
+    "  frobenius[1,1,0,0,0]: 1 != 0\n"
+    "  frobenius[1,1,0,1,0]: 0 != 1\n"
+)
+BROKEN_AXIOMS = [
+    {"axiom": a, "indices": idx, "lhs": lhs, "rhs": rhs}
+    for a, idx, lhs, rhs in BROKEN_WITNESSES
+]
+
+
 def test_verify_algebra_bad_axioms(capsys, tmp_path):
-    # e1*e2 = e1 but e2*e1 = e2
-    broken = {
-        "dim": 2,
-        "mul": [[[1, 0], [1, 0]], [[0, 1], [0, 1]]],
-        "unit": [1, 1],
-        "trace": [1, 1],
-        "comul": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
-    }
     path = tmp_path / "broken.json"
-    path.write_text(json.dumps(broken))
+    path.write_text(json.dumps(BROKEN))
     code, out, _ = run(capsys, "verify-algebra", str(path))
     assert code == ALGBAD
     assert out == (
         "dim 2, primes: (none)\n"
-        "axioms: 12 violation(s):\n"
-        "  commutativity[0,1,0]: 0 != 1\n"
-        "  commutativity[0,1,1]: 1 != 0\n"
-        "  commutativity[1,0,0]: 1 != 0\n"
-        "  commutativity[1,0,1]: 0 != 1\n"
-        "  unit[0,0,0]: 2 != 1\n"
-        "  unit[1,0,1]: 1 != 0\n"
-        "  unit[1,1,0]: 1 != 0\n"
-        "  unit[0,1,1]: 2 != 1\n"
-        "  frobenius[1,0,1,0,1]: 0 != 1\n"
-        "  frobenius[1,0,1,1,1]: 1 != 0\n"
-        "  frobenius[1,1,0,0,0]: 1 != 0\n"
-        "  frobenius[1,1,0,1,0]: 0 != 1\n"
-        "legs:   all axioms hold\n"
+        "axioms: " + BROKEN_REPORT + "legs:   all axioms hold\n"
     )
     code, out, _ = run(capsys, "--format", "json", "verify-algebra", str(path))
     assert code == ALGBAD
-    axioms = [
-        {"axiom": a, "indices": idx, "lhs": lhs, "rhs": rhs}
-        for a, idx, lhs, rhs in BROKEN_WITNESSES
-    ]
-    want = {"axioms": axioms, "dim": 2, "legs": [], "ok": False, "primes": []}
-    assert out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+    want = {"axioms": BROKEN_AXIOMS, "dim": 2, "legs": [], "ok": False, "primes": []}
+    assert out == _dumps(want)
+
+
+# Exact exit code and stdout of each command and demo, in both formats.
+# ALG names a file of the plane algebra with primes P = (2, 3) and N = 0,
+# BROKEN one of the algebra above.
+M_SIGNATURE = "S3 \\ 3 balls (2 in, 1 out)"
+# "(pu(Q) * id) . pu(P)" as printed, which is also its G2 form, and its G1 form
+PRINTED, G1_FORM = "pu(Q) * id . pu(P)", "swap . pu(P) * pu(Q)"
+PLANE_BLOCKS = [
+    {
+        "handle_character": 1,
+        "idempotent": [0, 1],
+        "prime_characters": {"P": 3},
+        "trace": 1,
+    },
+    {
+        "handle_character": 1,
+        "idempotent": [1, 0],
+        "prime_characters": {"P": 2},
+        "trace": 1,
+    },
+]
+FOUND_STEP = {
+    "step": 0,
+    "rule": "unit_l",
+    "direction": "fwd",
+    "position": {"bottom": 0, "layers": 2, "offset": 0, "in": "source"},
+    "result": "id",
+}
+NOT_FOUND = {
+    "found": False,
+    "start": "pe(P)",
+    "goal": "pe(Q)",
+    "rules": "CF",
+    "reason": "exhausted",
+    "max_steps": 16,
+    "budget": 200000,
+    "explored": 2,
+}
+LEGS_DEMO_TEXT = (
+    "algebra: componentwise product on Q^2, trace = coordinate sum\n"
+    "override: pe(P) acts as the rotation [[0, 1], [-1, 0]]\n"
+    "lhs = m . (pe(P) * id)\n"
+    "rhs = m . (id * pe(P))\n"
+    "on e1 (x) e2: lhs -> [(1, -1)], rhs -> [(0, 1)]\n"
+    "every plain axiom holds for this model, yet lhs != rhs:\n"
+    "NOT-EQUAL \u2014 the two-sided absorption law is independent\n"
+)
+LEGS_DEMO = {
+    "algebra": "componentwise product on Q^2, trace = coordinate sum",
+    "column": "e1 (x) e2",
+    "equal": False,
+    "lhs": "m . (pe(P) * id)",
+    "lhs_column": [[1, -1]],
+    "override": {"pe(P)": [[0, 1], [-1, 0]]},
+    "rhs": "m . (id * pe(P))",
+    "rhs_column": [[0, 1]],
+}
+# name, start, goal, rules, explored, steps (None: no derivation)
+REDUNDANCY_PATHS = [
+    ("waist", "pe(P) . m", "m . (pe(P) * id)", "CF_LEGS", 595,
+     ["unit_r rev", "legs fwd", "assoc fwd", "legs rev", "unit_r fwd", "legs rev"]),
+    ("cowaist", "comul . pe(P)", "(pe(P) * id) . comul", "CF_LEGS", 286,
+     ["unit_l rev", "legs rev", "frobenius_l fwd", "legs fwd", "unit_l fwd"]),
+    ("colegs", "(pe(P) * id) . comul", "(id * pe(P)) . comul", "CF_LEGS", 1348,
+     ["cocomm rev", "nat_swap_pe_r rev", "unit_r rev", "legs fwd",
+      "frobenius_r rev", "cocomm fwd", "frobenius_r fwd", "legs rev",
+      "unit_r fwd"]),
+    ("primecomm", "pe(P) . pe(Q)", "pe(Q) . pe(P)", "CF_LEGS", 636,
+     ["unit_l rev", "legs rev", "unit_r rev", "legs fwd", "assoc fwd",
+      "legs rev", "unit_r fwd", "legs fwd", "unit_l fwd"]),
+    ("legs under plain axioms", "m . (pe(P) * id)", "m . (id * pe(P))", "CF",
+     1415, None),
+]
+G2_FULL_RULES = (
+    "assoc comm unit_l unit_r coassoc cocomm counit_l counit_r frobenius_l "
+    "frobenius_r swap_inv nat_swap_m_l nat_swap_m_r nat_swap_comul_l "
+    "nat_swap_comul_r nat_swap_unit_l nat_swap_unit_r nat_swap_tr_l "
+    "nat_swap_tr_r nat_swap_pe_l nat_swap_pe_r nat_swap_pu_l nat_swap_pu_r "
+    "legs waist colegs cowaist primecomm"
+).split()
+ALGEBRA_FAILS = {
+    "error": "algebra fails verification",
+    "ok": False,
+    "violations": BROKEN_AXIOMS,
+}
+PINNED = {
+    "eq-equal-text": (
+        ("eq", "m . swap", "m"),
+        OK,
+        f"left:  {M_SIGNATURE}\nright: {M_SIGNATURE}\nEQUAL\n",
+    ),
+    "eq-equal-json": (
+        ("--format", "json", "eq", "m . swap", "m"),
+        OK,
+        _dumps(
+            {
+                "equal": True,
+                "left": "m . swap",
+                "left_signature": M_SIGNATURE,
+                "right": "m",
+                "right_signature": M_SIGNATURE,
+            }
+        ),
+    ),
+    "eq-differ-text": (
+        ("eq", "pe(P)", "pe(Q)"),
+        DIFFER,
+        "left:  P \\ 2 balls (1 in, 1 out)\n"
+        "right: Q \\ 2 balls (1 in, 1 out)\n"
+        "NOT-EQUAL\n",
+    ),
+    "eq-differ-json": (
+        ("--format", "json", "eq", "pe(P)", "pe(Q)"),
+        DIFFER,
+        _dumps(
+            {
+                "equal": False,
+                "left": "pe(P)",
+                "left_signature": "P \\ 2 balls (1 in, 1 out)",
+                "right": "pe(Q)",
+                "right_signature": "Q \\ 2 balls (1 in, 1 out)",
+            }
+        ),
+    ),
+    "normalize-G1-text": (
+        ("normalize", "(pu(Q) * id) . pu(P)"),
+        OK,
+        G1_FORM + "\n",
+    ),
+    "normalize-G1-json": (
+        ("--format", "json", "normalize", "(pu(Q) * id) . pu(P)"),
+        OK,
+        _dumps(
+            {"input": PRINTED, "normal_form": G1_FORM, "presentation": "G1"}
+        ),
+    ),
+    "normalize-G2-text": (
+        ("normalize", "(pu(Q) * id) . pu(P)", "--presentation", "G2"),
+        OK,
+        PRINTED + "\n",
+    ),
+    "normalize-G2-json": (
+        ("--format", "json", "normalize", "(pu(Q) * id) . pu(P)",
+         "--presentation", "G2"),
+        OK,
+        _dumps({"input": PRINTED, "normal_form": PRINTED, "presentation": "G2"}),
+    ),
+    "eval-entries-text": (
+        ("eval", "pe(P)", "--algebra", "ALG"),
+        OK,
+        "dom_arity: 1\ncod_arity: 1\nd: 2\n(0,0) = 2\n(1,1) = 3\n",
+    ),
+    "eval-entries-json": (
+        ("--format", "json", "eval", "pe(P)", "--algebra", "ALG"),
+        OK,
+        _dumps(
+            {
+                "cod_arity": 1,
+                "d": 2,
+                "dom_arity": 1,
+                "entries": [[0, 0, 2], [1, 1, 3]],
+            }
+        ),
+    ),
+    "eval-zero-text": (
+        ("eval", "comul . pe(N)", "--algebra", "ALG"),
+        OK,
+        "dom_arity: 1\ncod_arity: 2\nd: 2\nzero map\n",
+    ),
+    "eval-zero-json": (
+        ("--format", "json", "eval", "comul . pe(N)", "--algebra", "ALG"),
+        OK,
+        _dumps({"cod_arity": 2, "d": 2, "dom_arity": 1, "entries": []}),
+    ),
+    "invariant-idempotents-text": (
+        ("invariant", "--algebra", "ALG", "--manifold", "P # (S2xS1)^1",
+         "--idempotents"),
+        OK,
+        "Z(P # (S2xS1)^1) = 5\n"
+        "  block 0: trace 1, chi(handle) 1, chi(P) 3\n"
+        "  block 1: trace 1, chi(handle) 1, chi(P) 2\n"
+        "character sum = 5\n",
+    ),
+    "invariant-idempotents-json": (
+        ("--format", "json", "invariant", "--algebra", "ALG", "--manifold",
+         "P # (S2xS1)^1", "--idempotents"),
+        OK,
+        _dumps(
+            {
+                "blocks": PLANE_BLOCKS,
+                "character_sum": 5,
+                "manifold": "P # (S2xS1)^1",
+                "value": 5,
+            }
+        ),
+    ),
+    "rewrite-path-found-text": (
+        ("rewrite-path", "m . (unit * id)", "id", "--rules", "CF"),
+        OK,
+        "FOUND in 1 step(s) (explored 1)\n  1. unit_l fwd -> id\n",
+    ),
+    "rewrite-path-found-json": (
+        ("--format", "json", "rewrite-path", "m . (unit * id)", "id",
+         "--rules", "CF"),
+        OK,
+        _dumps(
+            {
+                "found": True,
+                "start": "m . unit * id",
+                "goal": "id",
+                "rules": "CF",
+                "explored": 1,
+                "steps": [FOUND_STEP],
+            },
+            sort_keys=False,
+        ),
+    ),
+    "rewrite-path-not-found-text": (
+        ("rewrite-path", "pe(P)", "pe(Q)", "--rules", "CF",
+         "--max-extra-layers", "0"),
+        DIFFER,
+        "NOT FOUND within bounds (reason: exhausted, max_steps 16, explored 2)\n",
+    ),
+    "rewrite-path-not-found-json": (
+        ("--format", "json", "rewrite-path", "pe(P)", "pe(Q)", "--rules", "CF",
+         "--max-extra-layers", "0"),
+        DIFFER,
+        _dumps(NOT_FOUND, sort_keys=False),
+    ),
+    "eval-algebra-fails-text": (
+        ("eval", "m", "--algebra", "BROKEN"),
+        ALGBAD,
+        "algebra fails verification\n" + BROKEN_REPORT,
+    ),
+    "eval-algebra-fails-json": (
+        ("--format", "json", "eval", "m", "--algebra", "BROKEN"),
+        ALGBAD,
+        _dumps(ALGEBRA_FAILS),
+    ),
+    "invariant-algebra-fails-text": (
+        ("invariant", "--algebra", "BROKEN", "--manifold", "P"),
+        ALGBAD,
+        "algebra fails verification\n" + BROKEN_REPORT,
+    ),
+    "invariant-algebra-fails-json": (
+        ("--format", "json", "invariant", "--algebra", "BROKEN", "--manifold",
+         "P"),
+        ALGBAD,
+        _dumps(ALGEBRA_FAILS),
+    ),
+    "demo-legs-counterexample-text": (
+        ("demo", "legs-counterexample"),
+        OK,
+        LEGS_DEMO_TEXT,
+    ),
+    "demo-legs-counterexample-json": (
+        ("--format", "json", "demo", "legs-counterexample"),
+        OK,
+        _dumps(LEGS_DEMO),
+    ),
+    "demo-redundancy-paths-text": (
+        ("demo", "redundancy-paths"),
+        OK,
+        "waist: pe(P) . m  =>  m . (pe(P) * id)  [CF_LEGS]: "
+        "derived in 6 step(s) [ok]\n"
+        "cowaist: comul . pe(P)  =>  (pe(P) * id) . comul  [CF_LEGS]: "
+        "derived in 5 step(s) [ok]\n"
+        "colegs: (pe(P) * id) . comul  =>  (id * pe(P)) . comul  [CF_LEGS]: "
+        "derived in 9 step(s) [ok]\n"
+        "primecomm: pe(P) . pe(Q)  =>  pe(Q) . pe(P)  [CF_LEGS]: "
+        "derived in 9 step(s) [ok]\n"
+        "legs under plain axioms: m . (pe(P) * id)  =>  m . (id * pe(P))  [CF]: "
+        "no derivation (exhausted) [ok]\n"
+        "all as expected\n",
+    ),
+    "demo-redundancy-paths-json": (
+        ("--format", "json", "demo", "redundancy-paths"),
+        OK,
+        _dumps(
+            {
+                "ok": True,
+                "paths": [
+                    {
+                        "expected_found": steps is not None,
+                        "explored": explored,
+                        "found": steps is not None,
+                        "goal": goal,
+                        "name": name,
+                        "rules": rules,
+                        "start": start,
+                        "steps": steps,
+                    }
+                    for name, start, goal, rules, explored, steps in REDUNDANCY_PATHS
+                ],
+            }
+        ),
+    ),
+    "demo-ruleset-soundness-text": (
+        ("demo", "ruleset-soundness"),
+        OK,
+        "".join(f"{rule}: sound\n" for rule in G2_FULL_RULES)
+        + "ruleset G2_FULL: sound\n",
+    ),
+    "demo-ruleset-soundness-json": (
+        ("--format", "json", "demo", "ruleset-soundness"),
+        OK,
+        _dumps(
+            {
+                "checked": [{"rule": rule, "sound": True} for rule in G2_FULL_RULES],
+                "rules": "G2_FULL",
+                "sound": True,
+            }
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_output_is_pinned(capsys, tmp_path, name):
+    files = {
+        "ALG": algebra_to_json(hadamard_algebra({"P": (2, 3), "N": (0, 0)})),
+        "BROKEN": json.dumps(BROKEN),
+    }
+    for key, text in files.items():
+        (tmp_path / f"{key}.json").write_text(text)
+    argv, code, out = PINNED[name]
+    argv = [str(tmp_path / f"{a}.json") if a in files else a for a in argv]
+    assert run(capsys, *argv) == (code, out, "")
 
 
 def test_rewrite_path_found(capsys):
@@ -332,6 +681,16 @@ def test_rewrite_path_rejects_negative_bounds(capsys, flag):
 def test_rewrite_path_unknown_ruleset(capsys):
     code, _, err = run(capsys, "rewrite-path", "m", "m", "--rules", "XL")
     assert code == USAGE
+
+
+def test_rules_help_names_every_rule_set(capsys, monkeypatch):
+    # a rule set added later shows up in the help without editing it
+    monkeypatch.setitem(RULE_SETS, "G3_EXTRA", RULE_SETS["CF"])
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["rewrite-path", "--help"])
+    assert exc.value.code == 0
+    words = set(re.findall(r"\w+", capsys.readouterr().out))
+    assert set(RULE_SETS) <= words
 
 
 def test_demo_counterexample(capsys):
