@@ -217,3 +217,70 @@ def test_find_path_results_are_pinned():
         h.update(r.to_json().encode())
     assert found == 43
     assert h.hexdigest() == FIND_PATH_DIGEST
+
+
+# Edge cases of the G1 layout: bare wires with and without routing or
+# feeds, births and deaths, closed pieces, one label fed twice, and pieces
+# fed by both inputs and punctured primes.
+NORMAL_FORM_EDGE_CASES = [
+    "id",
+    "id * id * id",
+    "swap",
+    "swap * id",
+    "unit",
+    "tr",
+    "tr . unit",
+    "unit * unit",
+    "tr * tr",
+    "pu(P)",
+    "tr . pu(P)",
+    "pu(Q) * pu(Q)",
+    "pu(Q) * pu(P)",
+    "id * pu(P)",
+    "pu(P) * id",
+    "pe(P)",
+    "pe(P) . unit",
+    "m . (pu(P) * id)",
+    "swap . (pu(P) * id)",
+    "m . (m * id) . (id * pu(Q) * pu(P))",
+    "comul . pe(P) . m . (id * pu(P))",
+    "m . swap . (pe(Q) * pe(P))",
+    "(tr . m) * pu(P)",
+    "m . comul",
+    "comul . m",
+    "tr . m . comul . unit",
+]
+
+
+def normal_form_corpus():
+    yield from map(parse, NORMAL_FORM_EDGE_CASES)
+    for seed in range(500):
+        yield random_term(random.Random(f"normal_form/{seed}"), max_gens=12)
+
+
+# sha256 of the G1 and G2 texts of normal_form_corpus(), computed before
+# normalize_G1 was rebuilt straight from the cospan's pieces; a change to
+# how either normal form is built must leave it as it is.
+NORMAL_FORM_DIGEST = "2bf5232fa7f600413b4f9c83d0b40da84845dd945a8e9ffec18da6138339e876"
+
+
+def test_normal_forms_are_pinned():
+    h = hashlib.sha256()
+    for t in normal_form_corpus():
+        for normalize in (normalize_G1, normalize_G2):
+            h.update(print_term(normalize(t)).encode() + b"\n")
+    assert h.hexdigest() == NORMAL_FORM_DIGEST
+
+
+@pytest.mark.parametrize(
+    "text, g1",
+    [
+        ("pu(P)", "pu(P)"),  # a bare core is dropped under the feed
+        ("swap", "swap"),  # ... and under the routing
+        ("id * id * id", "(id * id) * id"),  # nothing follows: it stays
+        ("pu(Q) * pu(P)", "swap . pu(P) * pu(Q)"),  # feeds sort by label
+        ("m . (pu(P) * id)", "m . id * pu(P)"),  # inputs come before feeds
+    ],
+)
+def test_g1_layout_of_small_terms(text, g1):
+    assert print_term(normalize_G1(parse(text))) == g1
