@@ -224,7 +224,7 @@ def _demo_legs_counterexample():
             f"rhs = {rhs_t}",
             f"on e1 (x) e2: lhs -> {lcol}, rhs -> {rcol}",
             "every plain axiom holds for this model, yet lhs != rhs:",
-            "NOT-EQUAL — the two-sided absorption law is independent",
+            "NOT-EQUAL - the two-sided absorption law is independent",
         ]
     )
     return (OK if lhs != rhs else DIFFER), data, text

@@ -501,15 +501,19 @@ def idempotent_decomposition(alg: FrobeniusAlgebra) -> IdempotentDecomposition:
     candidates are x = sum_k c^k e_k for c = 0, 1, ...: two distinct
     characters agree at fewer than dim values of c, so one of the first
     1 + (dim - 1) * dim * (dim - 1) / 2 candidates separates a split algebra.
-    Raises NotScalarOnBlock at once on a nilpotent direction (the regular
-    trace form t(ab), t(a) = Tr(L_a), is degenerate) or an irrational
+    Raises NotScalarOnBlock at once when the algebra is not semisimple, that
+    is when it has a nonzero nilpotent element: over Q these elements are
+    the kernel of the regular trace form t(ab), t(a) = Tr(L_a), a form
+    unrelated to the algebra's own trace. Raises it later on an irrational
     eigenvalue.
     """
     d, mul, S = alg.dim, alg.mul, range(alg.dim)
     t = [_total(mul[k][i][k] for k in S) for i in S]
     form = [[_total(mul[k][i][j] * t[k] for k in S) for j in S] for i in S]
     if len(_rref(form, d)) < d:
-        raise NotScalarOnBlock("the trace form is degenerate: a nilpotent direction")
+        raise NotScalarOnBlock(
+            "the algebra is not semisimple: it has a nonzero nilpotent element"
+        )
     for c in range(1 + (d - 1) * d * (d - 1) // 2):
         x = tuple(Fraction(c**k) for k in S)
         endo = alg.element_map(x).entries

@@ -32,7 +32,7 @@ from cob3.terms import (
     Term,
     _compose_type,
     fold,
-    id_n,
+    stack,
     whisker,
 )
 
@@ -122,20 +122,14 @@ def state_widths(state: tuple) -> list[int]:
 
 def state_to_term(state: tuple) -> Term:
     """Render a state as a term: a composition of whiskered slices."""
-    dom = state[0]
-    n = (len(state) - 1) // 3
-    if n == 0:
-        if dom == 0:
-            raise ValueError("the empty diagram has no term")
-        return id_n(dom)
+    if state == (0,):
+        raise ValueError("the empty diagram has no term")
     widths = state_widths(state)
-    term: Term | None = None
-    for i in range(n):
-        off, gen, lab = state[1 + 3 * i : 4 + 3 * i]
+    layers = []
+    for i, (off, gen, lab) in enumerate(zip(state[1::3], state[2::3], state[3::3])):
         box = Gen(GEN_NAMES[gen], lab or None)
-        layer = whisker(box, off, widths[i] - off - GEN_DOM[gen])
-        term = layer if term is None else Compose(layer, term)
-    return term
+        layers.append(whisker(box, off, widths[i] - off - GEN_DOM[gen]))
+    return stack(layers, state[0])
 
 
 def canonical_state(term_or_state) -> tuple:

@@ -34,6 +34,7 @@ from .terms import (
     parse,
     permutation_term,
     print_term,
+    stack,
     typecheck,
     whisker,
 )
@@ -459,120 +460,72 @@ def replay(trace: RewriteTrace) -> Term:
 # ---------------------------------------------------------------------------
 # normalization
 
-def _stack(parts: list[Term], width_in: int) -> Term:
-    if not parts:
-        return id_n(width_in)
-    term = parts[0]
-    for p in parts[1:]:
-        term = Compose(p, term)
-    return term
-
-
-def _is_id_stack(term: Term) -> bool:
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Tensor):
-            stack += (t.r, t.l)
-        elif not (isinstance(t, Gen) and t.name == "id"):
-            return False
-    return True
-
-
-def _comp(f: Term, g: Term) -> Term:
-    """Compose, absorbing identity factors so normal forms stay minimal."""
-    if _is_id_stack(f):
-        return g
-    if _is_id_stack(g):
-        return f
-    return Compose(f, g)
-
-
 def _component_core(n_in: int, genus: int, n_out: int) -> Term:
     """Canonical one-piece bordism: n_in spheres -> n_out, given genus."""
-    parts: list[Term] = []
+    layers: list[Term] = []
     w = n_in
     if w == 0:
-        parts.append(Gen("unit"))
+        layers.append(Gen("unit"))
         w = 1
     while w > 1:
-        parts.append(whisker(Gen("m"), 0, w - 2))
+        layers.append(whisker(Gen("m"), 0, w - 2))
         w -= 1
     for _ in range(genus):
-        parts.append(Gen("comul"))
-        parts.append(Gen("m"))
+        layers += (Gen("comul"), Gen("m"))
     if n_out == 0:
-        parts.append(Gen("tr"))
-    else:
-        while w < n_out:
-            parts.append(whisker(Gen("comul"), 0, w - 1))
-            w += 1
-    return _stack(parts, n_in)
+        layers.append(Gen("tr"))
+    while w < n_out:
+        layers.append(whisker(Gen("comul"), 0, w - 1))
+        w += 1
+    return stack(layers, n_in)
 
 
 def normalize_G1(term: Term) -> Term:
     """Semantic normal form: rebuild the term from its invariant.
 
-    The result is a composition of punctured-prime feeds, an input routing,
-    one canonical core per connected piece, and an output routing. It
-    depends only on the bordism the term denotes, so it is idempotent and
-    equal terms normalize identically.
+    Built in one bottom-up pass over the cospan's pieces:
+      * the prime feeds pu(LABEL), sorted by label and then by piece, to the
+        right of the input wires;
+      * each piece's bottom wires: its inputs, then its feeds;
+      * an input routing that brings each piece's bottom wires together;
+      * the tensor of cores, one per piece: merges, one comul . m per
+        handle, then splits;
+      * an output routing that puts each piece's outputs in place.
+    Identity routings are left out. A piece with one bottom wire, genus 0
+    and one output is a bare wire; when every piece is one, the cores are
+    dropped under the first layer next to them. The result depends only on
+    the bordism the term denotes, so it is idempotent and equal terms
+    normalize identically.
     """
     cos = cospan_of_term(term)
     comps = cos.components
     if not comps:
         raise ValueError("the empty bordism has no term")
+    feeds = sorted((label, ci) for ci, c in enumerate(comps) for label in c.primes)
+    wires = [list(c.in_ports) for c in comps]
+    for rank, (_label, ci) in enumerate(feeds):
+        wires[ci].append(cos.dom + rank)
+    route_in = [0] * (cos.dom + len(feeds))
+    for target, wire in enumerate(w for piece in wires for w in piece):
+        route_in[wire] = target
+    shapes = [(len(w), c.genus, len(c.out_ports)) for w, c in zip(wires, comps)]
+    core = functools.reduce(Tensor, [_component_core(*shape) for shape in shapes])
+    route_out = [port for c in comps for port in c.out_ports]
 
-    prime_feeds: list[tuple[str, int]] = []  # (label, component index)
-    for ci, c in enumerate(comps):
-        for p in c.primes:
-            prime_feeds.append((p, ci))
-    prime_feeds.sort(key=lambda lp: (lp[0], lp[1]))
-    feed_pos = {}  # (component, occurrence) -> bottom wire index
-    occ_count: dict[int, int] = {}
-    for rank, (label, ci) in enumerate(prime_feeds):
-        k = occ_count.get(ci, 0)
-        occ_count[ci] = k + 1
-        feed_pos[(ci, k)] = cos.dom + rank
-
-    # Desired bottom order: per component, its real inputs then its feeds.
-    concat_in: list[int] = []
-    blocks_in: list[int] = []
-    for ci, c in enumerate(comps):
-        concat_in.extend(c.in_ports)
-        concat_in.extend(feed_pos[(ci, k)] for k in range(len(c.primes)))
-        blocks_in.append(len(c.in_ports) + len(c.primes))
-    total_in = len(concat_in)
-    perm_in = [0] * total_in
-    for target, src in enumerate(concat_in):
-        perm_in[src] = target
-
-    cores = [
-        _component_core(blocks_in[ci], c.genus, len(c.out_ports))
-        for ci, c in enumerate(comps)
-    ]
-    core: Term | None = None
-    for t in cores:
-        core = t if core is None else Tensor(core, t)
-
-    concat_out: list[int] = []
-    for c in comps:
-        concat_out.extend(c.out_ports)
-    perm_out = list(concat_out)
-
-    term_out: Term = core
-    if total_in and perm_in != list(range(total_in)):
-        term_out = _comp(term_out, permutation_term(perm_in))
-    if prime_feeds:
-        feeds: Term | None = None
-        for label, _ci in prime_feeds:
-            nxt = Gen("pu", label)
-            feeds = nxt if feeds is None else Tensor(feeds, nxt)
-        bottom = feeds if cos.dom == 0 else Tensor(id_n(cos.dom), feeds)
-        term_out = _comp(term_out, bottom)
-    if perm_out and perm_out != list(range(len(perm_out))):
-        term_out = _comp(permutation_term(perm_out), term_out)
-    return term_out
+    # The output routing over ((cores . input routing) . feeds).
+    lower = [core]
+    if route_in != sorted(route_in):
+        lower.append(permutation_term(route_in))
+    if feeds:
+        pus = functools.reduce(Tensor, [Gen("pu", label) for label, _ci in feeds])
+        lower.append(Tensor(id_n(cos.dom), pus) if cos.dom else pus)
+    top = permutation_term(route_out) if route_out != sorted(route_out) else None
+    if all(shape == (1, 0, 1) for shape in shapes) and (len(lower) > 1 or top):
+        del lower[0]
+    if not lower:
+        return top
+    term = functools.reduce(Compose, lower)
+    return term if top is None else Compose(top, term)
 
 
 def normalize_G2(term: Term) -> Term:

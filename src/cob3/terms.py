@@ -38,6 +38,7 @@ __all__ = [
     "permutation_term",
     "print_term",
     "random_term",
+    "stack",
     "typecheck",
     "whisker",
 ]
@@ -352,6 +353,16 @@ def whisker(box: Term, left: int, right: int) -> Term:
     return box
 
 
+def stack(layers: list[Term], width: int) -> Term:
+    """layers composed bottom-up, layers[0] applied first; id_n(width) if none."""
+    if not layers:
+        return id_n(width)
+    term = layers[0]
+    for layer in layers[1:]:
+        term = Compose(layer, term)
+    return term
+
+
 def permutation_term(perm) -> Term:
     """A term over swap/id routing input i to output perm[i].
 
@@ -374,13 +385,7 @@ def permutation_term(perm) -> Term:
                 cur[i], cur[i + 1] = cur[i + 1], cur[i]
                 swaps.append(i)
                 changed = True
-    if not swaps:
-        return id_n(n)
-    layers = [whisker(Gen("swap"), i, n - i - 2) for i in swaps]
-    term = layers[0]
-    for layer in layers[1:]:
-        term = Compose(layer, term)
-    return term
+    return stack([whisker(Gen("swap"), i, n - i - 2) for i in swaps], n)
 
 
 def random_term(rng, max_gens: int = 12, labels=("P", "Q")) -> Term:

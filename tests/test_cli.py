@@ -14,6 +14,7 @@ import pytest
 
 import cob3
 from cob3 import (
+    FrobeniusAlgebra,
     algebra_to_json,
     closed_invariant,
     cospan_of_term,
@@ -164,6 +165,23 @@ def test_invariant_idempotent_blocks(capsys, alg_file):
     assert len(data["blocks"]) == 2
     assert data["character_sum"] == 5
     assert {b["prime_characters"]["P"] for b in data["blocks"]} == {2, 3}
+
+
+def test_idempotents_of_the_dual_numbers_are_refused(capsys, tmp_path):
+    # Q[x]/x^2 with trace(x) = 1 satisfies every axiom, but its nilpotent x
+    # leaves no split into blocks: the refusal names that cause
+    alg = FrobeniusAlgebra(2, [[[1, 0], [0, 0]], [[0, 1], [1, 0]]], [1, 0], [0, 1])
+    assert alg.verify_cf().ok
+    path = tmp_path / "dual.json"
+    path.write_text(algebra_to_json(alg))
+    code, out, err = run(
+        capsys, "invariant", "--algebra", str(path), "--manifold", "(S2xS1)^1",
+        "--idempotents",
+    )
+    assert (code, out) == (USAGE, "")
+    assert err == (
+        "error: the algebra is not semisimple: it has a nonzero nilpotent element\n"
+    )
 
 
 def test_long_exact_value_is_printed(capsys, tmp_path):
@@ -360,7 +378,7 @@ LEGS_DEMO_TEXT = (
     "rhs = m . (id * pe(P))\n"
     "on e1 (x) e2: lhs -> [(1, -1)], rhs -> [(0, 1)]\n"
     "every plain axiom holds for this model, yet lhs != rhs:\n"
-    "NOT-EQUAL \u2014 the two-sided absorption law is independent\n"
+    "NOT-EQUAL - the two-sided absorption law is independent\n"
 )
 LEGS_DEMO = {
     "algebra": "componentwise product on Q^2, trace = coordinate sum",
@@ -643,6 +661,11 @@ def test_output_is_pinned(capsys, tmp_path, name):
     argv, code, out = PINNED[name]
     argv = [str(tmp_path / f"{a}.json") if a in files else a for a in argv]
     assert run(capsys, *argv) == (code, out, "")
+
+
+def test_pinned_outputs_are_ascii():
+    # a stdout that is not UTF-8 must be able to print every output
+    assert [name for name, (_, _, out) in PINNED.items() if not out.isascii()] == []
 
 
 def test_rewrite_path_found(capsys):

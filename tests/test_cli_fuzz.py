@@ -1,0 +1,104 @@
+"""Fuzz the command line: every input ends in a documented exit code.
+
+Each call must exit 0, 1 or 2, never 4 (an internal error); on exit 2,
+stdout is empty and stderr is one "error:" line; and each call finishes
+within a few seconds.
+
+Left out, each for a measured cost rather than a failure:
+  * G1 on long chains and on wide labelled tensors: its text grows
+    quadratically with the primes on one piece and cubically with the
+    width of a labelled tensor (2.5 MB in 2.7 s for a 1000-layer pe(P)
+    chain, and in 2.8 s for a tensor of 80 pe(P));
+  * G2 on wide labelled tensors: nf's slide walk grows cubically there
+    until nf is exact;
+  * eval on wide terms: it builds the whole map, and has no size guard
+    yet;
+  * rewrite-path between most pairs of different terms: --budget counts
+    stored states, but every successor of an expanded state is built
+    before it is checked. At --budget 100, a search from a random term of
+    up to 40 generators to its own G1 form took up to 11 s, and one from a
+    200-layer pe(P) chain to id took 3.8 s, growing cubically with the
+    chain. So every input is searched against itself, and only the short
+    inputs against their neighbours, which mostly differ in width.
+"""
+
+import random
+import time
+
+from cob3 import algebra_to_json, hadamard_algebra, print_term
+from cob3.cli import main
+from cob3.terms import random_term
+
+SECONDS_PER_CALL = 5.0
+SEARCH = ("--max-steps", "2", "--budget", "100")
+
+LONG = [
+    "(" * 5000 + "m" + ")" * 5000,
+    " . ".join(["pe(P)"] * 3000),
+    " * ".join(["id"] * 3000),
+]
+MALFORMED = [
+    "(m . swap",
+    "m . swap)",
+    ")(",
+    "pe()",
+    "pe(P",
+    "pe(P Q)",
+    "pe(P$)",
+    "pu()",
+    "pe(?p)",
+    "pu(?p)",
+    "m\x00",
+    "pe(Ä)",
+    "m — id",
+    "",
+    "   ",
+    "pe",
+    "m .",
+    ". m",
+    "m * * id",
+    "foo",
+    "m . m",
+    "tr . tr",
+]
+
+
+def random_texts():
+    """Seeded random terms of up to 4, 12 and 40 generators."""
+    rng = random.Random("cli-fuzz")
+    sizes = [4] * 12 + [12] * 12 + [40] * 24
+    return [print_term(random_term(rng, max_gens=size)) for size in sizes]
+
+
+def calls(alg):
+    texts = random_texts()
+    for x in LONG + texts + MALFORMED:
+        yield ("eq", x, x)
+        yield ("normalize", x, "--presentation", "G2")
+        yield ("rewrite-path", x, x, *SEARCH)
+    short = texts[:24] + MALFORMED
+    for x, y in zip(short, short[1:]):
+        yield ("eq", x, y)
+        yield ("rewrite-path", x, y, *SEARCH)
+        yield ("normalize", x)
+        yield ("eval", x, "--algebra", alg)
+
+
+def test_every_call_ends_in_a_documented_exit_code(capsys, tmp_path):
+    alg = tmp_path / "plane.json"
+    alg.write_text(algebra_to_json(hadamard_algebra()))
+    codes = {}
+    for argv in calls(str(alg)):
+        start = time.perf_counter()
+        code = main(list(argv))
+        seconds = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        what = f"{argv[0]} on {argv[1][:40]!r}"
+        assert code in (0, 1, 2), f"{what}: exit {code}: {err}"
+        if code == 2:
+            assert out == "", what
+            assert err.startswith("error: ") and err.count("\n") == 1, what
+        assert seconds < SECONDS_PER_CALL, f"{what}: {seconds:.1f} s"
+        codes[code] = codes.get(code, 0) + 1
+    # the corpus reaches every documented outcome
+    assert set(codes) == {0, 1, 2}

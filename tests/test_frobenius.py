@@ -145,7 +145,7 @@ def test_nilpotent_block_is_refused():
         [0, 1],
     )
     assert alg.verify_cf().ok
-    with pytest.raises(NotScalarOnBlock):
+    with pytest.raises(NotScalarOnBlock, match="not semisimple: .* nilpotent element"):
         idempotent_decomposition(alg)
 
 

@@ -1,5 +1,7 @@
 """Equational rule table: membership, soundness, single-step application."""
 
+from collections import Counter
+
 import pytest
 
 from cob3 import (
@@ -9,12 +11,13 @@ from cob3 import (
     UnknownRuleSet,
     apply_rule,
     cospan_of_term,
+    find_path,
     parse,
     terms_equal,
     typecheck,
     verify_ruleset_soundness,
 )
-from cob3.layers import diagram_equal
+from cob3.layers import PU, diagram_equal, term_to_state
 from cob3.rewrite import ruleset
 
 
@@ -109,3 +112,26 @@ def test_metavariable_rules_bind_any_label():
 def test_primecomm_swaps_two_labels():
     out = apply_rule(parse("pe(A) . pe(B)"), "primecomm")
     assert diagram_equal(out, parse("pe(B) . pe(A)"))
+
+
+def _pu_labels(term):
+    state = term_to_state(term)
+    return Counter(lab for gen, lab in zip(state[2::3], state[3::3]) if gen == PU)
+
+
+def test_no_rule_changes_the_pu_count_of_any_label():
+    # so no derivation in these sets joins two terms whose pu counts differ
+    names = set().union(*RULE_SETS.values())
+    assert len(names) == 28
+    for name in sorted(names):
+        rule = RULES[name]
+        assert _pu_labels(rule.lhs) == _pu_labels(rule.rhs), name
+
+
+def test_pe_of_the_unit_equals_pu_but_has_no_derivation():
+    # pu(P) is pe(P) with its input filled in, and the invariant agrees; no
+    # rule says so, so the search runs out of states instead
+    a, b = parse("pe(P) . unit"), parse("pu(P)")
+    assert terms_equal(a, b)
+    r = find_path(a, b, rules="G2_FULL", max_steps=24, max_extra_layers=4)
+    assert (r.found, r.reason, r.explored) == (False, "exhausted", 303)
