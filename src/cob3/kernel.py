@@ -9,7 +9,9 @@ Adjacent layers commute when their wire supports are disjoint; sliding the
 later layer first adjusts offsets by the width change of the layer it passes.
 `nf` walks a state's slide class breadth-first, on layers packed into ints,
 to the lexicographically least representative, which is the canonical form
-used for equality and search dedup.
+used for equality and search dedup. A class that a cheap lower bound on its
+size already puts over the walk's cap is not walked to the cap: it goes
+straight to the greedy fallback, which the walk would have reached anyway.
 
 Matching is window-based: a rule side is located as a contiguous block of
 layers after sliding independent context layers out of the window. One scan
@@ -60,11 +62,15 @@ def nf(state):
     packed into one int that compares as its (off, gen, lab) triple, and
     returns its lexicographically least member; this is exact (a true
     canonical form) whenever the class has at most NF_SLIDE_CAP orders.
-    Beyond the cap it switches to greedy minimal-arrival extraction and
-    iterates to a fixpoint, which yields a deterministic, idempotent,
-    slide-equivalent representative that may in rare cases differ between
-    two orders of the same oversized class. Callers must not treat nf
-    inequality as semantic inequality; the cospan invariant decides that.
+    Beyond the cap it switches to greedy minimal-arrival extraction from the
+    start order and iterates to a fixpoint. Once the walk passes an eighth
+    of the cap it tries `_class_size_bound` once; a bound over the cap skips
+    the rest of the walk, which could only have ended in the same fallback,
+    so the answer does not change. The fallback yields a deterministic,
+    idempotent, slide-equivalent representative that may in rare cases
+    differ between two orders of the same oversized class. Callers must not
+    treat nf inequality as semantic inequality; the cospan invariant
+    decides that.
     """
     n = (len(state) - 1) // 3
     if n < 2:
@@ -101,6 +107,9 @@ def _class_min(start):
     first = tuple((o << bits) | rank[g, l] for o, g, l in start)
     seen = {first}
     queue = [first]
+    # Past an eighth of the cap the class may be too big to walk: the size
+    # bound is tried once, and then the walk goes on to the cap itself.
+    gate = NF_SLIDE_CAP // 8
     for seq in queue:  # breadth-first: the loop also visits what it appends
         p2 = seq[0]
         o2 = p2 >> bits
@@ -118,14 +127,108 @@ def _class_min(start):
                 if nb not in seen:
                     seen.add(nb)
                     queue.append(nb)
-        if len(seen) > NF_SLIDE_CAP:
-            cur = start
-            while True:
-                nxt = _greedy_min(cur)
-                if not nxt < cur:
-                    return cur
-                cur = nxt
+        if len(seen) > gate:
+            if len(seen) > NF_SLIDE_CAP or _class_size_bound(start) > NF_SLIDE_CAP:
+                cur = start
+                while (nxt := _greedy_min(cur)) < cur:
+                    cur = nxt
+                return cur
+            gate = NF_SLIDE_CAP
     return tuple((p >> bits, *keys[p & mask]) for p in min(seen))
+
+
+def _slide_down(rem, i):
+    """Layer `i` of the order `rem` slid below every layer under it, or None
+    when one of them blocks it.
+
+    It passes each lower layer on the left when it ends at or before that
+    layer's wires, and else on the right when it starts at or after them;
+    when both hold (a 0-input box where a 0-output box ended a wire) only the
+    left pass is taken. Returns the moved layer's (off, gen, lab) at the
+    bottom and the other layers in order above it, offsets adjusted.
+    """
+    o, g, l = rem[i]
+    dg = GEN_DOM[g]
+    delta = GEN_COD[g] - dg
+    passed = []
+    for t in range(i - 1, -1, -1):
+        ot, gt, lt = rem[t]
+        if o + dg <= ot:
+            passed.append((ot + delta, gt, lt))
+        elif o >= ot + GEN_COD[gt]:
+            o -= GEN_COD[gt] - GEN_DOM[gt]
+            passed.append(rem[t])
+        else:
+            return None
+    passed.reverse()
+    return (o, g, l), tuple(passed) + rem[i + 1 :]
+
+
+def _class_size_bound(start):
+    """A lower bound on the number of orders in the slide class of `start`,
+    cheap enough to show that a class is over NF_SLIDE_CAP without walking
+    it.
+
+    The members are counted by their bottom layer. Each layer that
+    `_slide_down` takes to the bottom gives a key, its bottom (off, gen, lab)
+    triple, and a remainder; LB(rem) sums, over the distinct keys, the
+    largest LB of a remainder with that key, and LB(()) = 1. A 0-input box's
+    key also holds where its output wire ends: at a top position, or at a
+    port of a box of some gen and label (`_wire_end`). The bound never counts
+    a member that is not there, nor one member twice:
+
+    * each counted member is reached by legal adjacent interchanges: the
+      slide of one layer to the bottom, then interchanges of the rest;
+    * members with different bottom triples are different orders;
+    * slides keep every wire's ends, so a remainder whose bottom wire ends
+      elsewhere lies in another class: those members differ too;
+    * remainders with the same key may share members, so only the largest
+      count among them is taken.
+
+    Counts are memoised per remainder for this call only. A remainder stops
+    being expanded as soon as its sum passes the cap, so such a count is
+    only known to be over it. Frames live on an explicit stack, so a state
+    thousands of layers deep needs no Python recursion.
+    """
+    memo = {(): 1}
+    # frame: remainder, next layer to slide down, largest count per key,
+    # and the sum of those counts
+    stack = [[start, 0, {}, 0]]
+    while True:
+        frame = stack[-1]
+        rem, i, best, total = frame
+        while i < len(rem) and total <= NF_SLIDE_CAP:
+            moved = _slide_down(rem, i)
+            if moved is not None:
+                t, rest = moved
+                size = memo.get(rest)
+                if size is None:
+                    break  # count `rest` first, then slide layer i again
+                key = t if GEN_DOM[t[1]] else (t, _wire_end(rem, i))
+                if size > best.get(key, 0):
+                    total += size - best.get(key, 0)
+                    best[key] = size
+            i += 1
+        else:
+            memo[rem] = total
+            stack.pop()
+            if not stack:
+                return total
+            continue
+        frame[1], frame[3] = i, total
+        stack.append([rest, 0, {}, 0])
+
+
+def _wire_end(rem, i):
+    """Where the first output wire of layer `i` of `rem` ends: its position
+    at the top, or (gen, lab, port) of the box it enters."""
+    p = rem[i][0]
+    for o, g, l in rem[i + 1 :]:
+        if p >= o + GEN_DOM[g]:
+            p += GEN_COD[g] - GEN_DOM[g]
+        elif p >= o:
+            return g, l, p - o
+    return p
 
 
 def _greedy_min(start):
@@ -134,45 +237,19 @@ def _greedy_min(start):
     out = []
     for _round in range(len(start)):
         best = None
-        cands = []
         for rem in frontier:
             for i in range(len(rem)):
-                o, g, l = rem[i]
-                dg = GEN_DOM[g]
-                ok = True
-                for t in range(i - 1, -1, -1):
-                    ot, gt, _lt = rem[t]
-                    if o + dg <= ot:
-                        continue
-                    if o >= ot + GEN_COD[gt]:
-                        o -= GEN_COD[gt] - GEN_DOM[gt]
-                    else:
-                        ok = False
-                        break
-                if not ok:
+                moved = _slide_down(rem, i)
+                if moved is None:
                     continue
-                key = (o, g, l)
+                key, rest = moved
                 if best is None or key < best:
                     best = key
-                    cands = [(rem, i)]
+                    nxt = {rest}
                 elif key == best:
-                    cands.append((rem, i))
+                    nxt.add(rest)
         out.append(best)
-        newf = set()
-        for rem, i in cands:
-            o, g, _l = rem[i]
-            dg = GEN_DOM[g]
-            delta = GEN_COD[g] - dg
-            lst = [list(t) for t in rem]
-            for t in range(i - 1, -1, -1):
-                ot = lst[t][0]
-                if o + dg <= ot:
-                    lst[t][0] = ot + delta
-                else:
-                    o -= GEN_COD[lst[t][1]] - GEN_DOM[lst[t][1]]
-            del lst[i]
-            newf.add(tuple((a, b, c) for a, b, c in lst))
-        frontier = newf
+        frontier = nxt
     return tuple(out)
 
 

@@ -14,6 +14,8 @@ from cob3.layers import (
     GEN_DOM,
     PE,
     PU,
+    TR,
+    UNIT,
     canonical_state,
     diagram_equal,
     state_to_term,
@@ -195,21 +197,75 @@ def layered_states(draw):
     return tuple(out)
 
 
+@st.composite
+def floating_states(draw):
+    """Random states made mostly of 0-input and 0-output boxes (unit, pu,
+    tr), with pe boxes for their wires to enter, so a box often starts a
+    wire right where a tr ended one and both slide conditions hold at once."""
+    width = draw(st.integers(0, 2))
+    out = [width]
+    for _ in range(draw(st.integers(2, 9))):
+        g = draw(st.sampled_from((UNIT, PU, TR, PE) if width else (UNIT, PU)))
+        off = draw(st.integers(0, width - GEN_DOM[g]))
+        out += (off, g, draw(st.sampled_from(("P", "Q"))) if g in (PE, PU) else "")
+        width += GEN_COD[g] - GEN_DOM[g]
+    return tuple(out)
+
+
 # six distinct (gen, label) pairs (so three rank bits) at offsets past 256
 WIDE = (
     301, 300, 6, "Q", 300, 5, "?p", 301, 1, "", 300, 0, "", 299, 5, "P", 300, 2, ""
 )
+# Two classes over the cap: nf's size bound shows that the first is, so nf
+# skips the rest of its walk; on the second (4680 members) the bound stays
+# under the cap and the walk runs to the cap. Both end in the greedy fallback.
+OVER_CAP_BOUNDED = (
+    1, 0, 3, "", 0, 1, "", 1, 1, "", 2, 1, "", 1, 2, "", 0, 1, "", 1, 1, "", 2, 5, "P"
+)
+OVER_CAP_UNBOUNDED = (2, 0, 3, "", 0, 3, "", 0, 1, "", 0, 1, "", 1, 1, "", 0, 6, "P")
+# a unit, a pu and a unit, each starting a wire where a tr has just ended one
+TR_THEN_FLOATS = (1, 0, 3, "", 0, 1, "", 0, 3, "", 0, 6, "P", 0, 3, "", 0, 1, "")
+# two floating `unit . tr` scalars: the class has 5 members, and removing
+# either unit leaves remainders of one class, which must be counted once
+TWO_SCALARS = (0, 0, 1, "", 0, 3, "", 0, 1, "", 0, 3, "")
 
 
 @settings(max_examples=200, deadline=None)
 @given(layered_states())
 @example(WIDE)
 @example((0,) + (0, 1, "", 0, 6, "P", 1, 6, "Q") * 3)
+@example(OVER_CAP_BOUNDED)
+@example(OVER_CAP_UNBOUNDED)
 def test_nf_is_the_least_member_of_its_slide_class(state):
     want = class_min_oracle(state)
     if want is None:
         want = greedy_fixpoint(state)
     assert kernel.nf(state) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(layered_states(), floating_states()))
+@example(TR_THEN_FLOATS)
+@example(TWO_SCALARS)
+def test_class_size_bound_never_exceeds_the_class(state):
+    members = slide_class(state, NF_SLIDE_CAP)
+    if len(members) <= NF_SLIDE_CAP:
+        assert kernel._class_size_bound(_layers(state)) <= len(members)
+
+
+def test_class_size_bound_puts_big_classes_over_the_cap():
+    assert kernel._class_size_bound(_layers(OVER_CAP_BOUNDED)) > NF_SLIDE_CAP
+    # the bound is not exact: this class has 4680 members
+    assert len(slide_class(OVER_CAP_UNBOUNDED, 5000)) == 4680
+    assert kernel._class_size_bound(_layers(OVER_CAP_UNBOUNDED)) <= NF_SLIDE_CAP
+    # the ten floats of test_nf_oversized_class_is_deterministic_and_idempotent
+    floats = ((0, UNIT, ""),) * 10
+    assert kernel._class_size_bound(floats) > NF_SLIDE_CAP
+    # 3000 layers deep, without Python recursion
+    wide = _layers(term_to_state(parse(" * ".join(["pe(P)"] * 3000))))
+    started = time.perf_counter()
+    assert kernel._class_size_bound(wide) > NF_SLIDE_CAP
+    assert time.perf_counter() - started < 1
 
 
 def test_nf_shuffle_agreement_and_idempotence():
