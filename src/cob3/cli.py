@@ -334,9 +334,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--rules", default="CF_LEGS", help=f"one of {', '.join(RULE_SETS)}")
-    p.add_argument("--max-steps", type=int, default=16)
-    p.add_argument("--budget", type=int, default=200_000)
-    p.add_argument("--max-extra-layers", type=int, default=6)
+    p.add_argument("--max-steps", type=int, default=16, help="most rewrite steps")
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=200_000,
+        help="most states stored; it does not cap the successors that one "
+        "expanded state builds",
+    )
+    p.add_argument(
+        "--max-extra-layers",
+        type=int,
+        default=6,
+        help="most layers a state may have beyond the larger endpoint",
+    )
     p.set_defaults(func=_cmd_rewrite_path)
 
     p = sub.add_parser("demo", help="built-in demonstrations")

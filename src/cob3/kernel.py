@@ -23,6 +23,12 @@ side with the arity tables swapped, moves context above the window. The scan
 is optimistic — every candidate is verified by rebuilding the state with the
 block in place and comparing normal forms — so a reported match is correct
 by construction even in corner cases the scan arithmetic does not model.
+
+A zero-layer side (an identity on one or two wires) is found by inserting
+the other side instead. The inserted block slides along its wires past every
+layer that does not touch them, so all placements on the same wire segment,
+or for two wires in the same run of levels where the same two segments are
+adjacent, give one slide class: only the lowest of them is built.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ __all__ = [
     "find_insertions",
     "apply_insertion",
     "instantiate",
-    "side_hull",
     "successors",
 ]
 
@@ -396,26 +401,22 @@ def apply_match(state, match, rep):
     return nf(_rebuild(state, match, block))
 
 
-def find_insertions(state, width, hull):
-    """Placements (level, col) for a zero-layer side's replacement block.
+def find_insertions(state, width):
+    """Placements (level, col) for a zero-layer side's block on `width`
+    adjacent wires, in (level, col) order.
 
-    Positions whose block would be independent of the layer directly below
-    are pruned: an equivalent lower placement exists, so only the lowest
-    representative of each slide class is kept.
+    The block slides up its wires past every layer that does not touch
+    them, so only the lowest placement is kept per wire segment (width 1),
+    or per run of levels over which the same two segments are adjacent
+    (width 2). Above level 0 those are the windows that meet the outputs of
+    the layer below, or that straddle the wire it ended.
     """
     widths = state_widths(state)
-    n = (len(state) - 1) // 3
-    out = []
-    for lvl in range(n + 1):
-        wmax = widths[lvl] - width
-        for col in range(wmax + 1):
-            if lvl > 0:
-                p = 1 + 3 * (lvl - 1)
-                o, g = state[p], state[p + 1]
-                ext = GEN_DOM[g] if GEN_DOM[g] > GEN_COD[g] else GEN_COD[g]
-                if o + ext <= col or o >= col + hull:
-                    continue
-            out.append((lvl, col))
+    out = [(0, col) for col in range(widths[0] - width + 1)]
+    for lvl in range(1, len(widths)):
+        o, g = state[3 * lvl - 2], state[3 * lvl - 1]
+        top = min(o + GEN_COD[g], widths[lvl] - width + 1)
+        out.extend((lvl, col) for col in range(max(o - width + 1, 0), top))
     return out
 
 
@@ -425,11 +426,6 @@ def apply_insertion(state, lvl, col, rep):
     out.extend(instantiate(rep, {}, col))
     out.extend(state[1 + 3 * lvl :])
     return nf(tuple(out))
-
-
-def side_hull(side):
-    """Max wire count across a side's levels: the block's column span."""
-    return max(state_widths(side))
 
 
 def successors(state, entries, max_layers, until=()):
@@ -455,7 +451,7 @@ def successors(state, entries, max_layers, until=()):
         if n - k + (len(rep) - 1) // 3 > max_layers:
             continue
         if k == 0:
-            spots = find_insertions(state, pat[0], side_hull(rep))
+            spots = find_insertions(state, pat[0])
             steps = ((e, b, c, 0, apply_insertion(state, b, c, rep)) for b, c in spots)
         else:
             steps = (

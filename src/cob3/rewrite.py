@@ -21,8 +21,8 @@ import re
 from dataclasses import dataclass
 
 from .cospan import cospan_of_term, terms_equal
-from .kernel import nf, successors
-from .layers import diagram_equal, state_to_term, term_to_state
+from .kernel import apply_insertion, apply_match, find_insertions, find_matches, nf, successors
+from .layers import diagram_equal, state_to_term, state_widths, term_to_state
 from .terms import (
     ArityMismatch,
     Compose,
@@ -219,12 +219,23 @@ def apply_rule(term: Term, rule_name: str, direction: str = "fwd", position=None
         want = tuple(int(position[key]) for key in ("bottom", "layers", "offset"))
     else:
         raise TypeError(f"position must be None or a window dict, not {position!r}")
-    entry = _rule_entries(rule_name)[direction == "rev"]
+    pat, rep = _rule_entries(rule_name)[direction == "rev"]
     state = nf(term_to_state(term))
-    reach = _n_layers(state) + _n_layers(entry[1])  # no rewrite is skipped
-    for _e, bottom, col, k, new in successors(state, (entry,), reach):
-        if want is None or want == (bottom, k, col):
-            return state_to_term(new)
+    k = _n_layers(pat)
+    if k:
+        for m in find_matches(state, pat):
+            if want is None or want == (m[0], k, m[1]):
+                return state_to_term(apply_match(state, m, rep))
+    elif want is None:
+        spots = find_insertions(state, pat[0])
+        if spots:
+            return state_to_term(apply_insertion(state, *spots[0], rep))
+    else:
+        # any placement where the side's wires fit, listed or not
+        bottom, layers, col = want
+        widths = state_widths(state)
+        if layers == 0 and 0 <= bottom < len(widths) and 0 <= col <= widths[bottom] - pat[0]:
+            return state_to_term(apply_insertion(state, bottom, col, rep))
     raise NoMatch(f"{rule_name} ({direction}) does not apply at {position!r}")
 
 

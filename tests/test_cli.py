@@ -716,6 +716,21 @@ def test_rules_help_names_every_rule_set(capsys, monkeypatch):
     assert set(RULE_SETS) <= words
 
 
+def test_rewrite_path_help_names_every_bound(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["rewrite-path", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    for flag, help_text in (
+        ("--max-steps", "most rewrite steps"),
+        ("--budget", "most states stored"),
+        ("--max-extra-layers", "most layers a state may have"),
+    ):
+        assert f"{flag} {flag[2:].upper().replace('-', '_')} {help_text}" in out
+    # the budget is checked per stored state, not per successor built
+    assert "does not cap the successors" in out
+
+
 def test_demo_counterexample(capsys):
     code, out, _ = run(capsys, "demo", "legs-counterexample")
     assert code == OK

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cob3 import kernel as kp
-from cob3.layers import state_to_term, term_to_state
+from cob3.kernel import NF_SLIDE_CAP
+from cob3.layers import GEN_COD, GEN_DOM, state_to_term, state_widths, term_to_state
 from cob3.rewrite import _entries, _rule_entries
 from cob3.terms import parse, print_term, random_term
+from test_layers import _layers, layered_states, slide_class
 
 # hand-compiled rule sides (dom, then off/gen/lab per layer; lab "?p" is
 # a metavariable, "" no label)
@@ -20,6 +22,7 @@ ASSOC_L = (3, 0, 0, "", 0, 0, "")
 ASSOC_R = (3, 1, 0, "", 0, 0, "")
 UNITL_L = (1, 0, 1, "", 0, 0, "")
 UNITL_R = (1,)
+SWAP_SWAP = (2, 0, 4, "", 0, 4, "")
 
 
 def nf_of(text):
@@ -28,6 +31,10 @@ def nf_of(text):
 
 def rendered(state):
     return print_term(state_to_term(state))
+
+
+def n_layers(state):
+    return (len(state) - 1) // 3
 
 
 def test_zero_layer_pattern_rejected():
@@ -69,6 +76,20 @@ def test_context_moves_above_the_window():
     assert kp.apply_match(s, ms[0], lhs) == nf_of("(pe(P) * id) . (pe(P) * id) . comul")
 
 
+def test_context_moves_above_an_upside_down_window_past_width_changes():
+    # the waist side pe(?p) . m matches layers 1 and 5; the unit and the two
+    # m between them change the width left of the window and must leave it
+    # upward, which the upside-down scan gets right only with the arity
+    # tables swapped
+    s = (5, 0, 2, "", 3, 0, "", 3, 1, "", 2, 0, "", 1, 0, "", 2, 5, "P", 3, 2, "", 2, 4, "")
+    assert kp.nf(s) == s
+    (lhs, _rhs), _ = _rule_entries("waist")
+    assert lhs == (2, 0, 0, "", 0, 5, "?p")
+    ms = kp.find_matches(s, lhs)
+    assert [m[:3] for m in ms] == [(1, 3, (1, 5))]
+    assert ms[0][3] == () and ms[0][4] == (3, 1, "", 2, 0, "", 1, 0, "")
+
+
 def test_unit_collapse_with_bystander():
     s = nf_of("m . (unit * pe(Q))")
     ms = kp.find_matches(s, UNITL_L)
@@ -91,21 +112,132 @@ def test_two_distinct_metavariables():
     assert res == nf_of("pe(B) . pe(A)")
 
 
-def test_insertions_lowest_representative_only():
+def test_insertions_one_per_wire_segment():
     s = nf_of("pe(A) . pe(B)")
-    spots = kp.find_insertions(s, 1, 2)
+    spots = kp.find_insertions(s, 1)
+    # each pe starts a new segment
     assert spots == [(0, 0), (1, 0), (2, 0)]
     grown = kp.apply_insertion(s, 2, 0, UNITL_L)
     assert grown == nf_of("m . (unit * id) . pe(A) . pe(B)")
 
 
-def test_insertion_prunes_disjoint_columns():
+def test_insertions_skip_a_segment_the_layer_below_leaves_alone():
     s = nf_of("pe(A) * id")
-    spots = kp.find_insertions(s, 1, 2)
-    # level-1 placements fully right of the pe hull are slide-equivalent
-    # to level-0 ones and must not reappear
+    spots = kp.find_insertions(s, 1)
+    # the right wire is one segment from bottom to top, so a level-1
+    # placement on it repeats the level-0 one
     assert (1, 1) not in spots
     assert (0, 1) in spots
+
+
+def test_a_floating_scalar_between_two_wires_ends_their_run():
+    # unit . tr between the wires: swap . swap below it and above it are
+    # different diagrams, so both placements are kept
+    s = nf_of("(id * tr * id) . (id * unit * id)")
+    assert kp.find_insertions(s, 2) == [(0, 0), (1, 0), (1, 1), (2, 0)]
+    below, above = (kp.apply_insertion(s, b, 0, SWAP_SWAP) for b in (0, 2))
+    assert below != above
+
+
+# find_insertions before it kept one placement per wire segment: every
+# (level, col) where the side's wires fit, except those whose block does not
+# meet the layer directly below within `hull` (the widest level of the
+# inserted side). The reference the keyed list is checked against.
+
+
+def all_insertions(state, width, hull):
+    widths = state_widths(state)
+    out = []
+    for lvl in range(len(widths)):
+        for col in range(widths[lvl] - width + 1):
+            if lvl > 0:
+                o, g = state[3 * lvl - 2], state[3 * lvl - 1]
+                if o + max(GEN_DOM[g], GEN_COD[g]) <= col or o >= col + hull:
+                    continue
+            out.append((lvl, col))
+    return out
+
+
+def reference_successors(state, entries, max_layers):
+    """kp.successors with every zero-layer side inserted at all_insertions'
+    placements."""
+    n = n_layers(state)
+    out = []
+    for e, (pat, rep) in enumerate(entries):
+        k = n_layers(pat)
+        if n - k + n_layers(rep) > max_layers:
+            continue
+        if k:
+            out += [(e,) + t[1:] for t in kp.successors(state, ((pat, rep),), max_layers)]
+        else:
+            hull = max(state_widths(rep))
+            out += [
+                (e, b, c, 0, kp.apply_insertion(state, b, c, rep))
+                for b, c in all_insertions(state, pat[0], hull)
+            ]
+    return out
+
+
+def inserted(state, lvl, col, rep):
+    """The state with `rep` inserted at (lvl, col), before nf."""
+    return state[: 1 + 3 * lvl] + tuple(kp.instantiate(rep, {}, col)) + state[1 + 3 * lvl :]
+
+
+def slid_down(state, lvl, col, width):
+    """Where a block on the `width` wires at (lvl, col) ends when slid down
+    its wires past every layer whose outputs it does not meet."""
+    while lvl:
+        o, g = state[3 * lvl - 2], state[3 * lvl - 1]
+        if col >= o + GEN_COD[g]:
+            col -= GEN_COD[g] - GEN_DOM[g]
+        elif col + width > o:
+            break
+        lvl -= 1
+    return lvl, col
+
+
+def first_positions(state, spots, rep):
+    out = {}
+    for b, c in spots:
+        out.setdefault(kp.apply_insertion(state, b, c, rep), (b, c))
+    return out
+
+
+ZERO_LAYER_ENTRIES = [e for e in _entries("G2_FULL")[0] if n_layers(e[0]) == 0]
+
+
+def random_state(seed):
+    return kp.nf(term_to_state(random_term(random.Random(seed), max_gens=6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(layered_states(pads=(0, 1)), st.integers(0, 2**30).map(random_state)))
+def test_insertions_keep_the_lowest_placement_of_each_slide_class(state):
+    widths = state_widths(state)
+    for pat, rep in ZERO_LAYER_ENTRIES:
+        width = pat[0]
+        ref = all_insertions(state, width, max(state_widths(rep)))
+        kept = kp.find_insertions(state, width)
+        rest = iter(ref)
+        assert all(p in rest for p in kept)  # a subsequence of the reference
+        everywhere = [
+            (b, c) for b in range(len(widths)) for c in range(widths[b] - width + 1)
+        ]
+        assert kept == sorted({slid_down(state, b, c, width) for b, c in everywhere})
+        over_cap = False
+        classes = {}
+        for b, c in ref:
+            low = slid_down(state, b, c, width)
+            if low == (b, c):
+                continue
+            if low not in classes:
+                classes[low] = slide_class(inserted(state, *low, rep), NF_SLIDE_CAP)
+            if len(classes[low]) > NF_SLIDE_CAP:
+                over_cap = True  # nf is not canonical there
+            else:
+                assert _layers(inserted(state, b, c, rep)) in classes[low]
+        if not over_cap:
+            assert first_positions(state, kept, rep) == first_positions(state, ref, rep)
 
 
 def test_successors_orders_by_entry():
@@ -117,10 +249,6 @@ def test_successors_orders_by_entry():
     assert all(len(t) == 5 for t in succ)
     assert len(set(idx)) > 3
     assert len(legend) == len(entries)
-
-
-def n_layers(state):
-    return (len(state) - 1) // 3
 
 
 @settings(max_examples=25, deadline=None)
@@ -139,7 +267,7 @@ def test_layer_bound_only_drops_oversized_rewrites(seed):
 
 # sha256 of the successor lists below. A deliberate change to what the
 # matcher finds updates it and says so in CHANGES.md.
-SUCCESSORS_DIGEST = "7d7fa1cf6fa0b2050b285f5eaa33a5d0bea16b44f19bc556aa5265ed9e5b4d1f"
+SUCCESSORS_DIGEST = "b39212013a79683250e7c37454a226361a7cb3712b805499548942a4a6a94ee1"
 
 
 def test_successor_lists_are_pinned():
@@ -152,7 +280,7 @@ def test_successor_lists_are_pinned():
             succ = kp.successors(s, entries, n_layers(s) + 3)
             count += len(succ)
             h.update(repr(succ).encode())
-    assert count == 7013
+    assert count == 5581
     assert h.hexdigest() == SUCCESSORS_DIGEST
 
 

@@ -181,11 +181,11 @@ def greedy_fixpoint(state):
 
 
 @st.composite
-def layered_states(draw):
+def layered_states(draw, pads=(0, 1, 256, 4097)):
     """Random states: unlabelled, or with P, Q and metavariable labels,
-    behind 0 to 4097 untouched wires on the left."""
+    behind one of `pads` untouched wires on the left."""
     gens = range(len(GEN_DOM)) if draw(st.booleans()) else (0, 1, 2, 3, 4)
-    pad = draw(st.sampled_from((0, 1, 256, 4097)))
+    pad = draw(st.sampled_from(pads))
     width = draw(st.integers(0, 4))
     out = [pad + width]
     for _ in range(draw(st.integers(2, 9))):
