@@ -7,11 +7,9 @@ sides share one flat encoding (see layers.py):
 
 Adjacent layers commute when their wire supports are disjoint; sliding the
 later layer first adjusts offsets by the width change of the layer it passes.
-`nf` walks a state's slide class breadth-first, on layers packed into ints,
-to the lexicographically least representative, which is the canonical form
-used for equality and search dedup. A class that a cheap lower bound on its
-size already puts over the walk's cap is not walked to the cap: it goes
-straight to the greedy fallback, which the walk would have reached anyway.
+`nf` builds the lexicographically least member of a state's slide class by
+a search from the bottom cut (see `_least`); it is the canonical form used
+for equality and search dedup.
 
 Matching is window-based: a rule side is located as a contiguous block of
 layers after sliding independent context layers out of the window. One scan
@@ -51,46 +49,28 @@ __all__ = [
 
 # Adjacent layers (o1,g1,l1) then (o2,g2,l2) commute when the later one lies
 # entirely left (o2 + dom(g2) <= o1) or entirely right (o2 >= o1 + cod(g1))
-# of the earlier one's wires. Both can hold at once — a 0-input box sitting
-# exactly where a 0-output box ended a wire may pass on either side — so a
-# slide class is explored as a graph, not a single greedy pass.
+# of the earlier one's wires. Both can hold at once: a 0-input box sitting
+# exactly where a 0-output box ended a wire may pass on either side.
 
-NF_SLIDE_CAP = 4096
+# Kept: without it perfbench `search` ran at 177 op/s, not 236 (2-vCPU box).
 _NF_CACHE: dict = {}
 _NF_CACHE_MAX = 1 << 18
 
 
 def nf(state):
-    """Canonical-within-budget representative of the slide class.
+    """The canonical form of a state: the least member of its slide class.
 
-    Explores the class breadth-first over single transpositions, each layer
-    packed into one int that compares as its (off, gen, lab) triple, and
-    returns its lexicographically least member; this is exact (a true
-    canonical form) whenever the class has at most NF_SLIDE_CAP orders.
-    Beyond the cap it switches to greedy minimal-arrival extraction from the
-    start order and iterates to a fixpoint. Once the walk passes an eighth
-    of the cap it tries `_class_size_bound` once; a bound over the cap skips
-    the rest of the walk, which could only have ended in the same fallback,
-    so the answer does not change. The fallback yields a deterministic,
-    idempotent, slide-equivalent representative that may in rare cases
-    differ between two orders of the same oversized class. Callers must not
-    treat nf inequality as semantic inequality; the cospan invariant
-    decides that.
+    Layers compare as their (off, gen, lab) triples and orders of layers
+    lexicographically. Two states have one normal form exactly when one
+    slides into the other; the cospan invariant decides the coarser
+    semantic equality.
     """
-    n = (len(state) - 1) // 3
-    if n < 2:
+    if len(state) < 7:
         return tuple(state)
     cached = _NF_CACHE.get(state)
     if cached is not None:
         return cached
-    start = tuple(
-        (state[p], state[p + 1], state[p + 2]) for p in range(1, len(state), 3)
-    )
-    best = _class_min(start)
-    out = [state[0]]
-    for t in best:
-        out.extend(t)
-    result = tuple(out)
+    result = _least(state)
     if len(_NF_CACHE) >= _NF_CACHE_MAX:
         _NF_CACHE.clear()
     _NF_CACHE[state] = result
@@ -98,163 +78,164 @@ def nf(state):
     return result
 
 
-def _class_min(start):
-    # Layers are packed as (off << bits) | rank, rank the place of (gen, lab)
-    # among the state's sorted pairs, so packed tuples compare as the
-    # triples do and a slide only adds a width change shifted by `bits`.
-    keys = sorted({(g, l) for _o, g, l in start})
-    bits = (len(keys) - 1).bit_length()
-    mask = (1 << bits) - 1
-    rank = {key: r for r, key in enumerate(keys)}
-    dom = [GEN_DOM[g] for g, _l in keys]
-    cod = [GEN_COD[g] for g, _l in keys]
-    grow = [(c - d) << bits for d, c in zip(dom, cod)]
-    first = tuple((o << bits) | rank[g, l] for o, g, l in start)
-    seen = {first}
-    queue = [first]
-    # Past an eighth of the cap the class may be too big to walk: the size
-    # bound is tried once, and then the walk goes on to the cap itself.
-    gate = NF_SLIDE_CAP // 8
-    for seq in queue:  # breadth-first: the loop also visits what it appends
-        p2 = seq[0]
-        o2 = p2 >> bits
-        for i in range(1, len(seq)):
-            p1, o1 = p2, o2
-            p2 = seq[i]
-            o2 = p2 >> bits
-            if o2 + dom[p2 & mask] <= o1:
-                nb = seq[: i - 1] + (p2, p1 + grow[p2 & mask]) + seq[i + 1 :]
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-            if o2 >= o1 + cod[p1 & mask]:
-                nb = seq[: i - 1] + (p2 - grow[p1 & mask], p1) + seq[i + 1 :]
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        if len(seen) > gate:
-            if len(seen) > NF_SLIDE_CAP or _class_size_bound(start) > NF_SLIDE_CAP:
-                cur = start
-                while (nxt := _greedy_min(cur)) < cur:
-                    cur = nxt
-                return cur
-            gate = NF_SLIDE_CAP
-    return tuple((p >> bits, *keys[p & mask]) for p in min(seen))
+def _least(state):
+    """The least member of the slide class of `state`, built from the bottom.
 
+    One sweep names the wires, records where each one ends (a box's input
+    port or a place at the top) and gives each gap a face: a union-find in
+    which a tr joins the gaps beside its wire, a 0-input box splits its gap
+    into two gaps of one face, and a box's inner output gaps open new faces.
+    The class is the plane diagram up to isotopy (Joyal and Street), so its
+    members are the orders that rebuild the same wiring from the bottom cut
+    to the top cut: a layer with inputs goes where its input wires lie side
+    by side and in order, a 0-input layer at any gap of its own face.
 
-def _slide_down(rem, i):
-    """Layer `i` of the order `rem` slid below every layer under it, or None
-    when one of them blocks it.
-
-    It passes each lower layer on the left when it ends at or before that
-    layer's wires, and else on the right when it starts at or after them;
-    when both hold (a 0-input box where a 0-output box ended a wire) only the
-    left pass is taken. Returns the moved layer's (off, gen, lab) at the
-    bottom and the other layers in order above it, offsets adjusted.
+    The search keeps every cut that the least order so far reaches, and
+    backtracks to the next key when none of them can go on to the top cut;
+    it remembers those cuts, so no dead end is searched twice.
+    A new wire never goes on the wrong side of a wire whose future meets
+    its own (`fits`), and of identical 0-input boxes whose wires run through
+    1-in 1-out boxes to the top, or to a tr, only one is tried per gap: the
+    rightmost at the top, or any one of those that die. Without 0-input
+    boxes, placing the leftmost layer that fits is the whole search.
     """
-    o, g, l = rem[i]
-    dg = GEN_DOM[g]
-    delta = GEN_COD[g] - dg
-    passed = []
-    for t in range(i - 1, -1, -1):
-        ot, gt, lt = rem[t]
-        if o + dg <= ot:
-            passed.append((ot + delta, gt, lt))
-        elif o >= ot + GEN_COD[gt]:
-            o -= GEN_COD[gt] - GEN_DOM[gt]
-            passed.append(rem[t])
+    dom, n = state[0], (len(state) - 1) // 3
+    cut = list(range(dom))
+    ins, outs, cons, srcs = [], [], {}, []
+    parent = list(range(dom + 1))  # union-find over faces
+    gaps = list(range(dom + 1))  # the face of each gap of the cut
+    right = gaps[1:]  # the face on the right of each wire
+    first, seconds = {}, 0  # the two inputs of each 2-input box
+    for b in range(n):
+        o, g = state[3 * b + 1], state[3 * b + 2]
+        d, c = GEN_DOM[g], GEN_COD[g]
+        ins.append(tuple(cut[o : o + d]))
+        outs.append(tuple(range(len(right), len(right) + c)))
+        cons.update((w, (b, k)) for k, w in enumerate(ins[b]))
+        if d == 2:
+            first[cut[o + 1]] = cut[o]
+            seconds |= 1 << cut[o + 1]
+        if not d:
+            srcs.append(b)
+            gaps.insert(o, gaps[o])
+        elif not c:
+            parent[_root(parent, gaps[o + 1])] = _root(parent, gaps[o])
+            del gaps[o + 1]
         else:
-            return None
-    passed.reverse()
-    return (o, g, l), tuple(passed) + rem[i + 1 :]
+            gaps[o + 1 : o + d] = range(len(parent), len(parent) + c - 1)
+            parent.extend(gaps[o + 1 : o + c])
+        right.extend(gaps[o + 1 : o + 1 + c])
+        cut[o : o + d] = outs[b]
+    if not srcs:
+        return _leftmost_first(state, ins, outs, cons)
+    right = [_root(parent, f) for f in right]
+    left = _root(parent, 0)
+    top = tuple(cut)
+    # the future of each wire: the wires it reaches, and the top places
+    fut = dict((w, (1 << w, 1 << p)) for p, w in enumerate(top))
+    for w in reversed(range(len(right))):
+        if w in cons:
+            wires, places = 1 << w, 0
+            for x in outs[cons[w][0]]:
+                wires |= fut[x][0]
+                places |= fut[x][1]
+            fut[w] = wires, places
+    memo = {}
 
+    def fits(a, c):
+        """Whether wire `a` can lie left of wire `c`: the top places that only
+        one of them reaches are in order, and no box takes a wire that only
+        c reaches on its left input and one that only a reaches on its right."""
+        if (a, c) not in memo:
+            (wa, ta), (wc, tc) = fut[a], fut[c]
+            wa, wc, ta, tc = wa & ~wc, wc & ~wa, ta & ~tc, tc & ~ta
+            ok = not ta or not tc or ta < (tc & -tc)
+            ys = wa & seconds
+            while ok and ys:
+                y = ys.bit_length() - 1
+                ys ^= 1 << y
+                ok = not wc >> first[y] & 1
+            memo[a, c] = ok
+        return memo[a, c]
 
-def _class_size_bound(start):
-    """A lower bound on the number of orders in the slide class of `start`,
-    cheap enough to show that a class is over NF_SLIDE_CAP without walking
-    it.
-
-    The members are counted by their bottom layer. Each layer that
-    `_slide_down` takes to the bottom gives a key, its bottom (off, gen, lab)
-    triple, and a remainder; LB(rem) sums, over the distinct keys, the
-    largest LB of a remainder with that key, and LB(()) = 1. A 0-input box's
-    key also holds where its output wire ends: at a top position, or at a
-    port of a box of some gen and label (`_wire_end`). The bound never counts
-    a member that is not there, nor one member twice:
-
-    * each counted member is reached by legal adjacent interchanges: the
-      slide of one layer to the bottom, then interchanges of the rest;
-    * members with different bottom triples are different orders;
-    * slides keep every wire's ends, so a remainder whose bottom wire ends
-      elsewhere lies in another class: those members differ too;
-    * remainders with the same key may share members, so only the largest
-      count among them is taken.
-
-    Counts are memoised per remainder for this call only. A remainder stops
-    being expanded as soon as its sum passes the cap, so such a count is
-    only known to be over it. Frames live on an explicit stack, so a state
-    thousands of layers deep needs no Python recursion.
-    """
-    memo = {(): 1}
-    # frame: remainder, next layer to slide down, largest count per key,
-    # and the sum of those counts
-    stack = [[start, 0, {}, 0]]
-    while True:
-        frame = stack[-1]
-        rem, i, best, total = frame
-        while i < len(rem) and total <= NF_SLIDE_CAP:
-            moved = _slide_down(rem, i)
-            if moved is not None:
-                t, rest = moved
-                size = memo.get(rest)
-                if size is None:
-                    break  # count `rest` first, then slide layer i again
-                key = t if GEN_DOM[t[1]] else (t, _wire_end(rem, i))
-                if size > best.get(key, 0):
-                    total += size - best.get(key, 0)
-                    best[key] = size
-            i += 1
+    # 0-input boxes as (box, wire, group, rank): identical chains in one face
+    # share a group, and per gap only the best rank in a group is tried
+    movers = []
+    for b in srcs:
+        u = w = outs[b][0]
+        group = [state[3 * b + 2 : 3 * b + 4], right[u]]
+        while w in cons and len(ins[cons[w][0]]) == len(outs[cons[w][0]]) == 1:
+            group.append(state[3 * cons[w][0] + 2 : 3 * cons[w][0] + 4])
+            w = outs[cons[w][0]][0]
+        if w not in cons:
+            movers.append((b, u, tuple(group), top.index(w)))
         else:
-            memo[rem] = total
-            stack.pop()
-            if not stack:
-                return total
-            continue
-        frame[1], frame[3] = i, total
-        stack.append([rest, 0, {}, 0])
+            movers.append((b, u, (*group, None) if not outs[cons[w][0]] else b, -b))
 
-
-def _wire_end(rem, i):
-    """Where the first output wire of layer `i` of `rem` ends: its position
-    at the top, or (gen, lab, port) of the box it enters."""
-    p = rem[i][0]
-    for o, g, l in rem[i + 1 :]:
-        if p >= o + GEN_DOM[g]:
-            p += GEN_COD[g] - GEN_DOM[g]
-        elif p >= o:
-            return g, l, p - o
-    return p
-
-
-def _greedy_min(start):
-    """Frontier-greedy lexicographic extraction (fallback above the cap)."""
-    frontier = {start}
-    out = []
-    for _round in range(len(start)):
-        best = None
-        for rem in frontier:
-            for i in range(len(rem)):
-                moved = _slide_down(rem, i)
-                if moved is None:
+    stack = []
+    frontier = {(tuple(range(dom)), 0)}
+    dead = set()  # cuts known not to reach the top cut, however they go on
+    while len(stack) < n or top not in {cut for cut, _placed in frontier}:
+        moves = {}
+        for cut, placed in frontier if len(stack) < n else ():
+            for p, w in enumerate(cut):
+                b, k = cons.get(w, (0, 1))
+                if not k and cut[p : p + len(ins[b])] == ins[b]:
+                    nxt = cut[:p] + outs[b] + cut[p + len(ins[b]) :], placed | 1 << b
+                    moves.setdefault((p, *state[3 * b + 2 : 3 * b + 4]), set()).add(nxt)
+            best = {}
+            for b, u, group, rank in movers:
+                if placed >> b & 1:
                     continue
-                key, rest = moved
-                if best is None or key < best:
-                    best = key
-                    nxt = {rest}
-                elif key == best:
-                    nxt.add(rest)
-        out.append(best)
-        frontier = nxt
+                lo, hi = 0, len(cut)
+                for i, w in enumerate(cut):
+                    if i < hi and not fits(w, u):
+                        hi = i
+                    if not fits(u, w):
+                        lo = i + 1
+                for p in range(lo, hi + 1):
+                    face = right[cut[p - 1]] if p else left
+                    if face == right[u] and best.get((group, p), (rank - 1,))[0] < rank:
+                        best[group, p] = rank, b, u
+            for (_group, p), (_rank, b, u) in best.items():
+                nxt = cut[:p] + (u,) + cut[p:], placed | 1 << b
+                moves.setdefault((p, *state[3 * b + 2 : 3 * b + 4]), set()).add(nxt)
+        if dead:
+            moves = {key: live for key, nxt in moves.items() if (live := nxt - dead)}
+        if moves:
+            stack.append([sorted(moves.items()), 0])
+        else:  # a dead end: take the next key at the last choice that has one
+            dead |= frontier
+            while stack[-1][1] + 1 == len(stack[-1][0]):
+                stack.pop()
+                dead |= stack[-1][0][stack[-1][1]][1]
+            stack[-1][1] += 1
+        options, i = stack[-1]
+        frontier = options[i][1]
+    return (dom, *(x for options, i in stack for x in options[i][0]))
+
+
+def _root(parent, x):
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+def _leftmost_first(state, ins, outs, cons):
+    """The least member of a class without 0-input boxes: every wire comes
+    from the bottom, so placing the leftmost layer that fits never blocks
+    another, and after a placement at p the next one is at p - 1 or later."""
+    cut = list(range(state[0]))
+    out = [state[0]]
+    p = 0
+    while len(out) < len(state):
+        b, k = cons.get(cut[p], (0, 1))
+        if not k and tuple(cut[p : p + len(ins[b])]) == ins[b]:
+            cut[p : p + len(ins[b])] = outs[b]
+            out += (p, *state[3 * b + 2 : 3 * b + 4])
+            p = max(p - 1, 0)
+        else:
+            p += 1
     return tuple(out)
 
 

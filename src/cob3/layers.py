@@ -33,7 +33,6 @@ from cob3.terms import (
     _compose_type,
     fold,
     stack,
-    whisker,
 )
 
 __all__ = [
@@ -121,14 +120,27 @@ def state_widths(state: tuple) -> list[int]:
 
 
 def state_to_term(state: tuple) -> Term:
-    """Render a state as a term: a composition of whiskered slices."""
+    """Render a state as a term: a composition of whiskered slices.
+
+    The slices share their identity tensors, as `whisker` would build them,
+    so a wide state costs one term node per width, not one per wire of
+    every slice.
+    """
     if state == (0,):
         raise ValueError("the empty diagram has no term")
     widths = state_widths(state)
+    ids = [Gen("id")]  # ids[k - 1] is id_n(k)
+    while len(ids) < max(widths):
+        ids.append(Tensor(ids[0], ids[-1]))
     layers = []
     for i, (off, gen, lab) in enumerate(zip(state[1::3], state[2::3], state[3::3])):
         box = Gen(GEN_NAMES[gen], lab or None)
-        layers.append(whisker(box, off, widths[i] - off - GEN_DOM[gen]))
+        right = widths[i] - off - GEN_DOM[gen]
+        if right > 0:
+            box = Tensor(box, ids[right - 1])
+        if off > 0:
+            box = Tensor(ids[off - 1], box)
+        layers.append(box)
     return stack(layers, state[0])
 
 

@@ -100,6 +100,23 @@ def test_normalize_both_presentations(capsys):
     assert code3 == OK and out3.strip()
 
 
+# Two layerings of one 8-layer diagram, one legal interchange apart; the
+# diagram has 19 212 layerings.
+OVER_CAP_PAIR = (
+    "id * unit . pu(P) . tr . (tr * (unit . tr) . swap) . id * unit",
+    "id * unit . tr * id . id * pu(P) . unit . tr . tr * id . swap . id * unit",
+)
+
+
+def test_one_diagram_prints_one_G2_text(capsys):
+    texts = [
+        run(capsys, "normalize", term, "--presentation", "G2")
+        for term in OVER_CAP_PAIR
+    ]
+    assert texts[0] == texts[1]
+    assert texts[0][0] == OK
+
+
 def test_eval_prints_exact_entries(capsys, alg_file):
     code, out, _ = run(capsys, "eval", "tr . pe(P) . unit", "--algebra", alg_file)
     assert code == OK

@@ -9,8 +9,6 @@ Left out, each for a measured cost rather than a failure:
     quadratically with the primes on one piece and cubically with the
     width of a labelled tensor (2.5 MB in 2.7 s for a 1000-layer pe(P)
     chain, and in 2.8 s for a tensor of 80 pe(P));
-  * G2 on wide labelled tensors: nf's slide walk grows cubically there
-    until nf is exact;
   * eval on wide terms: it builds the whole map, and has no size guard
     yet;
   * rewrite-path between most pairs of different terms: --budget counts
@@ -36,6 +34,12 @@ LONG = [
     "(" * 5000 + "m" + ")" * 5000,
     " . ".join(["pe(P)"] * 3000),
     " * ".join(["id"] * 3000),
+]
+# wide tensors, for G2 only: 1000 labelled boxes side by side, and 30
+# floating units, whose 30! layerings are one diagram
+WIDE = [
+    " * ".join(["pe(P)"] * 1000),
+    " * ".join(["unit"] * 30),
 ]
 MALFORMED = [
     "(m . swap",
@@ -76,6 +80,8 @@ def calls(alg):
         yield ("eq", x, x)
         yield ("normalize", x, "--presentation", "G2")
         yield ("rewrite-path", x, x, *SEARCH)
+    for x in WIDE:
+        yield ("normalize", x, "--presentation", "G2")
     short = texts[:24] + MALFORMED
     for x, y in zip(short, short[1:]):
         yield ("eq", x, y)

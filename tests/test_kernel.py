@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cob3 import kernel as kp
-from cob3.kernel import NF_SLIDE_CAP
 from cob3.layers import GEN_COD, GEN_DOM, state_to_term, state_widths, term_to_state
 from cob3.rewrite import _entries, _rule_entries
 from cob3.terms import parse, print_term, random_term
-from test_layers import _layers, layered_states, slide_class
+from test_layers import ORACLE_CAP, _layers, layered_states, slide_class
 
 # hand-compiled rule sides (dom, then off/gen/lab per layer; lab "?p" is
 # a metavariable, "" no label)
@@ -224,20 +223,17 @@ def test_insertions_keep_the_lowest_placement_of_each_slide_class(state):
             (b, c) for b in range(len(widths)) for c in range(widths[b] - width + 1)
         ]
         assert kept == sorted({slid_down(state, b, c, width) for b, c in everywhere})
-        over_cap = False
         classes = {}
         for b, c in ref:
             low = slid_down(state, b, c, width)
             if low == (b, c):
                 continue
             if low not in classes:
-                classes[low] = slide_class(inserted(state, *low, rep), NF_SLIDE_CAP)
-            if len(classes[low]) > NF_SLIDE_CAP:
-                over_cap = True  # nf is not canonical there
-            else:
+                classes[low] = slide_class(inserted(state, *low, rep), ORACLE_CAP)
+            if len(classes[low]) <= ORACLE_CAP:
                 assert _layers(inserted(state, b, c, rep)) in classes[low]
-        if not over_cap:
-            assert first_positions(state, kept, rep) == first_positions(state, ref, rep)
+            assert kp.nf(inserted(state, b, c, rep)) == kp.nf(inserted(state, *low, rep))
+        assert first_positions(state, kept, rep) == first_positions(state, ref, rep)
 
 
 def test_successors_orders_by_entry():

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cob3 import kernel
-from cob3.kernel import NF_SLIDE_CAP
 from cob3.layers import (
     GEN_COD,
     GEN_DOM,
@@ -100,8 +99,11 @@ def test_nf_identity_states():
     assert kernel.nf(one) == one
 
 
-# The slide class as a graph of plain triple tuples: the reference that
-# kernel.nf's packed walk is checked against.
+# The slide class as a graph of plain triple tuples, walked breadth-first:
+# the reference that kernel.nf's search is checked against, on classes of
+# at most ORACLE_CAP members.
+
+ORACLE_CAP = 4096
 
 
 def _neighbours(seq):
@@ -164,20 +166,11 @@ def slide_class(state, cap):
 
 def class_min_oracle(state):
     """The least member of the state's slide class by a plain tuple BFS, or
-    None when the class has more than NF_SLIDE_CAP members."""
-    members = slide_class(state, NF_SLIDE_CAP)
-    if len(members) > NF_SLIDE_CAP:
+    None when the class has more than ORACLE_CAP members."""
+    members = slide_class(state, ORACLE_CAP)
+    if len(members) > ORACLE_CAP:
         return None
     return _flat(state[0], min(members))
-
-
-def greedy_fixpoint(state):
-    """nf's answer above the cap: `_greedy_min` from the start order,
-    repeated until it no longer lowers the order."""
-    cur = _layers(state)
-    while (nxt := kernel._greedy_min(cur)) < cur:
-        cur = nxt
-    return _flat(state[0], cur)
 
 
 @st.composite
@@ -212,78 +205,79 @@ def floating_states(draw):
     return tuple(out)
 
 
-# six distinct (gen, label) pairs (so three rank bits) at offsets past 256
+@st.composite
+def big_class_states(draw):
+    """A random state beside six boxes that touch none of its wires: a pe on
+    a wire of its own or a floating unit, each free to slide past every
+    other layer, so the slide class has at least 8!/2! = 20160 members."""
+    core = draw(st.one_of(layered_states(pads=(0,)), floating_states()))
+    extras = draw(st.lists(st.sampled_from((PE, UNIT)), min_size=6, max_size=6))
+    base = state_widths(core)[-1]  # the first wire of the pe boxes
+    width = base + extras.count(PE)
+    out = [core[0] + extras.count(PE), *core[1:]]
+    for g in extras:
+        if g == PE:
+            out += (base, PE, "P")
+            base += 1
+        else:
+            out += (width, UNIT, "")
+            width += 1
+    return tuple(out)
+
+
+# six distinct (gen, label) pairs at offsets past 256
 WIDE = (
     301, 300, 6, "Q", 300, 5, "?p", 301, 1, "", 300, 0, "", 299, 5, "P", 300, 2, ""
 )
-# Two classes over the cap: nf's size bound shows that the first is, so nf
-# skips the rest of its walk; on the second (4680 members) the bound stays
-# under the cap and the walk runs to the cap. Both end in the greedy fallback.
-OVER_CAP_BOUNDED = (
-    1, 0, 3, "", 0, 1, "", 1, 1, "", 2, 1, "", 1, 2, "", 0, 1, "", 1, 1, "", 2, 5, "P"
-)
-OVER_CAP_UNBOUNDED = (2, 0, 3, "", 0, 3, "", 0, 1, "", 0, 1, "", 1, 1, "", 0, 6, "P")
 # a unit, a pu and a unit, each starting a wire where a tr has just ended one
 TR_THEN_FLOATS = (1, 0, 3, "", 0, 1, "", 0, 3, "", 0, 6, "P", 0, 3, "", 0, 1, "")
-# two floating `unit . tr` scalars: the class has 5 members, and removing
-# either unit leaves remainders of one class, which must be counted once
+# two floating `unit . tr` scalars: the class has 5 members
 TWO_SCALARS = (0, 0, 1, "", 0, 3, "", 0, 1, "", 0, 3, "")
-
-
-@settings(max_examples=200, deadline=None)
-@given(layered_states())
-@example(WIDE)
-@example((0,) + (0, 1, "", 0, 6, "P", 1, 6, "Q") * 3)
-@example(OVER_CAP_BOUNDED)
-@example(OVER_CAP_UNBOUNDED)
-def test_nf_is_the_least_member_of_its_slide_class(state):
-    want = class_min_oracle(state)
-    if want is None:
-        want = greedy_fixpoint(state)
-    assert kernel.nf(state) == want
+# (class size, state) for two classes past the oracle's usual cap
+PAST_THE_CAP = [
+    (4680, (2, 0, 3, "", 0, 3, "", 0, 1, "", 0, 1, "", 1, 1, "", 0, 6, "P")),
+    (38640, (1, 0, 3, "", 0, 1, "", 1, 1, "", 2, 1, "", 1, 2, "", 0, 1, "", 1, 1, "", 2, 5, "P")),
+]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(layered_states(), floating_states()))
+@example(WIDE)
+@example((0,) + (0, 1, "", 0, 6, "P", 1, 6, "Q") * 3)
 @example(TR_THEN_FLOATS)
 @example(TWO_SCALARS)
-def test_class_size_bound_never_exceeds_the_class(state):
-    members = slide_class(state, NF_SLIDE_CAP)
-    if len(members) <= NF_SLIDE_CAP:
-        assert kernel._class_size_bound(_layers(state)) <= len(members)
+def test_nf_is_the_least_member_of_its_slide_class(state):
+    want = class_min_oracle(state)
+    if want is not None:
+        assert kernel.nf(state) == want
 
 
-def test_class_size_bound_puts_big_classes_over_the_cap():
-    assert kernel._class_size_bound(_layers(OVER_CAP_BOUNDED)) > NF_SLIDE_CAP
-    # the bound is not exact: this class has 4680 members
-    assert len(slide_class(OVER_CAP_UNBOUNDED, 5000)) == 4680
-    assert kernel._class_size_bound(_layers(OVER_CAP_UNBOUNDED)) <= NF_SLIDE_CAP
-    # the ten floats of test_nf_oversized_class_is_deterministic_and_idempotent
-    floats = ((0, UNIT, ""),) * 10
-    assert kernel._class_size_bound(floats) > NF_SLIDE_CAP
-    # 3000 layers deep, without Python recursion
-    wide = _layers(term_to_state(parse(" * ".join(["pe(P)"] * 3000))))
-    started = time.perf_counter()
-    assert kernel._class_size_bound(wide) > NF_SLIDE_CAP
-    assert time.perf_counter() - started < 1
+@pytest.mark.parametrize("size, state", PAST_THE_CAP)
+def test_nf_is_the_least_member_of_a_class_past_the_oracle_cap(size, state):
+    members = slide_class(state, size)
+    assert len(members) == size
+    assert kernel.nf(state) == _flat(state[0], min(members))
+
+
+@settings(max_examples=40, deadline=None)
+@given(big_class_states(), st.randoms(use_true_random=False))
+def test_nf_is_unchanged_by_slides_on_classes_far_over_the_oracle_cap(state, rng):
+    assert len(slide_class(state, ORACLE_CAP)) > ORACLE_CAP
+    want = kernel.nf(state)
+    assert kernel.nf(want) == want
+    for _ in range(3):
+        assert kernel.nf(legal_shuffle(state, rng, walk=60)) == want
 
 
 def test_nf_shuffle_agreement_and_idempotence():
     rng = random.Random(20260814)
-    checked = 0
     for _ in range(250):
         t = random_term(rng, max_gens=9)
         st = term_to_state(t)
         a = kernel.nf(st)
         assert kernel.nf(a) == a
         sh = legal_shuffle(st, rng)
-        b = kernel.nf(sh)
-        assert kernel.nf(b) == b
-        if len(slide_class(st, NF_SLIDE_CAP)) <= NF_SLIDE_CAP:
-            # the class fits under the cap: nf is an exact canonical form
-            assert a == b, (st, sh)
-            checked += 1
-    assert checked > 150
+        assert kernel.nf(sh) == a, (st, sh)
 
 
 def test_nf_y_junction_both_orders():
@@ -296,12 +290,12 @@ def test_nf_y_junction_both_orders():
 
 
 def test_nf_oversized_class_is_deterministic_and_idempotent():
-    # ten independent floats: the slide class is way past the cap
-    big = (0,) + tuple(x for i in range(10) for x in (0, 1, ""))
-    out = kernel.nf(big)
-    assert kernel.nf(out) == out
-    assert kernel.nf(big) == out
-    assert len(out) == len(big)
+    # ten floating units: 10! orders of one diagram, and the least one has
+    # every unit at column 0, each born left of the ones before it
+    least = (0,) + (0, UNIT, "") * 10
+    staircase = (0,) + tuple(x for i in range(10) for x in (i, UNIT, ""))
+    assert kernel.nf(staircase) == least
+    assert kernel.nf(least) == least
 
 
 def test_render_after_nf_round_trip():
