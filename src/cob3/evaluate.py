@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from cob3.cospan import LabelledCospan
-from cob3.frobenius import FrobeniusAlgebra
+from cob3.frobenius import FrobeniusAlgebra, character_on_block, idempotent_decomposition
 from cob3.linmap import LinearMap, scalar_to_fraction
 from cob3.terms import _LABEL_RE, fold, parse, typecheck
 
@@ -187,8 +187,6 @@ def closed_invariant(alg: FrobeniusAlgebra, manifold: str) -> Fraction:
 def closed_invariant_by_characters(alg: FrobeniusAlgebra, manifold: str) -> Fraction:
     """Character-sum form: sum over blocks of
     trace(idem) * prod chi(1_p) * chi(handle)^genus."""
-    from cob3.frobenius import character_on_block, idempotent_decomposition
-
     genus, primes = parse_manifold(manifold)
     dec = idempotent_decomposition(alg)
     handle = alg.handle_element()

@@ -406,28 +406,6 @@ class IdempotentDecomposition:
         return len(self.idempotents)
 
 
-def _char_poly(m):
-    """Faddeev-LeVerrier: coefficients [1, c1, ..., cn] of det(xI - M)."""
-    n = len(m)
-    coeffs = [Fraction(1)]
-    mk = [row[:] for row in m]
-    for k in range(1, n + 1):
-        ck = -sum(mk[i][i] for i in range(n)) / k
-        coeffs.append(ck)
-        if k == n:
-            break
-        for i in range(n):
-            mk[i][i] += ck
-        mk = [
-            [
-                sum((m[i][s] * mk[s][j] for s in range(n)), Fraction(0))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    return coeffs
-
-
 def _horner(poly, x):
     acc = 0
     for c in poly:
@@ -492,20 +470,37 @@ def _rational_roots(coeffs):
     return sorted(roots)
 
 
+def _min_poly(alg: FrobeniusAlgebra, x):
+    """Coefficients [1, c1, ..., ck] of the minimal polynomial of x.
+
+    The powers 1, x, x^2, ... are the columns of a matrix. The first one that
+    is not a pivot column lies in the span of the earlier ones, and its
+    reduced column holds their coefficients.
+    """
+    powers = [alg.unit]
+    while True:
+        k = len(powers) - 1
+        m = [list(row) for row in zip(*powers)]
+        if len(_rref(m, k + 1)) == k:
+            return [Fraction(1)] + [-m[j][k] for j in reversed(range(k))]
+        powers.append(alg.multiply(powers[-1], x))
+
+
 def idempotent_decomposition(alg: FrobeniusAlgebra) -> IdempotentDecomposition:
     """Split the algebra into one-dimensional blocks over Q.
 
-    An element x separates the blocks when multiplication by x has dim
-    distinct rational eigenvalues; the idempotent of the eigenvalue l is then
-    the product over the other eigenvalues m of (x - m) / (l - m). The
-    candidates are x = sum_k c^k e_k for c = 0, 1, ...: two distinct
-    characters agree at fewer than dim values of c, so one of the first
+    The eigenvalues of an element x are the roots of its minimal polynomial,
+    and x separates the blocks when that polynomial has dim distinct rational
+    roots; the idempotent of the eigenvalue l is then the product over the
+    other eigenvalues m of (x - m) / (l - m). The candidates are
+    x = sum_k c^k e_k for c = 0, 1, ...: two distinct characters agree at
+    fewer than dim values of c, so one of the first
     1 + (dim - 1) * dim * (dim - 1) / 2 candidates separates a split algebra.
     Raises NotScalarOnBlock at once when the algebra is not semisimple, that
     is when it has a nonzero nilpotent element: over Q these elements are
     the kernel of the regular trace form t(ab), t(a) = Tr(L_a), a form
-    unrelated to the algebra's own trace. Raises it later on an irrational
-    eigenvalue.
+    unrelated to the algebra's own trace: a nilpotent element would give x a
+    repeated root. Raises it later on an irrational eigenvalue.
     """
     d, mul, S = alg.dim, alg.mul, range(alg.dim)
     t = [_total(mul[k][i][k] for k in S) for i in S]
@@ -516,18 +511,12 @@ def idempotent_decomposition(alg: FrobeniusAlgebra) -> IdempotentDecomposition:
         )
     for c in range(1 + (d - 1) * d * (d - 1) // 2):
         x = tuple(Fraction(c**k) for k in S)
-        endo = alg.element_map(x).entries
-        lx = [[endo.get((k, i), Fraction(0)) for i in S] for k in S]
-        roots = _rational_roots(_char_poly(lx))
+        poly = _min_poly(alg, x)
+        roots = _rational_roots(poly)
+        if len(roots) < len(poly) - 1:
+            raise NotScalarOnBlock("an eigenvalue is irrational: no split over Q")
         if len(roots) == d:
             break
-        # x is semisimple, so the product of x - r over its rational
-        # eigenvalues r vanishes iff it has no irrational one
-        y = alg.unit
-        for r in roots:
-            y = alg.multiply(y, [a - r * u for a, u in zip(x, alg.unit)])
-        if any(y):
-            raise NotScalarOnBlock("an eigenvalue is irrational: no split over Q")
     else:
         raise NotScalarOnBlock("no element separates the blocks")
     idems = []
@@ -556,7 +545,10 @@ def character_on_block(alg: FrobeniusAlgebra, idem, element) -> Fraction:
 
 
 def diagonal_algebra(thetas, primes=None) -> FrobeniusAlgebra:
-    """Product of lines e_i e_j = delta_ij e_i with trace weights theta."""
+    """Product of lines e_i e_j = delta_ij e_i with trace weights theta.
+
+    The trace pairing gives it the comul e_i -> e_i (x) e_i / theta_i.
+    """
     th = [scalar_to_fraction(t) for t in thetas]
     d = len(th)
     if any(t == 0 for t in th):
@@ -566,14 +558,7 @@ def diagonal_algebra(thetas, primes=None) -> FrobeniusAlgebra:
         for k in range(d)
     ]
     unit = [Fraction(1)] * d
-    comul = [
-        [
-            [Fraction(1, 1) / th[i] if i == j == k else Fraction(0) for k in range(d)]
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    return FrobeniusAlgebra(d, mul, unit, th, comul, primes)
+    return FrobeniusAlgebra(d, mul, unit, th, None, primes)
 
 
 def hadamard_algebra(primes=None) -> FrobeniusAlgebra:
@@ -594,17 +579,12 @@ def conjugate_algebra(alg: FrobeniusAlgebra, p) -> FrobeniusAlgebra:
     if pinv is None:
         raise ShapeError("change of basis is singular")
 
-    def to_old(v):
-        return tuple(
-            sum((pm[i][j] * v[j] for j in range(d)), Fraction(0)) for i in range(d)
-        )
-
     def to_new(v):
         return tuple(
             sum((pinv[i][j] * v[j] for j in range(d)), Fraction(0)) for i in range(d)
         )
 
-    basis_old = [to_old(tuple(Fraction(int(i == j)) for j in range(d))) for i in range(d)]
+    basis_old = list(zip(*pm))
     mul = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
     for i in range(d):
         for j in range(d):

@@ -5,7 +5,7 @@ single generator whiskered by identity wires. Two terms denote the same
 diagram exactly when they differ by associativity/unit laws of "." and "*"
 and by the interchange law — the structural congruence of a strict monoidal
 category. This module converts terms to and from a flat layer encoding and
-exposes the canonical (slide-sorted) representative computed by the kernel.
+compares diagrams by the kernel's canonical (slide-sorted) representative.
 The generator codes and arities below are the one table every consumer of
 the encoding (kernel, cospan, evaluator, rule compiler) reads.
 
@@ -50,7 +50,6 @@ __all__ = [
     "term_to_state",
     "state_to_term",
     "state_widths",
-    "canonical_state",
     "diagram_equal",
 ]
 
@@ -144,16 +143,8 @@ def state_to_term(state: tuple) -> Term:
     return stack(layers, state[0])
 
 
-def canonical_state(term_or_state) -> tuple:
-    """Slide-sorted canonical representative of a term's diagram."""
-    from cob3.kernel import nf
-
-    state = term_or_state
-    if isinstance(state, Term):
-        state = term_to_state(state)
-    return nf(state)
-
-
 def diagram_equal(a: Term, b: Term) -> bool:
     """Equality modulo the structural congruence (not the full invariant)."""
-    return canonical_state(a) == canonical_state(b)
+    from cob3.kernel import nf
+
+    return nf(term_to_state(a)) == nf(term_to_state(b))

@@ -25,6 +25,7 @@ from cob3 import (
 from cob3.frobenius import (
     ShapeError,
     Violation,
+    _min_poly,
     _rational_roots,
     derive_comul,
     random_labelled_algebra,
@@ -55,10 +56,14 @@ def test_handle_element_of_unnormalized_trace():
 
 
 def test_derived_comul_matches_diagonal_formula():
-    alg = diagonal_algebra([3, 5])
-    cm = derive_comul(alg.mul, alg.trace, 2)
-    assert cm[0][0][0] == F(1, 3) and cm[1][1][1] == F(1, 5)
-    assert cm[0][0][1] == 0 and cm[0][1][0] == 0
+    # comul(e_i) = e_i (x) e_i / theta_i, and nothing else
+    for thetas in [(3, 5), (-1, F(4, 3), 7)]:
+        alg = diagonal_algebra(thetas)
+        d = len(thetas)
+        for i, j, k in product(range(d), repeat=3):
+            want = 1 / F(thetas[i]) if i == j == k else 0
+            assert alg.comul[i][j][k] == want, (thetas, i, j, k)
+        assert derive_comul(alg.mul, alg.trace, d) == alg.comul
 
 
 def test_degenerate_pairing_is_refused():
@@ -232,6 +237,14 @@ def test_non_split_algebras_are_refused_fast(square, trace):
     with pytest.raises(NotScalarOnBlock):
         idempotent_decomposition(alg)
     assert time.perf_counter() - start < 1.0
+
+
+def test_min_poly_of_diagonal_elements():
+    alg = hadamard_algebra()
+    assert _min_poly(alg, alg.unit) == [1, -1]
+    assert _min_poly(alg, alg.primes["P"]) == [1, -5, 6]
+    # a repeated eigenvalue: degree 2, below dim 3
+    assert _min_poly(diagonal_algebra([1, 1, 2]), (1, 1, 2)) == [1, -3, 2]
 
 
 def _poly_mul(a, b):
