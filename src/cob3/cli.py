@@ -46,6 +46,8 @@ from cob3.rewrite import (
 from cob3.terms import TermTypeError, parse, print_term
 
 OK, DIFFER, USAGE, ALGBAD, INTERNAL = 0, 1, 2, 3, 4
+# `eval` refuses a term whose map may have more entries than this
+EVAL_MAX_ENTRIES = 2**18
 
 
 class _AlgebraFails(Exception):
@@ -116,7 +118,7 @@ def _cmd_normalize(args):
 
 def _cmd_eval(args):
     alg = _checked_algebra(args.algebra)
-    m = eval_term(parse(args.term), alg)
+    m = eval_term(parse(args.term), alg, max_entries=EVAL_MAX_ENTRIES)
     lines = [f"dom_arity: {m.dom_arity}", f"cod_arity: {m.cod_arity}", f"d: {m.d}"]
     ents = sorted((k, v) for k, v in m.entries.items() if v != 0)
     lines += [f"({r},{c}) = {fraction_to_scalar(v)}" for (r, c), v in ents]

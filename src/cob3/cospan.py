@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .layers import COMUL, M, PU, SWAP, TR, UNIT, term_to_state
+from .layers import COMUL, TR, piece_ports, sweep, term_to_state
 from .terms import Term
 
 __all__ = [
@@ -74,57 +74,24 @@ def _canonical(dom: int, cod: int, comps) -> LabelledCospan:
 def cospan_of_term(term: Term) -> LabelledCospan:
     """The canonical cospan a well-typed term denotes.
 
-    One pass over the term's layers keeps a union-find over pieces and the
-    piece on each wire. Input spheres and births start pieces; a merge unites
-    the pieces of its two wires, and when both already lie on one piece the
-    merge closes a cycle, adding one S2 x S1 summand to that piece.
+    `sweep` gives each wire and layer its piece. A piece's primes are its
+    layers' labels, and its genus is #comul - #tr - #outputs + 1: its Euler
+    characteristic 2 - 2 genus - #ports is #unit + #pu + #tr - #m - #comul,
+    and #m is #inputs + #comul + #unit + #pu - #tr - #outputs.
     """
     state = term_to_state(term)
-    dom = state[0]
-    parent = list(range(dom))
-    genus = [0] * dom
-    primes: list[list[str]] = [[] for _ in range(dom)]
-    wires = list(range(dom))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in range(1, len(state), 3):
-        off, gen, lab = state[p], state[p + 1], state[p + 2]
-        if gen == M:
-            a, b = find(wires[off]), find(wires.pop(off + 1))
-            if a == b:
-                genus[a] += 1
-            else:
-                parent[b] = a
-                genus[a] += genus[b]
-                primes[a] += primes[b]
-        elif gen == UNIT or gen == PU:
-            wires.insert(off, len(parent))
-            parent.append(len(parent))
-            genus.append(0)
-            primes.append([lab] if gen == PU else [])
-        elif gen == COMUL:
-            wires.insert(off, wires[off])
+    n, bottom, layers, top = sweep(state)
+    ins, outs = piece_ports(n, bottom), piece_ports(n, top)
+    genus = [1 - len(ports) for ports in outs]
+    primes = [[] for _ in range(n)]
+    for x, gen, lab in zip(layers, state[2::3], state[3::3]):
+        if gen == COMUL:
+            genus[x] += 1
         elif gen == TR:
-            del wires[off]
-        elif gen == SWAP:
-            wires[off], wires[off + 1] = wires[off + 1], wires[off]
-        else:  # PE
-            primes[find(wires[off])].append(lab)
-
-    ins = {x: [] for x in range(len(parent)) if parent[x] == x}
-    outs = {x: [] for x in ins}
-    for i in range(dom):
-        ins[find(i)].append(i)
-    for j, x in enumerate(wires):
-        outs[find(x)].append(j)
-    return _canonical(
-        dom, len(wires), [(ins[r], outs[r], genus[r], primes[r]) for r in ins]
-    )
+            genus[x] -= 1
+        elif lab:
+            primes[x].append(lab)
+    return _canonical(state[0], len(top), zip(ins, outs, genus, primes))
 
 
 def terms_equal(a: Term, b: Term) -> bool:

@@ -1,30 +1,31 @@
 """Evaluation of diagrams in a commutative Frobenius algebra.
 
-Both evaluators read the generator maps the algebra holds, scaled-int
-`LinearMap`s built once with the algebra. `eval_term` is the term functor:
-it composes and tensors these maps as the term says, with
-`LinearMap.compose` for `.` and `LinearMap.tensor` for `*`. `eval_semantic`
-instead reads the glued surface. It evaluates each connected component as
-(b-fold comul) . (multiplication by z) . (a-fold mul), composed from the
-same maps, where z = handle^genus times the component's prime elements is an
-algebra element with Fraction coordinates. It then places each component's
-rows and columns at their global wire positions and multiplies the components
-together. The two agree on every well-typed term; that agreement is the
-whole point of the invariant.
+A 2D TQFT is a symmetric monoidal functor, so a diagram's map is the tensor
+product of its connected pieces' maps, placed at their boundary wires by
+`_placed`. `eval_term` walks each piece of `layers.sweep` on its own: an int
+accumulator over the piece's wires starts from the identity on its inputs
+(the scalar 1 for a piece born from units), each layer applies the algebra's
+generator map at its offset among the piece's wires, and a `swap` between
+two pieces only reorders them. `eval_semantic` reads each glued component's
+map from the algebra's kept `surface_map`s. The two agree on every
+well-typed term; that agreement is the whole point of the invariant. Past
+`max_entries`, `eval_term` raises `MapTooLarge` before any arithmetic.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from cob3.cospan import LabelledCospan
 from cob3.frobenius import FrobeniusAlgebra, character_on_block, idempotent_decomposition
+from cob3.layers import GEN_COD, GEN_DOM, GEN_NAMES, SWAP, piece_ports, sweep, term_to_state
 from cob3.linmap import LinearMap, scalar_to_fraction
-from cob3.terms import _LABEL_RE, fold, parse, typecheck
+from cob3.terms import _LABEL_RE, fold, parse
 
 __all__ = [
+    "MapTooLarge",
     "eval_term",
     "eval_with_endo_override",
     "eval_semantic",
@@ -32,6 +33,10 @@ __all__ = [
     "closed_invariant",
     "closed_invariant_by_characters",
 ]
+
+
+class MapTooLarge(ValueError):
+    """A map may have more entries than the caller allows."""
 
 
 def _override_map(d: int, label: str, m) -> LinearMap:
@@ -44,26 +49,83 @@ def _override_map(d: int, label: str, m) -> LinearMap:
 
 
 def eval_term(
-    term, alg: FrobeniusAlgebra, overrides: Optional[dict] = None
+    term,
+    alg: FrobeniusAlgebra,
+    overrides: Optional[dict] = None,
+    max_entries: Optional[int] = None,
 ) -> LinearMap:
     """The linear map of a term (parse strings on the fly).
 
     The term is typechecked first, so an ill-typed term raises what
-    `typecheck` raises before any generator is evaluated. overrides[label],
-    when given, replaces the matrix of pe(label).
+    `typecheck` raises before any generator is looked up; the first unknown
+    label in printed order comes next. overrides[label], when given,
+    replaces the matrix of pe(label). With max_entries set, a term whose
+    output or one of whose piece accumulators may have more entries (see
+    `_check_size`) raises MapTooLarge before any arithmetic.
     """
     if isinstance(term, str):
         term = parse(term)
-    typecheck(term)
+    state = term_to_state(term)
+    d, codes, labels = alg.dim, state[2::3], state[3::3]
 
-    def gen(node):
-        if node.name == "pe" and overrides and node.label in overrides:
-            return _override_map(alg.dim, node.label, overrides[node.label])
-        return alg.generator(node.name, node.label)
+    def gen(name, label):
+        if name == "pe" and overrides and label in overrides:
+            return _override_map(d, label, overrides[label])
+        return alg.generator(name, label)
 
-    return fold(
-        term, gen, lambda _node, f, g: f.compose(g), lambda _node, l, r: l.tensor(r)
-    )
+    try:
+        maps = {k: gen(GEN_NAMES[k[0]], k[1] or None) for k in set(zip(codes, labels))}
+    except (KeyError, ValueError, TypeError):  # an unknown label or a bad override
+        # the layers meet labels bottom-up: raise for the first in printed order
+        fold(term, lambda node: gen(node.name, node.label), _skip, _skip)
+        raise
+    n, bottom, pieces, top = sweep(state)
+    ins, outs = piece_ports(n, bottom), piece_ports(n, top)
+    if max_entries is not None:
+        _check_size(d, pieces, codes, ins, outs, max_entries)
+    widths = [len(ports) for ports in ins]
+    accs = [{(i, i): 1 for i in range(d**w)} for w in widths]
+    dens = [1] * n
+    wires = list(bottom)  # the piece of each current wire
+    for p, off, g, lab in zip(pieces, state[1::3], codes, labels):
+        if g == SWAP and wires[off] != wires[off + 1]:
+            wires[off], wires[off + 1] = wires[off + 1], wires[off]
+            continue
+        # the generator's block in row = hi*span + mid*lo + rest goes to each
+        # image r of mid, so the row becomes hi*step + r*lo + rest
+        a, b, m, out = GEN_DOM[g], GEN_COD[g], maps[g, lab], {}
+        lo = d ** (widths[p] - wires[:off].count(p) - a)
+        span, step, columns = d**a * lo, d**b * lo, m.columns
+        for (row, col), u in accs[p].items():
+            hi, rest = divmod(row, span)
+            mid, rest = divmod(rest, lo)
+            for r, v in columns.get(mid, ()):
+                key = (hi * step + r * lo + rest, col)
+                out[key] = out.get(key, 0) + u * v
+        accs[p] = out
+        dens[p] *= m.den
+        widths[p] += b - a
+        wires[off : off + a] = [p] * b
+    return _placed(d, state[0], len(top), zip(ins, outs, dens, accs))
+
+
+def _check_size(d, pieces, codes, ins, outs, max_entries) -> None:
+    """Raise MapTooLarge unless the output, at most d per bare wire times
+    d**(inputs + outputs) per other piece, and each piece's widest
+    accumulator, d**(inputs + widest cut), fit in max_entries."""
+    widths, busy, e = [len(ports) for ports in ins], set(), 0
+    for p, g in zip(pieces, codes):
+        if g != SWAP:
+            busy.add(p)
+        widths[p] += GEN_COD[g] - GEN_DOM[g]
+        e = max(e, len(ins[p]) + widths[p])
+    e = max(e, sum(len(ins[p]) + len(outs[p]) if p in busy else 1 for p in range(len(ins))))
+    if d**e > max_entries:
+        raise MapTooLarge(f"the map may take {d}**{e} entries, over the limit of {max_entries}")
+
+
+def _skip(*_):
+    return None
 
 
 def eval_with_endo_override(term, alg: FrobeniusAlgebra, overrides: dict) -> LinearMap:
@@ -73,40 +135,6 @@ def eval_with_endo_override(term, alg: FrobeniusAlgebra, overrides: dict) -> Lin
     the algebra's own elements.
     """
     return eval_term(term, alg, overrides)
-
-
-def _power(alg: FrobeniusAlgebra, x, n: int):
-    """x**n for n >= 1, by repeated squaring."""
-    out = None
-    while True:
-        if n & 1:
-            out = x if out is None else alg.multiply(out, x)
-        n >>= 1
-        if not n:
-            return out
-        x = alg.multiply(x, x)
-
-
-def _surface_element(alg: FrobeniusAlgebra, genus: int, primes):
-    """handle^genus times the prime elements: what a surface multiplies by."""
-    z = _power(alg, alg.handle_element(), genus) if genus else alg.unit
-    for p in primes:
-        z = alg.multiply(alg.prime(p), z)
-    return z
-
-
-def _component_map(alg: FrobeniusAlgebra, a, b, genus, primes) -> LinearMap:
-    """(b-fold comul) . (multiplication by z) . (a-fold mul), with z the
-    surface element; a 0-fold mul is the unit and a 0-fold comul the trace."""
-    g, ident = alg.generator, alg.generator("id")
-    mul = g("unit") if a == 0 else ident
-    for _ in range(a - 1):
-        mul = g("m").compose(mul.tensor(ident))
-    comul = g("tr") if b == 0 else ident
-    for _ in range(b - 1):
-        comul = comul.tensor(ident).compose(g("comul"))
-    z = alg.element_map(_surface_element(alg, genus, primes))
-    return comul.compose(z).compose(mul)
 
 
 def _place_values(ports, width, d):
@@ -119,31 +147,32 @@ def _place_values(ports, width, d):
     return out
 
 
-def eval_semantic(cospan: LabelledCospan, alg: FrobeniusAlgebra) -> LinearMap:
-    """Evaluate a glued surface componentwise and wire up its boundary.
-
-    Components own disjoint boundary wires, so the map is the product of the
-    component maps: each component entry is moved to its global row and
-    column through per-port place values and multiplied into the result.
-    """
-    d = alg.dim
-    dom, cod = cospan.dom, cospan.cod
+def _placed(d: int, dom: int, cod: int, pieces) -> LinearMap:
+    """The product of pieces' maps, given as (in_ports, out_ports, den,
+    nums): pieces own disjoint boundary wires, so each entry is moved to its
+    global row and column through per-port place values and multiplied in."""
     den = 1
-    acc: Dict[Tuple[int, int], int] = {(0, 0): 1}
-    for comp in cospan.components:
-        m = _component_map(
-            alg, len(comp.in_ports), len(comp.out_ports), comp.genus, comp.primes
-        )
-        rows = _place_values(comp.out_ports, cod, d)
-        cols = _place_values(comp.in_ports, dom, d)
-        moved = [(rows[r], cols[c], v) for (r, c), v in m.nums.items()]
+    acc = {(0, 0): 1}
+    for ins, outs, pden, nums in pieces:
+        rows = _place_values(outs, cod, d)
+        cols = _place_values(ins, dom, d)
+        moved = [(rows[r], cols[c], v) for (r, c), v in nums.items()]
         acc = {
             (gr + r, gc + c): u * v
             for (gr, gc), u in acc.items()
             for r, c, v in moved
         }
-        den *= m.den
+        den *= pden
     return LinearMap._from_ints(dom, cod, d, den, acc)
+
+
+def eval_semantic(cospan: LabelledCospan, alg: FrobeniusAlgebra) -> LinearMap:
+    """Evaluate a glued surface componentwise and wire up its boundary."""
+    pieces = []
+    for c in cospan.components:
+        m = alg.surface_map(len(c.in_ports), len(c.out_ports), c.genus, c.primes)
+        pieces.append((c.in_ports, c.out_ports, m.den, m.nums))
+    return _placed(alg.dim, cospan.dom, cospan.cod, pieces)
 
 
 # -- closed manifolds ----------------------------------------------------------
@@ -181,7 +210,7 @@ def parse_manifold(text: str) -> Tuple[int, Tuple[str, ...]]:
 def closed_invariant(alg: FrobeniusAlgebra, manifold: str) -> Fraction:
     """trace(prime elements * handle^genus * 1), evaluated as a diagram."""
     genus, primes = parse_manifold(manifold)
-    return alg.trace_of(_surface_element(alg, genus, primes))
+    return alg.trace_of(alg.surface_element(genus, primes))
 
 
 def closed_invariant_by_characters(alg: FrobeniusAlgebra, manifold: str) -> Fraction:

@@ -163,6 +163,7 @@ class FrobeniusAlgebra:
         for label, vec in self.primes.items():
             self._generators["pu", label] = _vector_map(vec)
             self._generators["pe", label] = self.element_map(vec)
+        self._surfaces: Dict[tuple, LinearMap] = {}
 
     def generator(self, name: str, label: Optional[str] = None) -> LinearMap:
         """The map of a generator; pe and pu take the label of a prime."""
@@ -207,6 +208,37 @@ class FrobeniusAlgebra:
         g = self.generator
         col = g("m").compose(g("comul")).compose(g("unit")).entries
         return tuple(col.get((i, 0), Fraction(0)) for i in range(self.dim))
+
+    def surface_element(self, genus: int, primes=()) -> Tuple[Fraction, ...]:
+        """handle^genus times the prime elements: what a surface multiplies by."""
+        z = self.unit
+        if genus:
+            x = self.handle_element()
+            for bit in bin(genus)[2:]:  # handle^genus by repeated squaring
+                z = self.multiply(z, z)
+                if bit == "1":
+                    z = self.multiply(z, x)
+        for p in primes:
+            z = self.multiply(self.prime(p), z)
+        return z
+
+    def surface_map(self, a: int, b: int, genus: int = 0, primes=()) -> LinearMap:
+        """The map of a connected surface with a inputs and b outputs:
+        (b-fold comul) . (multiplication by the surface element) . (a-fold
+        mul), where a 0-fold mul is the unit and a 0-fold comul the trace.
+        Built on first use and kept."""
+        key = (a, b, genus, tuple(primes))
+        if key not in self._surfaces:
+            g, ident = self.generator, self.generator("id")
+            mul = g("unit") if a == 0 else ident
+            for _ in range(a - 1):
+                mul = g("m").compose(mul.tensor(ident))
+            comul = g("tr") if b == 0 else ident
+            for _ in range(b - 1):
+                comul = comul.tensor(ident).compose(g("comul"))
+            z = self.element_map(self.surface_element(genus, primes))
+            self._surfaces[key] = comul.compose(z).compose(mul)
+        return self._surfaces[key]
 
     # -- axiom verification ------------------------------------------------
 

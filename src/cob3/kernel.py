@@ -31,7 +31,7 @@ adjacent, give one slide class: only the lowest of them is built.
 
 from __future__ import annotations
 
-from cob3.layers import GEN_COD, GEN_DOM, state_widths
+from cob3.layers import GEN_COD, GEN_DOM, _root, state_widths
 
 KERNEL = "python"
 
@@ -213,12 +213,6 @@ def _least(state):
         options, i = stack[-1]
         frontier = options[i][1]
     return (dom, *(x for options, i in stack for x in options[i][0]))
-
-
-def _root(parent, x):
-    while parent[x] != x:
-        x = parent[x]
-    return x
 
 
 def _leftmost_first(state, ins, outs, cons):

@@ -4,8 +4,8 @@ A term denotes a planar diagram: generators stacked in layers, each layer a
 single generator whiskered by identity wires. Two terms denote the same
 diagram exactly when they differ by associativity/unit laws of "." and "*"
 and by the interchange law — the structural congruence of a strict monoidal
-category. This module converts terms to and from a flat layer encoding and
-compares diagrams by the kernel's canonical (slide-sorted) representative.
+category. This module converts terms to and from a flat layer encoding, finds
+its pieces, and compares diagrams by the kernel's slide-sorted representative.
 The generator codes and arities below are the one table every consumer of
 the encoding (kernel, cospan, evaluator, rule compiler) reads.
 
@@ -50,6 +50,8 @@ __all__ = [
     "term_to_state",
     "state_to_term",
     "state_widths",
+    "sweep",
+    "piece_ports",
     "diagram_equal",
 ]
 
@@ -116,6 +118,57 @@ def state_widths(state: tuple) -> list[int]:
         w += GEN_COD[gen] - GEN_DOM[gen]
         widths.append(w)
     return widths
+
+
+def sweep(state: tuple):
+    """The connected pieces of a state's diagram: (n, bottom, layers, top),
+    the number of pieces and the piece of each bottom wire, layer and top
+    wire, numbered in the order the pieces start. One pass keeps a
+    union-find over the pieces on the wires: bottom wires and births start
+    pieces, `m` unites two, and any other box stays on its left wire's."""
+    dom = state[0]
+    parent = list(range(dom))  # parent[x] <= x, so a root is its set's least
+    wires, at = list(range(dom)), []  # at: the node each layer sits on
+    for off, gen in zip(state[1::3], state[2::3]):
+        if gen == UNIT or gen == PU:
+            x = len(parent)
+            parent.append(x)
+            wires.insert(off, x)
+        else:
+            x = wires[off]
+            if gen == M:
+                a, b = _root(parent, x), _root(parent, wires.pop(off + 1))
+                if a < b:
+                    parent[b] = a
+                else:
+                    parent[a] = b
+            elif gen == COMUL:
+                wires.insert(off, x)
+            elif gen == TR:
+                del wires[off]
+            elif gen == SWAP:
+                wires[off], wires[off + 1] = wires[off + 1], x
+        at.append(x)
+    piece, n = [], 0
+    for x, up in enumerate(parent):  # up < x, or x is a root
+        piece.append(n if up == x else piece[up])
+        n += up == x
+    return n, piece[:dom], [piece[x] for x in at], [piece[x] for x in wires]
+
+
+def _root(parent: list, x: int) -> int:
+    """The root of x in a union-find kept as a list of parents."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]  # halve the path
+    return x
+
+
+def piece_ports(n: int, pieces: list) -> list:
+    """The wire positions of each of n pieces, given the piece of each wire."""
+    ports = [[] for _ in range(n)]
+    for i, p in enumerate(pieces):
+        ports[p].append(i)
+    return ports
 
 
 def state_to_term(state: tuple) -> Term:

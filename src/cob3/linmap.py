@@ -100,6 +100,14 @@ class LinearMap:
         den = self.den
         return {k: Fraction(v, den) for k, v in self.nums.items()}
 
+    @cached_property
+    def columns(self) -> Dict[int, list]:
+        """The nonzero numerators by column: {col: [(row, num), ...]}."""
+        by_col: Dict[int, list] = {}
+        for (r, c), v in self.nums.items():
+            by_col.setdefault(c, []).append((r, v))
+        return by_col
+
     @property
     def rows(self) -> int:
         return self.d ** self.cod_arity
@@ -127,9 +135,7 @@ class LinearMap:
             raise ValueError(
                 f"arity mismatch: composing {self.dom_arity} <- {other.cod_arity}"
             )
-        by_col: Dict[int, list] = {}
-        for (r, c), v in self.nums.items():
-            by_col.setdefault(c, []).append((r, v))
+        by_col = self.columns
         out: Dict[Tuple[int, int], int] = {}
         for (m, c), v in other.nums.items():
             for r, w in by_col.get(m, ()):

@@ -25,7 +25,7 @@ from cob3 import (
     typecheck,
 )
 from cob3.layers import term_to_state
-from cob3.cli import ALGBAD, DIFFER, INTERNAL, OK, USAGE, build_parser, main
+from cob3.cli import ALGBAD, DIFFER, EVAL_MAX_ENTRIES, INTERNAL, OK, USAGE, build_parser, main
 from cob3.rewrite import RULE_SETS
 
 
@@ -139,6 +139,15 @@ def test_eval_malformed_json_is_usage(capsys, tmp_path):
     code, _, err = run(capsys, "eval", "m", "--algebra", str(bad))
     assert code == USAGE
     assert "JSON" in err
+
+
+def test_eval_refuses_a_map_past_its_size_limit(capsys, alg_file):
+    wide = " * ".join(["id"] * 40)
+    started = time.perf_counter()
+    code, out, err = run(capsys, "eval", wide, "--algebra", alg_file)
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (USAGE, "")
+    assert err == f"error: the map may take 2**40 entries, over the limit of {EVAL_MAX_ENTRIES}\n"
 
 
 def test_invariant_values(capsys, alg_file):

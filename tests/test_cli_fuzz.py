@@ -9,8 +9,6 @@ Left out, each for a measured cost rather than a failure:
     quadratically with the primes on one piece and cubically with the
     width of a labelled tensor (2.5 MB in 2.7 s for a 1000-layer pe(P)
     chain, and in 2.8 s for a tensor of 80 pe(P));
-  * eval on wide terms: it builds the whole map, and has no size guard
-    yet;
   * rewrite-path between most pairs of different terms: --budget counts
     stored states, but every successor of an expanded state is built
     before it is checked. At --budget 100, a search from a random term of
@@ -35,11 +33,14 @@ LONG = [
     " . ".join(["pe(P)"] * 3000),
     " * ".join(["id"] * 3000),
 ]
-# wide tensors, for G2 only: 1000 labelled boxes side by side, and 30
-# floating units, whose 30! layerings are one diagram
+# wide tensors, for G2 and eval: 1000 labelled boxes side by side, 30
+# floating units, whose 30! layerings are one diagram, and identity-heavy
+# terms whose maps are past eval's size limit, or exactly at it
 WIDE = [
     " * ".join(["pe(P)"] * 1000),
     " * ".join(["unit"] * 30),
+    " * ".join(["id"] * 39 + ["(m . comul)"]),
+    " * ".join(["id"] * 16 + ["pe(P)"]),
 ]
 MALFORMED = [
     "(m . swap",
@@ -80,14 +81,15 @@ def calls(alg):
         yield ("eq", x, x)
         yield ("normalize", x, "--presentation", "G2")
         yield ("rewrite-path", x, x, *SEARCH)
+        yield ("eval", x, "--algebra", alg)
     for x in WIDE:
         yield ("normalize", x, "--presentation", "G2")
+        yield ("eval", x, "--algebra", alg)
     short = texts[:24] + MALFORMED
     for x, y in zip(short, short[1:]):
         yield ("eq", x, y)
         yield ("rewrite-path", x, y, *SEARCH)
         yield ("normalize", x)
-        yield ("eval", x, "--algebra", alg)
 
 
 def test_every_call_ends_in_a_documented_exit_code(capsys, tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cob3 import (
     Component,
     LabelledCospan,
+    Tensor,
     TermTypeError,
     cospan_from_json,
     cospan_of_term,
@@ -18,8 +19,9 @@ from cob3 import (
     random_term,
     terms_equal,
 )
+from cob3.cospan import _canonical
 from cob3.kernel import nf, successors
-from cob3.layers import state_to_term, term_to_state
+from cob3.layers import COMUL, M, PU, SWAP, TR, UNIT, state_to_term, term_to_state
 from cob3.rewrite import _entries
 
 
@@ -144,3 +146,67 @@ def test_every_rewrite_preserves_the_cospan(seed):
         for *_pos, new in successors(state, entries, bound):
             if new != (0,):
                 assert cospan_of_term(state_to_term(new)) == want
+
+
+def cycle_cospan(term):
+    """The cospan by a union-find that counts cycles as it glues: a merge
+    of two wires already on one piece closes a cycle, one S2 x S1 summand.
+    The oracle for cospan_of_term's count of genus per piece."""
+    state = term_to_state(term)
+    dom = state[0]
+    parent = list(range(dom))
+    genus = [0] * dom
+    primes = [[] for _ in range(dom)]
+    wires = list(range(dom))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for p in range(1, len(state), 3):
+        off, gen, lab = state[p], state[p + 1], state[p + 2]
+        if gen == M:
+            a, b = find(wires[off]), find(wires.pop(off + 1))
+            if a == b:
+                genus[a] += 1
+            else:
+                parent[b] = a
+                genus[a] += genus[b]
+                primes[a] += primes[b]
+        elif gen == UNIT or gen == PU:
+            wires.insert(off, len(parent))
+            parent.append(len(parent))
+            genus.append(0)
+            primes.append([lab] if gen == PU else [])
+        elif gen == COMUL:
+            wires.insert(off, wires[off])
+        elif gen == TR:
+            del wires[off]
+        elif gen == SWAP:
+            wires[off], wires[off + 1] = wires[off + 1], wires[off]
+        else:  # PE
+            primes[find(wires[off])].append(lab)
+    roots = [x for x in range(len(parent)) if parent[x] == x]
+    ins = {r: [i for i in range(dom) if find(i) == r] for r in roots}
+    outs = {r: [j for j, x in enumerate(wires) if find(x) == r] for r in roots}
+    pieces = [(ins[r], outs[r], genus[r], primes[r]) for r in roots]
+    return _canonical(dom, len(wires), pieces)
+
+
+CLOSED = [
+    "tr . unit",
+    "tr . pu(P)",
+    "tr . m . comul . pe(Q) . unit",
+    "tr . m . comul . m . comul . unit",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**30), st.integers(1, 20), st.lists(st.sampled_from(CLOSED), max_size=3))
+def test_genus_by_count_matches_the_cycle_oracle(seed, size, closed):
+    rng = random.Random(seed)
+    term = random_term(rng, max_gens=size, labels=("P", "Q", "R"))
+    for text in closed:
+        term = Tensor(parse(text), term) if rng.random() < 0.5 else Tensor(term, parse(text))
+    assert cospan_of_term(term) == cycle_cospan(term)

@@ -1,6 +1,7 @@
 """Linear evaluation: term functor, connectivity functor, closed values."""
 
 import random
+import time
 from fractions import Fraction as F
 from itertools import product
 
@@ -9,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cob3 import (
+    Compose,
     LinearMap,
+    MapTooLarge,
+    Tensor,
     UnknownPrime,
     closed_invariant,
     closed_invariant_by_characters,
@@ -21,10 +25,10 @@ from cob3 import (
     identity_map,
     parse,
     parse_manifold,
+    permutation_term,
 )
-from cob3.evaluate import _component_map
 from cob3.frobenius import FrobeniusAlgebra, conjugate_algebra, diagonal_algebra
-from cob3.terms import ArityMismatch, random_term, typecheck
+from cob3.terms import ArityMismatch, fold, random_term, typecheck
 
 ALG = hadamard_algebra()  # componentwise plane, P = (2, 3)
 
@@ -139,13 +143,112 @@ FUZZ_ALGEBRAS = [
 ]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**30))
-def test_term_and_connectivity_functors_agree(seed):
-    term = random_term(random.Random(seed), max_gens=8)
+def fold_eval(term, alg, overrides=None):
+    """The term functor as one fold: generator maps joined by compose for
+    `.` and tensor for `*`, with no pieces. The oracle for eval_term."""
+    d = alg.dim
+
+    def gen(node):
+        if node.name == "pe" and overrides and node.label in overrides:
+            m = overrides[node.label]
+            return LinearMap(1, 1, d, {(k, i): F(m[k][i]) for k in range(d) for i in range(d)})
+        return alg.generator(node.name, node.label)
+
+    typecheck(term)
+    return fold(term, gen, lambda _n, f, g: f.compose(g), lambda _n, l, r: l.tensor(r))
+
+
+# closed pieces that float beside the rest of a term
+CLOSED = ["tr . unit", "tr . pu(P)", "tr . pe(Q) . unit", "tr . m . comul . pu(Q)"]
+
+
+@st.composite
+def piecewise_terms(draw, max_gens=8):
+    """Random terms, some beside closed pieces, some with their outputs
+    permuted by swaps across pieces."""
+    rng = random.Random(draw(st.integers(0, 2**30)))
+    term = random_term(rng, max_gens=max_gens)
+    for _ in range(draw(st.integers(0, 2))):
+        closed = parse(rng.choice(CLOSED))
+        term = Tensor(closed, term) if rng.random() < 0.5 else Tensor(term, closed)
+    cod = typecheck(term)[1]
+    if cod >= 2 and draw(st.booleans()):
+        perm = list(range(cod))
+        rng.shuffle(perm)
+        term = Compose(permutation_term(perm), term)
+    return term
+
+
+@settings(max_examples=60, deadline=None)
+@given(piecewise_terms())
+def test_term_and_connectivity_functors_agree(term):
     cos = cospan_of_term(term)
     for alg in FUZZ_ALGEBRAS:
-        assert eval_term(term, alg) == eval_semantic(cos, alg)
+        got = eval_term(term, alg)
+        assert got == fold_eval(term, alg) == eval_semantic(cos, alg)
+        if got.nums:  # the size guard's bound is at least the entry count
+            with pytest.raises(MapTooLarge):
+                eval_term(term, alg, max_entries=len(got.nums) - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(piecewise_terms(), st.integers(0, 2**30))
+def test_overrides_agree_with_the_fold(term, seed):
+    rng = random.Random(seed)
+    for alg in FUZZ_ALGEBRAS:
+        r = range(alg.dim)
+        ov = {
+            p: [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in r] for _ in r]
+            for p in "PQ"
+            if rng.random() < 0.7
+        }
+        assert eval_term(term, alg, ov) == fold_eval(term, alg, ov)
+
+
+def test_pieces_side_by_side_and_across_each_other():
+    # a box applies at its offset among its own piece's wires, which other
+    # pieces' wires to its left do not count; swaps between pieces reorder
+    alg = FUZZ_ALGEBRAS[-1]
+    texts = [
+        "id * ((pe(P) * id) . comul)",
+        "(id * m) . (id * pe(Q) * id) . (swap * id) . (id * comul)",
+        "swap . (pe(P) * pu(Q))",
+        "(id * swap * id) . (swap * id * id) . (m * pe(P) * comul)",
+        "m . swap . (pe(P) * id)",
+        "(tr . unit) * swap * (tr . pu(P))",
+    ]
+    for text in texts:
+        term = parse(text)
+        assert eval_term(term, alg) == fold_eval(term, alg)
+        assert eval_term(term, alg) == eval_semantic(cospan_of_term(term), alg)
+    # the algebra's own maps cannot tell a piece's wires apart, a rotation can
+    rot = {"P": [[0, 1], [-1, 0]]}
+    for text in ["id * (m . (pe(P) * id))", "pe(Q) * ((id * pe(P)) . comul)"]:
+        assert eval_term(text, alg, rot) == fold_eval(parse(text), alg, rot)
+
+
+def test_size_guard_counts_bare_wires_and_widest_cuts():
+    d = ALG.dim
+    cases = [
+        ("id * id", d * d),  # two bare wires
+        ("swap", d * d),  # crossing bare wires
+        ("pe(P)", d**2),  # one piece, one input and one output
+        ("m . comul", d**3),  # its widest cut holds two wires over one input
+        ("tr . unit", d),  # the unit's wire, before the trace closes it
+        ("m * (tr . unit) * id", d**3 * d),
+    ]
+    for text, bound in cases:
+        assert eval_term(text, ALG, max_entries=bound) == eval_term(text, ALG)
+        with pytest.raises(MapTooLarge, match=rf"{d}\*\*\d+ entries, over the limit of {bound - 1}"):
+            eval_term(text, ALG, max_entries=bound - 1)
+
+
+def test_wide_identity_is_refused_at_once():
+    text = " * ".join(["id"] * 36 + ["pe(P)", "(m . comul)", "id"])
+    started = time.perf_counter()
+    with pytest.raises(MapTooLarge):
+        eval_term(text, ALG, max_entries=10**6)
+    assert time.perf_counter() - started < 1
 
 
 def dense_generator(alg, name, label):
@@ -207,7 +310,7 @@ def test_handle_power_is_repeated_multiplication():
         cols = [alg.multiply(alg.primes["P"], e) for e in basis]
         for genus in range(10):
             want = {(k, i): x for i, col in enumerate(cols) for k, x in enumerate(col)}
-            assert _component_map(alg, 1, 1, genus, ("P",)) == LinearMap(1, 1, d, want)
+            assert alg.surface_map(1, 1, genus, ("P",)) == LinearMap(1, 1, d, want)
             cols = [alg.multiply(handle, v) for v in cols]
 
 

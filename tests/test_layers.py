@@ -18,6 +18,7 @@ from cob3.layers import (
     diagram_equal,
     state_to_term,
     state_widths,
+    sweep,
     term_to_state,
 )
 from cob3.terms import parse, print_term, random_term, typecheck
@@ -73,6 +74,15 @@ def test_empty_diagram_has_no_term():
 def test_state_widths():
     st = term_to_state(parse("m . (m * id)"))
     assert state_widths(st) == [3, 2, 1]
+
+
+def test_sweep_numbers_pieces_in_the_order_they_start():
+    # the unit's piece joins input 0's at the merge; the swap is on input 1's
+    st = term_to_state(parse("(m * id) . (id * swap) . (id * id * unit)"))
+    assert sweep(st) == (2, [0, 1], [0, 1, 0], [0, 1])
+    # a floating closed piece starts after the inputs, and a trace ends one
+    st = term_to_state(parse("(tr . pu(P)) * tr * pe(Q)"))
+    assert sweep(st) == (3, [0, 1], [2, 2, 0, 1], [1])
 
 
 def test_interchange_layerings_equal():
