@@ -21,6 +21,9 @@ side with the arity tables swapped, moves context above the window. The scan
 is optimistic — every candidate is verified by rebuilding the state with the
 block in place and comparing normal forms — so a reported match is correct
 by construction even in corner cases the scan arithmetic does not model.
+`successors` builds a state's view (widths, upside-down tuple, reversed
+widths, generator set) once; a side's view is cached. A side with a
+generator the state lacks is skipped unscanned, an exact prefilter.
 
 A zero-layer side (an identity on one or two wires) is found by inserting
 the other side instead. The inserted block slides along its wires past every
@@ -30,6 +33,8 @@ adjacent, give one slide class: only the lowest of them is built.
 """
 
 from __future__ import annotations
+
+import functools
 
 from cob3.layers import GEN_COD, GEN_DOM, _root, state_widths
 
@@ -250,7 +255,7 @@ def instantiate(side, bindings, col):
     return out
 
 
-def find_matches(state, pat):
+def find_matches(state, pat, view=None):
     """All verified windows where `pat` occurs in `state`.
 
     `state` must already be in normal form. Returns a sorted list of match
@@ -264,6 +269,10 @@ def find_matches(state, pat):
     window. Run on the upside-down views of state and pattern, with the
     arity tables swapped, it moves context below the upside-down window,
     which is above the real one; each such window is mapped back.
+
+    `view` is the state's `_view`, built here if not given; the side's is
+    cached. A side with a generator the state lacks is skipped unscanned,
+    which drops no match: each side layer pairs with a layer of its code.
     """
     k = (len(pat) - 1) // 3
     if k == 0:
@@ -271,8 +280,10 @@ def find_matches(state, pat):
     n = (len(state) - 1) // 3
     if k > n:
         return []
-    pw = state_widths(pat)
-    widths = state_widths(state)
+    widths, flipped, rwidths, gens = view or _view(state)
+    pw, pflipped, rpw, pgens = _side_view(pat)
+    if not pgens <= gens:
+        return []
     cands = []
     for delta, m, skipped, bindings in _scan(
         state, pat, pw, widths, n, k, GEN_DOM, GEN_COD
@@ -280,8 +291,7 @@ def find_matches(state, pat):
         below = tuple(x for t in reversed(skipped) for x in t)
         cands.append((m[-1], delta, tuple(reversed(m)), below, (), bindings))
     for delta, m, skipped, bindings in _scan(
-        _upside_down(state, widths[n]), _upside_down(pat, pw[k]),
-        pw[::-1], widths[::-1], n, k, GEN_COD, GEN_DOM,
+        flipped, pflipped, rpw, rwidths, n, k, GEN_COD, GEN_DOM
     ):
         matched = tuple(n - 1 - i for i in m)
         above = tuple(x for t in skipped for x in t)
@@ -292,6 +302,16 @@ def find_matches(state, pat):
         if key not in seen and _verify(state, pat, cand):
             seen[key] = cand
     return sorted(seen.values())
+
+
+def _view(state):
+    """What the scans read of a state or side: widths, upside-down tuple,
+    reversed widths and generator codes."""
+    widths = state_widths(state)
+    return widths, _upside_down(state, widths[-1]), widths[::-1], frozenset(state[2::3])
+
+
+_side_view = functools.cache(_view)  # rule sides are few and reused
 
 
 def _upside_down(state, top):
@@ -376,7 +396,7 @@ def apply_match(state, match, rep):
     return nf(_rebuild(state, match, block))
 
 
-def find_insertions(state, width):
+def find_insertions(state, width, widths=None):
     """Placements (level, col) for a zero-layer side's block on `width`
     adjacent wires, in (level, col) order.
 
@@ -384,9 +404,10 @@ def find_insertions(state, width):
     them, so only the lowest placement is kept per wire segment (width 1),
     or per run of levels over which the same two segments are adjacent
     (width 2). Above level 0 those are the windows that meet the outputs of
-    the layer below, or that straddle the wire it ended.
+    the layer below, or that straddle the wire it ended. `widths` are the
+    state's, if the caller has them.
     """
-    widths = state_widths(state)
+    widths = widths or state_widths(state)
     out = [(0, col) for col in range(widths[0] - width + 1)]
     for lvl in range(1, len(widths)):
         o, g = state[3 * lvl - 2], state[3 * lvl - 1]
@@ -418,20 +439,27 @@ def successors(state, entries, max_layers, until=()):
     n - k_pat + k_rep layers, k_pat and k_rep being the layer counts of its
     two sides (nf keeps the count), so an entry that would exceed
     `max_layers` is skipped before any window is scanned or built.
+
+    The state's view is built once and passed to every `find_matches`, a
+    side's view is cached per side, and insertion spots are listed once per
+    width (the four width-1 zero-layer entries share one list).
     """
     n = (len(state) - 1) // 3
+    view = _view(state)
+    spots = {}
     out = []
     for e, (pat, rep) in enumerate(entries):
         k = (len(pat) - 1) // 3
         if n - k + (len(rep) - 1) // 3 > max_layers:
             continue
         if k == 0:
-            spots = find_insertions(state, pat[0])
-            steps = ((e, b, c, 0, apply_insertion(state, b, c, rep)) for b, c in spots)
+            if pat[0] not in spots:
+                spots[pat[0]] = find_insertions(state, pat[0], view[0])
+            steps = ((e, b, c, 0, apply_insertion(state, b, c, rep)) for b, c in spots[pat[0]])
         else:
             steps = (
                 (e, m[0], m[1], k, apply_match(state, m, rep))
-                for m in find_matches(state, pat)
+                for m in find_matches(state, pat, view)
             )
         for step in steps:
             out.append(step)

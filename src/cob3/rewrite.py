@@ -343,13 +343,11 @@ def find_path(
         start = parse(start)
     if isinstance(goal, str):
         goal = parse(goal)
-    if typecheck(start) != typecheck(goal):
-        raise ArityMismatch(
-            "cannot search: endpoints have different interface widths"
-        )
+    s0, g0 = term_to_state(start), term_to_state(goal)
+    if (s0[0], state_widths(s0)[-1]) != (g0[0], state_widths(g0)[-1]):
+        raise ArityMismatch("cannot search: endpoints have different interface widths")
     entries, legend = _entries(rules)
-    s0 = nf(term_to_state(start))
-    g0 = nf(term_to_state(goal))
+    s0, g0 = nf(s0), nf(g0)
     start_text = print_term(start)
     goal_text = print_term(goal)
 

@@ -209,6 +209,73 @@ def random_state(seed):
     return kp.nf(term_to_state(random_term(random.Random(seed), max_gens=6)))
 
 
+# find_matches before the per-state view: it computed both widths lists and
+# both upside-down tuples on every call and scanned every side. The
+# reference the viewed, prefiltered matcher is checked against.
+
+
+def reference_matches(state, pat):
+    k = n_layers(pat)
+    n = n_layers(state)
+    if k > n:
+        return []
+    pw = state_widths(pat)
+    widths = state_widths(state)
+    cands = []
+    for delta, m, skipped, bindings in kp._scan(
+        state, pat, pw, widths, n, k, GEN_DOM, GEN_COD
+    ):
+        below = tuple(x for t in reversed(skipped) for x in t)
+        cands.append((m[-1], delta, tuple(reversed(m)), below, (), bindings))
+    for delta, m, skipped, bindings in kp._scan(
+        kp._upside_down(state, widths[n]), kp._upside_down(pat, pw[k]),
+        pw[::-1], widths[::-1], n, k, GEN_COD, GEN_DOM,
+    ):
+        matched = tuple(n - 1 - i for i in m)
+        above = tuple(x for t in skipped for x in t)
+        cands.append((matched[0], delta, matched, (), above, bindings))
+    seen = {}
+    for cand in cands:
+        key = (cand[0], cand[1], cand[2])
+        if key not in seen and kp._verify(state, pat, cand):
+            seen[key] = cand
+    return sorted(seen.values())
+
+
+MATCHED_SIDES = sorted(
+    {pat for rules in ("CF", "CF_LEGS", "G2_FULL") for pat, _rep in _entries(rules)[0]
+     if n_layers(pat)},
+    key=repr,
+)
+
+
+def successors_view(state):
+    """The view `successors` hands to find_matches for `state`."""
+    views = []
+    find_matches = kp.find_matches
+    kp.find_matches = lambda s, pat, view=None: views.append(view) or []
+    try:
+        kp.successors(state, [(MATCHED_SIDES[0], MATCHED_SIDES[0])], n_layers(state) + 9)
+    finally:
+        kp.find_matches = find_matches
+    return views[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    layered_states(pads=(0, 1)).map(kp.nf),
+    st.integers(0, 2**30).map(random_state),
+    st.sampled_from(["id", "id * id", "id * id * id"]).map(nf_of),
+))
+def test_matches_with_and_without_a_view_equal_the_reference(state):
+    view = successors_view(state)
+    assert view is not None
+    for pat in MATCHED_SIDES:
+        ref = reference_matches(state, pat)
+        assert kp.find_matches(state, pat) == ref
+        assert kp.find_matches(state, pat, view) == ref
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(layered_states(pads=(0, 1)), st.integers(0, 2**30).map(random_state)))
 def test_insertions_keep_the_lowest_placement_of_each_slide_class(state):
