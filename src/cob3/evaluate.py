@@ -2,14 +2,17 @@
 
 A 2D TQFT is a symmetric monoidal functor, so a diagram's map is the tensor
 product of its connected pieces' maps, placed at their boundary wires by
-`_placed`. `eval_term` walks each piece of `layers.sweep` on its own: an int
-accumulator over the piece's wires starts from the identity on its inputs
-(the scalar 1 for a piece born from units), each layer applies the algebra's
-generator map at its offset among the piece's wires, and a `swap` between
-two pieces only reorders them. `eval_semantic` reads each glued component's
-map from the algebra's kept `surface_map`s. The two agree on every
-well-typed term; that agreement is the whole point of the invariant. Past
-`max_entries`, `eval_term` raises `MapTooLarge` before any arithmetic.
+`_placed` with no range check or zero filter, which cannot fail there (see
+`_placed`). `eval_term` walks each piece of `layers.sweep` on its own: an
+int accumulator over the piece's wires starts from the identity on its
+inputs (the scalar 1 for a piece born from units), each layer applies the
+algebra's generator map at its offset among the piece's wires, a `swap`
+between two pieces only reorders them, and zeros left by cancelling sums
+are dropped. `eval_semantic` reads each glued component's map from the
+algebra's kept `surface_map`s. The two agree on every well-typed term; that
+agreement is the whole point of the invariant. Past `max_entries`,
+`eval_term` raises `MapTooLarge` before any arithmetic. `term_to_state`
+keeps a term's state on it, so `cospan_of_term` does not flatten it again.
 """
 
 from __future__ import annotations
@@ -106,6 +109,7 @@ def eval_term(
         dens[p] *= m.den
         widths[p] += b - a
         wires[off : off + a] = [p] * b
+    accs = [acc if all(acc.values()) else {k: v for k, v in acc.items() if v} for acc in accs]
     return _placed(d, state[0], len(top), zip(ins, outs, dens, accs))
 
 
@@ -148,22 +152,29 @@ def _place_values(ports, width, d):
 
 
 def _placed(d: int, dom: int, cod: int, pieces) -> LinearMap:
-    """The product of pieces' maps, given as (in_ports, out_ports, den,
-    nums): pieces own disjoint boundary wires, so each entry is moved to its
-    global row and column through per-port place values and multiplied in."""
-    den = 1
-    acc = {(0, 0): 1}
+    """The product of pieces' maps, given as (in_ports, out_ports, den, nums)
+    with no zero in nums. Closed pieces multiply into one scalar. The others
+    own disjoint boundary wires: smallest first, each entry moves to its global
+    row and column by per-port place values and is multiplied in. So entries
+    are nonzero and at distinct in-range keys, and `_reduced` checks neither."""
+    den, scalar, placed = 1, 1, []
     for ins, outs, pden, nums in pieces:
-        rows = _place_values(outs, cod, d)
-        cols = _place_values(ins, dom, d)
-        moved = [(rows[r], cols[c], v) for (r, c), v in nums.items()]
-        acc = {
-            (gr + r, gc + c): u * v
-            for (gr, gc), u in acc.items()
-            for r, c, v in moved
-        }
         den *= pden
-    return LinearMap._from_ints(dom, cod, d, den, acc)
+        if ins or outs:
+            placed.append((ins, outs, nums))
+        else:
+            scalar *= nums.get((0, 0), 0)
+    if not scalar:
+        return LinearMap._reduced(dom, cod, d, 1, {})
+    acc = {(0, 0): scalar}
+    for i, (ins, outs, nums) in enumerate(sorted(placed, key=lambda piece: len(piece[2]))):
+        rows, cols = _place_values(outs, cod, d), _place_values(ins, dom, d)
+        if i == 0:  # the first piece is placed straight from the scalar
+            acc = {(rows[r], cols[c]): scalar * v for (r, c), v in nums.items()}
+            continue
+        moved = [(rows[r], cols[c], v) for (r, c), v in nums.items()]
+        acc = {(gr + r, gc + c): u * v for (gr, gc), u in acc.items() for r, c, v in moved}
+    return LinearMap._reduced(dom, cod, d, den, acc)
 
 
 def eval_semantic(cospan: LabelledCospan, alg: FrobeniusAlgebra) -> LinearMap:

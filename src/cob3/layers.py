@@ -64,13 +64,17 @@ def term_to_state(term: Term) -> tuple:
     """Flatten a term to its layer encoding (not yet slide-sorted).
 
     One fold both checks arities, raising what typecheck would, and
-    collects the layers.
+    collects the layers. The state is kept on the term, outside its
+    fields: terms are frozen, so each term object is flattened once.
     """
-    dom, _cod, base, layers = fold(term, _gen_layers, _compose_layers, _tensor_layers)
-    out = [dom]
-    for off, gen, label in layers:
-        out += (off + base, gen, label)
-    return tuple(out)
+    memo = getattr(term, "__dict__", {})
+    if "_state" not in memo:
+        dom, _cod, base, layers = fold(term, _gen_layers, _compose_layers, _tensor_layers)
+        out = [dom]
+        for off, gen, label in layers:
+            out += (off + base, gen, label)
+        memo["_state"] = tuple(out)
+    return memo["_state"]
 
 
 # The fold's value for a subterm is (dom, cod, base, layers): its layers

@@ -10,6 +10,12 @@ gcd of the denominator and all numerators is 1, and the zero map has
 denominator 1. Equal maps therefore have identical data, and equality and
 hashing compare ints. `entries` is the {(row, col): Fraction} view, built
 when first asked for; all arithmetic is exact.
+
+Every map is built by `_reduced`, which only divides out that gcd;
+`LinearMap(...)` and `_from_ints` first check each key's range and drop
+zeros. `tensor` and the evaluator's placed product skip both checks, which
+cannot fail there: each entry is a product of nonzero, in-range numerators
+at a key no other entry has. `compose` keeps them, as its sums can cancel.
 """
 
 from __future__ import annotations
@@ -46,17 +52,6 @@ def fraction_to_scalar(f: Fraction):
     return f"{f.numerator}/{f.denominator}"
 
 
-def _lowest_terms(den: int, nums: dict) -> Tuple[int, dict]:
-    """Drop zero numerators and divide out gcd(den, numerators); den > 0."""
-    nums = {k: v for k, v in nums.items() if v}
-    if den != 1:
-        g = gcd(den, *nums.values())
-        if g != 1:
-            den //= g
-            nums = {k: v // g for k, v in nums.items()}
-    return den, nums
-
-
 class LinearMap:
     """A map from a sparse {(row, col): Fraction} dict; immutable."""
 
@@ -67,24 +62,29 @@ class LinearMap:
                 raise TypeError("entries must be Fractions")
         den = lcm(*(v.denominator for v in entries.values()))
         nums = {k: v.numerator * (den // v.denominator) for k, v in entries.items()}
-        self._init(dom_arity, cod_arity, d, den, nums)
+        self.__dict__.update(vars(LinearMap._from_ints(dom_arity, cod_arity, d, den, nums)))
 
     @classmethod
     def _from_ints(cls, dom_arity, cod_arity, d, den: int, nums) -> "LinearMap":
         """The map with entries nums[k] / den; den > 0, any common factor."""
-        self = object.__new__(cls)
-        self._init(dom_arity, cod_arity, d, den, nums)
-        return self
-
-    def _init(self, dom_arity, cod_arity, d, den, nums):
         rows, cols = d ** cod_arity, d ** dom_arity
         for r, c in nums:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
-        den, nums = _lowest_terms(den, nums)
-        self.__dict__.update(
-            dom_arity=dom_arity, cod_arity=cod_arity, d=d, den=den, nums=nums
-        )
+        return cls._reduced(dom_arity, cod_arity, d, den, {k: v for k, v in nums.items() if v})
+
+    @classmethod
+    def _reduced(cls, dom_arity, cod_arity, d, den: int, nums: dict) -> "LinearMap":
+        """_from_ints for nums with every key in range and no zero value: only
+        gcd(den, *nums) is divided out, when den != 1; the map may keep nums."""
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {k: v // g for k, v in nums.items()}
+        self = object.__new__(cls)
+        self.__dict__.update(dom_arity=dom_arity, cod_arity=cod_arity, d=d, den=den, nums=nums)
+        return self
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -156,7 +156,7 @@ class LinearMap:
             for (r1, c1), v1 in self.nums.items()
             for (r2, c2), v2 in other.nums.items()
         }
-        return LinearMap._from_ints(
+        return LinearMap._reduced(
             self.dom_arity + other.dom_arity,
             self.cod_arity + other.cod_arity,
             self.d,

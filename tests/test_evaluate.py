@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction as F
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -203,6 +204,39 @@ def test_overrides_agree_with_the_fold(term, seed):
             if rng.random() < 0.7
         }
         assert eval_term(term, alg, ov) == fold_eval(term, alg, ov)
+
+
+# tr . pu(Q) and tr . pe(Q) . unit evaluate to 0 here
+ZERO_CLOSED = diagonal_algebra([1, 1], primes={"P": (2, 3), "Q": (1, -1)})
+
+
+def assert_reduced(m):
+    """m holds the data `_from_ints` would give it: no zero numerator, no
+    key out of range, lowest terms, and the zero map over 1."""
+    assert all(m.nums.values())
+    assert all(0 <= r < m.rows and 0 <= c < m.cols for r, c in m.nums)
+    assert m.den > 0 and gcd(m.den, *m.nums.values()) == 1
+    assert m.nums or m.den == 1
+    rebuilt = LinearMap._from_ints(m.dom_arity, m.cod_arity, m.d, m.den, m.nums)
+    assert (rebuilt.den, rebuilt.nums) == (m.den, m.nums) and rebuilt == m
+
+
+@settings(max_examples=60, deadline=None)
+@given(piecewise_terms())
+def test_placed_maps_are_in_lowest_terms(term):
+    # _placed builds its output without LinearMap's checks
+    cos = cospan_of_term(term)
+    for alg in FUZZ_ALGEBRAS[1:] + [ZERO_CLOSED]:
+        assert_reduced(eval_term(term, alg))
+        assert_reduced(eval_semantic(cos, alg))
+
+
+def test_a_zero_closed_piece_gives_the_zero_map():
+    for text in ["(tr . pu(Q)) * m", "pe(P) * (tr . pe(Q) . unit) * comul", "tr . pu(Q)"]:
+        term = parse(text)
+        for got in (eval_term(term, ZERO_CLOSED), eval_semantic(cospan_of_term(term), ZERO_CLOSED)):
+            assert (got.den, got.nums) == (1, {})
+            assert (got.dom_arity, got.cod_arity) == typecheck(term)
 
 
 def test_pieces_side_by_side_and_across_each_other():

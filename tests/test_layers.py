@@ -21,7 +21,7 @@ from cob3.layers import (
     sweep,
     term_to_state,
 )
-from cob3.terms import parse, print_term, random_term, typecheck
+from cob3.terms import ArityMismatch, parse, print_term, random_term, typecheck
 
 
 def test_wide_labelled_tensor_flattens_in_near_linear_time():
@@ -44,6 +44,22 @@ def test_state_labels_are_their_names():
     b = term_to_state(parse("(id * pu(Fresh_a)) . pu(Fresh_b)"))
     assert b[3::3] == ("Fresh_b", "Fresh_a")
     assert kernel.nf(b)[3::3] == ("Fresh_a", "Fresh_b")
+
+
+def test_each_term_object_is_flattened_once():
+    # the state is kept on the term, outside the fields that ==, hash,
+    # repr and printing read
+    for text in ["m . pe(P) * id", "pe(P)"]:
+        term, twin = parse(text), parse(text)
+        state = term_to_state(term)
+        assert term_to_state(term) is state
+        assert term == twin and twin == term and hash(term) == hash(twin)
+        assert repr(term) == repr(twin) and print_term(term) == print_term(twin) == text
+    # an ill-typed term is not kept: it raises on every call
+    bad = parse("m . m")
+    for _ in range(2):
+        with pytest.raises(ArityMismatch):
+            term_to_state(bad)
 
 
 def nf_of(text):

@@ -148,6 +148,7 @@ def test_compose_and_tensor_match_dense_references(data):
     t = f.tensor(g)
     assert (t.dom_arity, t.cod_arity) == (b + a, c + b)
     assert dense(t) == kron
+    assert t == LinearMap(t.dom_arity, t.cod_arity, d, t.entries)  # in lowest terms
     with pytest.raises(ValueError):
         f.compose(sparse_map(data, d, a, b + 1))
     with pytest.raises(ValueError):
