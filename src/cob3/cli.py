@@ -34,13 +34,14 @@ from cob3.frobenius import (
     hadamard_algebra,
     idempotent_decomposition,
 )
+from cob3.kernel import nf
+from cob3.layers import print_state, term_to_state
 from cob3.linmap import fraction_to_scalar
 from cob3.rewrite import (
     RULE_SETS,
     UnknownRuleSet,
     find_path,
     normalize_G1,
-    normalize_G2,
     verify_ruleset_soundness,
 )
 from cob3.terms import TermTypeError, parse, print_term
@@ -106,8 +107,10 @@ def _cmd_eq(args):
 
 def _cmd_normalize(args):
     term = parse(args.term)
-    normalize = normalize_G1 if args.presentation == "G1" else normalize_G2
-    out = print_term(normalize(term))
+    if args.presentation == "G1":
+        out = print_term(normalize_G1(term))
+    else:  # normalize_G2's text, printed from the state without a term
+        out = print_state(nf(term_to_state(term)))
     data = {
         "input": print_term(term),
         "normal_form": out,

@@ -77,21 +77,26 @@ def cospan_of_term(term: Term) -> LabelledCospan:
     `sweep` gives each wire and layer its piece. A piece's primes are its
     layers' labels, and its genus is #comul - #tr - #outputs + 1: its Euler
     characteristic 2 - 2 genus - #ports is #unit + #pu + #tr - #m - #comul,
-    and #m is #inputs + #comul + #unit + #pu - #tr - #outputs.
+    and #m is #inputs + #comul + #unit + #pu - #tr - #outputs. The cospan
+    is kept on the term, outside its fields, as `term_to_state` keeps the
+    state: terms are frozen, so each term object is swept once.
     """
-    state = term_to_state(term)
-    n, bottom, layers, top = sweep(state)
-    ins, outs = piece_ports(n, bottom), piece_ports(n, top)
-    genus = [1 - len(ports) for ports in outs]
-    primes = [[] for _ in range(n)]
-    for x, gen, lab in zip(layers, state[2::3], state[3::3]):
-        if gen == COMUL:
-            genus[x] += 1
-        elif gen == TR:
-            genus[x] -= 1
-        elif lab:
-            primes[x].append(lab)
-    return _canonical(state[0], len(top), zip(ins, outs, genus, primes))
+    memo = getattr(term, "__dict__", {})
+    if "_cospan" not in memo:
+        state = term_to_state(term)
+        n, bottom, layers, top = sweep(state)
+        ins, outs = piece_ports(n, bottom), piece_ports(n, top)
+        genus = [1 - len(ports) for ports in outs]
+        primes = [[] for _ in range(n)]
+        for x, gen, lab in zip(layers, state[2::3], state[3::3]):
+            if gen == COMUL:
+                genus[x] += 1
+            elif gen == TR:
+                genus[x] -= 1
+            elif lab:
+                primes[x].append(lab)
+        memo["_cospan"] = _canonical(state[0], len(top), zip(ins, outs, genus, primes))
+    return memo["_cospan"]
 
 
 def terms_equal(a: Term, b: Term) -> bool:

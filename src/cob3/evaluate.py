@@ -3,8 +3,9 @@
 A 2D TQFT is a symmetric monoidal functor, so a diagram's map is the tensor
 product of its connected pieces' maps, placed at their boundary wires by
 `_placed` with no range check or zero filter, which cannot fail there (see
-`_placed`). `eval_term` walks each piece of `layers.sweep` on its own: an
-int accumulator over the piece's wires starts from the identity on its
+`_placed`). Maps are keyed as `LinearMap.nums` is, by one flat int
+row * cols + col. `eval_term` walks each piece of `layers.sweep` on its own:
+an int accumulator over the piece's wires starts from the identity on its
 inputs (the scalar 1 for a piece born from units), each layer applies the
 algebra's generator map at its offset among the piece's wires, a `swap`
 between two pieces only reorders them, and zeros left by cancelling sums
@@ -12,7 +13,9 @@ are dropped. `eval_semantic` reads each glued component's map from the
 algebra's kept `surface_map`s. The two agree on every well-typed term; that
 agreement is the whole point of the invariant. Past `max_entries`,
 `eval_term` raises `MapTooLarge` before any arithmetic. `term_to_state`
-keeps a term's state on it, so `cospan_of_term` does not flatten it again.
+keeps a term's state on it and `cospan_of_term` its cospan, so a term
+object is flattened once and swept into its cospan once, however many
+algebras evaluate it.
 """
 
 from __future__ import annotations
@@ -87,23 +90,25 @@ def eval_term(
     if max_entries is not None:
         _check_size(d, pieces, codes, ins, outs, max_entries)
     widths = [len(ports) for ports in ins]
-    accs = [{(i, i): 1 for i in range(d**w)} for w in widths]
+    ncols = [d**w for w in widths]  # an accumulator's key is row * ncols + col
+    accs = [{i * (c + 1): 1 for i in range(c)} for c in ncols]
     dens = [1] * n
     wires = list(bottom)  # the piece of each current wire
     for p, off, g, lab in zip(pieces, state[1::3], codes, labels):
         if g == SWAP and wires[off] != wires[off + 1]:
             wires[off], wires[off + 1] = wires[off + 1], wires[off]
             continue
-        # the generator's block in row = hi*span + mid*lo + rest goes to each
-        # image r of mid, so the row becomes hi*step + r*lo + rest
+        # the generator's block in key = hi*span + mid*lo + rest goes to each
+        # image r of mid, so the key becomes hi*step + r*lo + rest; lo counts
+        # the wires right of the box and the column together
         a, b, m, out = GEN_DOM[g], GEN_COD[g], maps[g, lab], {}
-        lo = d ** (widths[p] - wires[:off].count(p) - a)
+        lo = d ** (widths[p] - wires[:off].count(p) - a) * ncols[p]
         span, step, columns = d**a * lo, d**b * lo, m.columns
-        for (row, col), u in accs[p].items():
-            hi, rest = divmod(row, span)
+        for key, u in accs[p].items():
+            hi, rest = divmod(key, span)
             mid, rest = divmod(rest, lo)
             for r, v in columns.get(mid, ()):
-                key = (hi * step + r * lo + rest, col)
+                key = hi * step + r * lo + rest
                 out[key] = out.get(key, 0) + u * v
         accs[p] = out
         dens[p] *= m.den
@@ -154,26 +159,29 @@ def _place_values(ports, width, d):
 def _placed(d: int, dom: int, cod: int, pieces) -> LinearMap:
     """The product of pieces' maps, given as (in_ports, out_ports, den, nums)
     with no zero in nums. Closed pieces multiply into one scalar. The others
-    own disjoint boundary wires: smallest first, each entry moves to its global
-    row and column by per-port place values and is multiplied in. So entries
-    are nonzero and at distinct in-range keys, and `_reduced` checks neither."""
+    own disjoint boundary wires: each entry moves once to its global key by
+    per-port place values, so the keys of different pieces add, and the
+    pieces are multiplied in smallest first. So entries are nonzero and at
+    distinct in-range keys, and `_reduced` checks neither."""
     den, scalar, placed = 1, 1, []
     for ins, outs, pden, nums in pieces:
         den *= pden
         if ins or outs:
             placed.append((ins, outs, nums))
         else:
-            scalar *= nums.get((0, 0), 0)
+            scalar *= nums.get(0, 0)
     if not scalar:
         return LinearMap._reduced(dom, cod, d, 1, {})
-    acc = {(0, 0): scalar}
+    acc = {0: scalar}
+    width = d**dom
     for i, (ins, outs, nums) in enumerate(sorted(placed, key=lambda piece: len(piece[2]))):
-        rows, cols = _place_values(outs, cod, d), _place_values(ins, dom, d)
+        rows = [r * width for r in _place_values(outs, cod, d)]
+        cols, pc = _place_values(ins, dom, d), d ** len(ins)
         if i == 0:  # the first piece is placed straight from the scalar
-            acc = {(rows[r], cols[c]): scalar * v for (r, c), v in nums.items()}
+            acc = {rows[k // pc] + cols[k % pc]: scalar * v for k, v in nums.items()}
             continue
-        moved = [(rows[r], cols[c], v) for (r, c), v in nums.items()]
-        acc = {(gr + r, gc + c): u * v for (gr, gc), u in acc.items() for r, c, v in moved}
+        moved = [(rows[k // pc] + cols[k % pc], v) for k, v in nums.items()]
+        acc = {g + m: u * v for g, u in acc.items() for m, v in moved}
     return LinearMap._reduced(dom, cod, d, den, acc)
 
 

@@ -49,6 +49,7 @@ __all__ = [
     "GEN_COD",
     "term_to_state",
     "state_to_term",
+    "print_state",
     "state_widths",
     "sweep",
     "piece_ports",
@@ -198,6 +199,32 @@ def state_to_term(state: tuple) -> Term:
             box = Tensor(ids[off - 1], box)
         layers.append(box)
     return stack(layers, state[0])
+
+
+def print_state(state: tuple) -> str:
+    """print_term(state_to_term(state)), written straight from the layers.
+
+    Each slice prints as its box between runs of "id"; a left run of two
+    or more is parenthesized, as the printer does for a left tensor factor
+    that is not a generator. The slices are joined top-down by " . ".
+    """
+    if state == (0,):
+        raise ValueError("the empty diagram has no term")
+    if len(state) == 1:
+        return " * ".join(["id"] * state[0])
+    widths = state_widths(state)
+    slices = []
+    for i, (off, gen, lab) in enumerate(zip(state[1::3], state[2::3], state[3::3])):
+        text = f"{GEN_NAMES[gen]}({lab})" if lab else GEN_NAMES[gen]
+        right = widths[i] - off - GEN_DOM[gen]
+        if right > 0:
+            text = " * ".join([text] + ["id"] * right)
+        if off == 1:
+            text = "id * " + text
+        elif off > 1:
+            text = f"({' * '.join(['id'] * off)}) * {text}"
+        slices.append(text)
+    return " . ".join(reversed(slices))
 
 
 def diagram_equal(a: Term, b: Term) -> bool:

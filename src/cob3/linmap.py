@@ -4,18 +4,21 @@ A map with dom_arity a and cod_arity b sends (Q^d)^{\\otimes a} to
 (Q^d)^{\\otimes b}. Basis tensors are flattened big-endian: the multi-index
 (i_0, ..., i_{k-1}) becomes sum_t i_t * d^(k-1-t).
 
-Entries are stored as a sparse dict {(row, col): int} of numerators over one
-positive common denominator, in lowest terms: zero entries are absent, the
-gcd of the denominator and all numerators is 1, and the zero map has
+Entries are stored as a sparse dict {row * cols + col: int} of numerators
+over one positive common denominator, in lowest terms, with cols = d**a:
+one flat int key per entry, in range(d**(a + b)). Zero entries are absent,
+the gcd of the denominator and all numerators is 1, and the zero map has
 denominator 1. Equal maps therefore have identical data, and equality and
 hashing compare ints. `entries` is the {(row, col): Fraction} view, built
 when first asked for; all arithmetic is exact.
 
 Every map is built by `_reduced`, which only divides out that gcd;
-`LinearMap(...)` and `_from_ints` first check each key's range and drop
-zeros. `tensor` and the evaluator's placed product skip both checks, which
-cannot fail there: each entry is a product of nonzero, in-range numerators
-at a key no other entry has. `compose` keeps them, as its sums can cancel.
+`LinearMap(...)` checks each (row, col) against rows x cols before
+flattening, since (0, cols) would flatten to the in-range key cols, and
+`_from_ints` checks each flat key's range; both drop zeros. `tensor` and
+the evaluator's placed product skip both checks, which cannot fail there:
+each entry is a product of nonzero, in-range numerators at a key no other
+entry has. `compose` keeps them, as its sums can cancel.
 """
 
 from __future__ import annotations
@@ -60,17 +63,24 @@ class LinearMap:
         for v in entries.values():
             if not isinstance(v, Fraction):
                 raise TypeError("entries must be Fractions")
+        rows, cols = d ** cod_arity, d ** dom_arity
+        for r, c in entries:
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
         den = lcm(*(v.denominator for v in entries.values()))
-        nums = {k: v.numerator * (den // v.denominator) for k, v in entries.items()}
+        nums = {
+            r * cols + c: v.numerator * (den // v.denominator)
+            for (r, c), v in entries.items()
+        }
         self.__dict__.update(vars(LinearMap._from_ints(dom_arity, cod_arity, d, den, nums)))
 
     @classmethod
     def _from_ints(cls, dom_arity, cod_arity, d, den: int, nums) -> "LinearMap":
-        """The map with entries nums[k] / den; den > 0, any common factor."""
-        rows, cols = d ** cod_arity, d ** dom_arity
-        for r, c in nums:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
+        """The map with entries nums[k] / den at flat keys k = row * cols + col;
+        den > 0, any common factor."""
+        size = d ** (dom_arity + cod_arity)
+        if nums and (min(nums) < 0 or max(nums) >= size):
+            raise ValueError(f"a key is outside range({size})")
         return cls._reduced(dom_arity, cod_arity, d, den, {k: v for k, v in nums.items() if v})
 
     @classmethod
@@ -97,14 +107,16 @@ class LinearMap:
     @cached_property
     def entries(self) -> Dict[Tuple[int, int], Fraction]:
         """The nonzero entries as {(row, col): Fraction}."""
-        den = self.den
-        return {k: Fraction(v, den) for k, v in self.nums.items()}
+        den, cols = self.den, self.cols
+        return {divmod(k, cols): Fraction(v, den) for k, v in self.nums.items()}
 
     @cached_property
     def columns(self) -> Dict[int, list]:
         """The nonzero numerators by column: {col: [(row, num), ...]}."""
         by_col: Dict[int, list] = {}
-        for (r, c), v in self.nums.items():
+        cols = self.cols
+        for k, v in self.nums.items():
+            r, c = divmod(k, cols)
             by_col.setdefault(c, []).append((r, v))
         return by_col
 
@@ -135,11 +147,12 @@ class LinearMap:
             raise ValueError(
                 f"arity mismatch: composing {self.dom_arity} <- {other.cod_arity}"
             )
-        by_col = self.columns
-        out: Dict[Tuple[int, int], int] = {}
-        for (m, c), v in other.nums.items():
+        by_col, cols = self.columns, other.cols
+        out: Dict[int, int] = {}
+        for k, v in other.nums.items():
+            m, c = divmod(k, cols)
             for r, w in by_col.get(m, ()):
-                key = (r, c)
+                key = r * cols + c
                 out[key] = out.get(key, 0) + w * v
         return LinearMap._from_ints(
             other.dom_arity, self.cod_arity, self.d, self.den * other.den, out
@@ -149,13 +162,13 @@ class LinearMap:
         """self on the left factors, other on the right."""
         if self.d != other.d:
             raise ValueError("dimension mismatch")
-        rr = other.rows
-        cc = other.cols
-        out = {
-            (r1 * rr + r2, c1 * cc + c2): v1 * v2
-            for (r1, c1), v1 in self.nums.items()
-            for (r2, c2), v2 in other.nums.items()
-        }
+        # the key (r1 * rr + r2) * (cols * cc) + c1 * cc + c2 of the product
+        # is a sum of one part from each factor
+        rr, cc, cols = other.rows, other.cols, self.cols
+        wide = cols * cc
+        left = [((k // cols) * rr * wide + (k % cols) * cc, v) for k, v in self.nums.items()]
+        right = [((k // cc) * wide + k % cc, v) for k, v in other.nums.items()]
+        out = {g + m: v1 * v2 for g, v1 in left for m, v2 in right}
         return LinearMap._reduced(
             self.dom_arity + other.dom_arity,
             self.cod_arity + other.cod_arity,
@@ -167,7 +180,9 @@ class LinearMap:
     def apply(self, vec: Dict[int, Fraction]) -> Dict[int, Fraction]:
         """Apply to a sparse column vector {index: value}."""
         out: Dict[int, Fraction] = {}
-        for (r, c), v in self.nums.items():
+        cols = self.cols
+        for k, v in self.nums.items():
+            r, c = divmod(k, cols)
             x = vec.get(c)
             if x is not None:
                 out[r] = out.get(r, 0) + v * x
@@ -177,7 +192,7 @@ class LinearMap:
         """The single entry of a 0 -> 0 map."""
         if self.dom_arity != 0 or self.cod_arity != 0:
             raise ValueError("scalar() requires a closed (0 -> 0) map")
-        return Fraction(self.nums.get((0, 0), 0), self.den)
+        return Fraction(self.nums.get(0, 0), self.den)
 
     def to_json(self) -> str:
         ents = [
@@ -207,7 +222,7 @@ class LinearMap:
 
 def identity_map(d: int, arity: int) -> LinearMap:
     n = d ** arity
-    return LinearMap._from_ints(arity, arity, d, 1, {(i, i): 1 for i in range(n)})
+    return LinearMap._from_ints(arity, arity, d, 1, {i * (n + 1): 1 for i in range(n)})
 
 
 def permutation_map(d: int, perm) -> LinearMap:
@@ -215,8 +230,9 @@ def permutation_map(d: int, perm) -> LinearMap:
     k = len(perm)
     if sorted(perm) != list(range(k)):
         raise ValueError(f"not a permutation: {perm}")
-    entries: Dict[Tuple[int, int], int] = {}
-    for col in range(d ** k):
+    n = d ** k
+    nums: Dict[int, int] = {}
+    for col in range(n):
         digits = []
         x = col
         for _ in range(k):
@@ -226,5 +242,5 @@ def permutation_map(d: int, perm) -> LinearMap:
         row = 0
         for j in range(k):
             row = row * d + digits[perm[j]]
-        entries[(row, col)] = 1
-    return LinearMap._from_ints(k, k, d, 1, entries)
+        nums[row * n + col] = 1
+    return LinearMap._from_ints(k, k, d, 1, nums)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .cospan import cospan_of_term, terms_equal
 from .kernel import apply_insertion, apply_match, find_insertions, find_matches, nf, successors
-from .layers import diagram_equal, state_to_term, state_widths, term_to_state
+from .layers import diagram_equal, print_state, state_to_term, state_widths, term_to_state
 from .terms import (
     ArityMismatch,
     Compose,
@@ -369,7 +369,7 @@ def find_path(
     def step(e, where, b, c, k, result):
         rn, d = legend[e]
         position = {"bottom": b, "layers": k, "offset": c, "in": where}
-        return TraceStep(rn, d, position, print_term(state_to_term(result)))
+        return TraceStep(rn, d, position, print_state(result))
 
     def rebuild(meet):
         """Stitch the two half-paths at the meet state into one trace.
@@ -538,7 +538,8 @@ def normalize_G1(term: Term) -> Term:
 
 
 def normalize_G2(term: Term) -> Term:
-    """Structural normal form: the canonical layered rendering."""
+    """Structural normal form: the canonical layered rendering. Its text is
+    `layers.print_state` of the same state, which needs no term."""
     state = nf(term_to_state(term))
     return state_to_term(state)
 

@@ -214,7 +214,7 @@ def assert_reduced(m):
     """m holds the data `_from_ints` would give it: no zero numerator, no
     key out of range, lowest terms, and the zero map over 1."""
     assert all(m.nums.values())
-    assert all(0 <= r < m.rows and 0 <= c < m.cols for r, c in m.nums)
+    assert all(0 <= k < m.rows * m.cols for k in m.nums)
     assert m.den > 0 and gcd(m.den, *m.nums.values()) == 1
     assert m.nums or m.den == 1
     rebuilt = LinearMap._from_ints(m.dom_arity, m.cod_arity, m.d, m.den, m.nums)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cob3 import kernel
+from cob3.cospan import cospan_of_term
 from cob3.layers import (
     GEN_COD,
     GEN_DOM,
@@ -16,6 +17,7 @@ from cob3.layers import (
     TR,
     UNIT,
     diagram_equal,
+    print_state,
     state_to_term,
     state_widths,
     sweep,
@@ -62,6 +64,22 @@ def test_each_term_object_is_flattened_once():
             term_to_state(bad)
 
 
+def test_each_term_object_is_swept_once():
+    # the cospan is kept on the term like its state, and as unseen by ==,
+    # hash, repr and printing
+    for text in ["m . pe(P) * id", "pe(P)", "(tr . unit) * comul"]:
+        term, twin = parse(text), parse(text)
+        cos = cospan_of_term(term)
+        assert cospan_of_term(term) is cos
+        assert term == twin and twin == term and hash(term) == hash(twin)
+        assert repr(term) == repr(twin) and print_term(term) == print_term(twin) == text
+        assert cospan_of_term(twin) == cos
+    bad = parse("m . m")
+    for _ in range(2):
+        with pytest.raises(ArityMismatch):
+            cospan_of_term(bad)
+
+
 def nf_of(text):
     return kernel.nf(term_to_state(parse(text)))
 
@@ -85,6 +103,8 @@ def test_state_round_trip():
 def test_empty_diagram_has_no_term():
     with pytest.raises(ValueError):
         state_to_term((0,))
+    with pytest.raises(ValueError):
+        print_state((0,))
 
 
 def test_state_widths():
@@ -331,6 +351,21 @@ def test_render_after_nf_round_trip():
         back = state_to_term(st)
         assert term_to_state(back) == st
         assert typecheck(back) == typecheck(t)
+
+
+def random_term_states(seed):
+    return term_to_state(random_term(random.Random(seed), max_gens=14, labels=("P", "Q")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(layered_states(), floating_states(), st.integers(0, 2**32).map(random_term_states)))
+@example((1,))
+@example((5,))
+@example(WIDE)
+def test_print_state_is_the_rendered_term_printed(state):
+    # wide states included: layered_states pads up to 4097 wires
+    for s in (state, kernel.nf(state)):
+        assert print_state(s) == print_term(state_to_term(s))
 
 
 def test_gen_tables_consistent():

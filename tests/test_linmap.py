@@ -69,21 +69,29 @@ def test_out_of_range_entry_rejected():
         LinearMap(1, 1, 2, {(2, 0): F(1)})
     with pytest.raises(ValueError):
         LinearMap(1, 1, 2, {(0, -1): F(1)})
+    # (0, cols) would flatten to the in-range key cols: it is checked first
+    with pytest.raises(ValueError, match=r"entry \(0,2\) outside 2x2"):
+        LinearMap(1, 1, 2, {(0, 2): F(1)})
+    with pytest.raises(ValueError, match=r"entry \(1,-1\) outside 2x2"):
+        LinearMap(1, 1, 2, {(1, -1): F(1)})
 
 
 def test_fraction_and_scaled_int_construction_agree():
     entries = {(0, 0): F(1, 2), (1, 0): F(-3, 4), (1, 1): F(2)}
     a = LinearMap(1, 1, 2, entries)
-    b = LinearMap._from_ints(1, 1, 2, 8, {(0, 0): 4, (1, 0): -6, (1, 1): 16})
-    assert (a.den, a.nums) == (b.den, b.nums) == (4, {(0, 0): 2, (1, 0): -3, (1, 1): 8})
+    # keys are flat: (row, col) is row * 2 + col
+    b = LinearMap._from_ints(1, 1, 2, 8, {0: 4, 2: -6, 3: 16})
+    assert (a.den, a.nums) == (b.den, b.nums) == (4, {0: 2, 2: -3, 3: 8})
     assert a.entries == b.entries == entries
     assert a == b
     assert hash(a) == hash(b)
 
 
 def test_denominator_positive_and_in_lowest_terms():
-    lm = LinearMap._from_ints(1, 1, 3, 36, {(0, 0): 12, (2, 1): -30, (1, 2): 0})
-    assert lm.den == 6 and lm.nums == {(0, 0): 2, (2, 1): -5}
+    # (0, 0), (2, 1) and (1, 2) of a 3x3 map
+    lm = LinearMap._from_ints(1, 1, 3, 36, {0: 12, 7: -30, 5: 0})
+    assert lm.den == 6 and lm.nums == {0: 2, 7: -5}
+    assert lm.entries == {(0, 0): F(1, 3), (2, 1): F(-5, 6)}
     for m in (lm, LinearMap(1, 1, 2, {(0, 1): F(-5, 6), (1, 0): F(7, 15)})):
         assert m.den > 0
         assert math.gcd(m.den, *m.nums.values()) == 1
@@ -94,7 +102,7 @@ def test_zero_map_has_denominator_one():
     for zero in (
         LinearMap(1, 1, 2, {}),
         LinearMap(1, 1, 2, {(0, 0): F(0)}),
-        LinearMap._from_ints(1, 1, 2, 12, {(1, 1): 0}),
+        LinearMap._from_ints(1, 1, 2, 12, {3: 0}),
         LinearMap(1, 1, 2, {(0, 0): F(1, 3)}).compose(LinearMap(1, 1, 2, {})),
     ):
         assert zero.den == 1 and zero.nums == {} and zero.entries == {}
@@ -102,12 +110,15 @@ def test_zero_map_has_denominator_one():
 
 
 def test_integer_constructor_rejects_out_of_range():
+    # a 2x2 and a 4x1 map have the flat keys 0..3: 4 = rows * cols and -1 fail
+    for dom, cod in ((1, 1), (0, 2)):
+        assert LinearMap._from_ints(dom, cod, 2, 1, {0: 1, 3: 1}).nums == {0: 1, 3: 1}
+        with pytest.raises(ValueError):
+            LinearMap._from_ints(dom, cod, 2, 1, {4: 1})
+        with pytest.raises(ValueError):
+            LinearMap._from_ints(dom, cod, 2, 3, {-1: 1, 0: 1})
     with pytest.raises(ValueError):
-        LinearMap._from_ints(1, 1, 2, 1, {(2, 0): 1})
-    with pytest.raises(ValueError):
-        LinearMap._from_ints(1, 1, 2, 3, {(0, -1): 1})
-    with pytest.raises(ValueError):
-        LinearMap._from_ints(0, 2, 2, 1, {(3, 1): 1})
+        LinearMap._from_ints(0, 0, 3, 1, {1: 1})
 
 
 FRACTIONS = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
@@ -118,6 +129,24 @@ def sparse_map(data, d, dom, cod):
     cells = st.tuples(st.integers(0, d**cod - 1), st.integers(0, d**dom - 1))
     entries = data.draw(st.dictionaries(cells, FRACTIONS, max_size=12))
     return LinearMap(dom, cod, d, entries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_flat_keys_round_trip(data):
+    # the constructor's (row, col) entries come back from .entries and
+    # through JSON; each is stored at row * cols + col
+    d = data.draw(st.integers(1, 3))
+    dom, cod = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    cells = st.tuples(st.integers(0, d**cod - 1), st.integers(0, d**dom - 1))
+    entries = data.draw(st.dictionaries(cells, FRACTIONS, max_size=12))
+    nonzero = {k: v for k, v in entries.items() if v}
+    m = LinearMap(dom, cod, d, entries)
+    assert m.entries == nonzero
+    assert m.nums == {r * d**dom + c: v * m.den for (r, c), v in nonzero.items()}
+    back = LinearMap.from_json(m.to_json())
+    assert back == m and hash(back) == hash(m) and back.entries == nonzero
+    assert (back.dom_arity, back.cod_arity, back.d, back.den) == (dom, cod, d, m.den)
 
 
 def dense(m):
