@@ -13,9 +13,10 @@ are dropped. `eval_semantic` reads each glued component's map from the
 algebra's kept `surface_map`s. The two agree on every well-typed term; that
 agreement is the whole point of the invariant. Past `max_entries`,
 `eval_term` raises `MapTooLarge` before any arithmetic. `term_to_state`
-keeps a term's state on it and `cospan_of_term` its cospan, so a term
-object is flattened once and swept into its cospan once, however many
-algebras evaluate it.
+keeps a term's state on it, `eval_term` its pieces and their ports, and
+`cospan_of_term` its cospan, so a term object is flattened once, swept
+into its pieces once and into its cospan once, however many algebras
+evaluate it.
 """
 
 from __future__ import annotations
@@ -85,14 +86,18 @@ def eval_term(
         # the layers meet labels bottom-up: raise for the first in printed order
         fold(term, lambda node: gen(node.name, node.label), _skip, _skip)
         raise
-    n, bottom, pieces, top = sweep(state)
-    ins, outs = piece_ports(n, bottom), piece_ports(n, top)
+    memo = getattr(term, "__dict__", {})  # kept on the term as tuples, as its state is
+    if "_pieces" not in memo:
+        n, bottom, pieces, top = sweep(state)
+        ports = [tuple(map(tuple, piece_ports(n, ends))) for ends in (bottom, top)]
+        memo["_pieces"] = tuple(bottom), tuple(pieces), len(top), *ports
+    bottom, pieces, cod, ins, outs = memo["_pieces"]
     if max_entries is not None:
         _check_size(d, pieces, codes, ins, outs, max_entries)
     widths = [len(ports) for ports in ins]
     ncols = [d**w for w in widths]  # an accumulator's key is row * ncols + col
     accs = [{i * (c + 1): 1 for i in range(c)} for c in ncols]
-    dens = [1] * n
+    dens = [1] * len(ins)
     wires = list(bottom)  # the piece of each current wire
     for p, off, g, lab in zip(pieces, state[1::3], codes, labels):
         if g == SWAP and wires[off] != wires[off + 1]:
@@ -115,7 +120,7 @@ def eval_term(
         widths[p] += b - a
         wires[off : off + a] = [p] * b
     accs = [acc if all(acc.values()) else {k: v for k, v in acc.items() if v} for acc in accs]
-    return _placed(d, state[0], len(top), zip(ins, outs, dens, accs))
+    return _placed(d, state[0], cod, zip(ins, outs, dens, accs))
 
 
 def _check_size(d, pieces, codes, ins, outs, max_entries) -> None:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 
-from cob3.layers import GEN_COD, GEN_DOM, _root, state_widths
+from cob3.layers import GEN_COD, GEN_DOM, PU, UNIT, _root, state_widths
 
 KERNEL = "python"
 
@@ -57,7 +57,7 @@ __all__ = [
 # of the earlier one's wires. Both can hold at once: a 0-input box sitting
 # exactly where a 0-output box ended a wire may pass on either side.
 
-# Kept: without it perfbench `search` ran at 177 op/s, not 236 (2-vCPU box).
+# Kept: without it perfbench `search` ran at 246 op/s, not 318 (2-vCPU box).
 _NF_CACHE: dict = {}
 _NF_CACHE_MAX = 1 << 18
 
@@ -86,40 +86,56 @@ def nf(state):
 def _least(state):
     """The least member of the slide class of `state`, built from the bottom.
 
-    One sweep names the wires, records where each one ends (a box's input
-    port or a place at the top) and gives each gap a face: a union-find in
-    which a tr joins the gaps beside its wire, a 0-input box splits its gap
-    into two gaps of one face, and a box's inner output gaps open new faces.
+    A class of one, where no two adjacent layers slide, is the state itself.
+    Otherwise one sweep names the wires and records where each one ends (a
+    box's input port or a place at the top). Without 0-input boxes every
+    wire comes from the bottom and `_leftmost_first` is the whole search.
+    With them, the sweep also gives each gap a face: a union-find in which
+    a tr joins the gaps beside its wire, a 0-input box splits its gap into
+    two gaps of one face, and a box's inner output gaps open new faces.
     The class is the plane diagram up to isotopy (Joyal and Street), so its
     members are the orders that rebuild the same wiring from the bottom cut
     to the top cut: a layer with inputs goes where its input wires lie side
     by side and in order, a 0-input layer at any gap of its own face.
 
-    The search keeps every cut that the least order so far reaches, and
-    backtracks to the next key when none of them can go on to the top cut;
-    it remembers those cuts, so no dead end is searched twice.
+    The search keeps every cut that the least order so far reaches. Each
+    level keeps its moves by key and takes the least key, building the next
+    cuts of that key only. When none of them can go on to the top cut, it
+    backtracks to the least later key that still has live cuts; it
+    remembers the dead cuts, so no dead end is searched twice.
     A new wire never goes on the wrong side of a wire whose future meets
     its own (`fits`), and of identical 0-input boxes whose wires run through
     1-in 1-out boxes to the top, or to a tr, only one is tried per gap: the
-    rightmost at the top, or any one of those that die. Without 0-input
-    boxes, placing the leftmost layer that fits is the whole search.
+    rightmost at the top, or any one of those that die.
     """
     dom, n = state[0], (len(state) - 1) // 3
-    cut = list(range(dom))
-    ins, outs, cons, srcs = [], [], {}, []
+    offs, gens = state[1::3], state[2::3]
+    for o1, g1, o2, g2 in zip(offs, gens, offs[1:], gens[1:]):
+        if o2 + GEN_DOM[g2] <= o1 or o2 >= o1 + GEN_COD[g1]:
+            break
+    else:  # no adjacent pair slides, and adjacent slides generate the class
+        return state
+    faces = UNIT in gens or PU in gens  # the 0-input boxes, which need faces
+    boxes = list(zip(gens, state[3::3]))
+    cut, wires, srcs = list(range(dom)), dom, []
+    ins, outs, cons = [], [], {}
     parent = list(range(dom + 1))  # union-find over faces
     gaps = list(range(dom + 1))  # the face of each gap of the cut
     right = gaps[1:]  # the face on the right of each wire
     first, seconds = {}, 0  # the two inputs of each 2-input box
-    for b in range(n):
-        o, g = state[3 * b + 1], state[3 * b + 2]
+    for b, (o, g) in enumerate(zip(offs, gens)):
         d, c = GEN_DOM[g], GEN_COD[g]
         ins.append(tuple(cut[o : o + d]))
-        outs.append(tuple(range(len(right), len(right) + c)))
-        cons.update((w, (b, k)) for k, w in enumerate(ins[b]))
+        outs.append(tuple(range(wires, wires + c)))
+        cut[o : o + d] = outs[b]
+        wires += c
+        for k, w in enumerate(ins[b]):
+            cons[w] = b, k
+        if not faces:
+            continue
         if d == 2:
-            first[cut[o + 1]] = cut[o]
-            seconds |= 1 << cut[o + 1]
+            first[ins[b][1]] = ins[b][0]
+            seconds |= 1 << ins[b][1]
         if not d:
             srcs.append(b)
             gaps.insert(o, gaps[o])
@@ -130,54 +146,52 @@ def _least(state):
             gaps[o + 1 : o + d] = range(len(parent), len(parent) + c - 1)
             parent.extend(gaps[o + 1 : o + c])
         right.extend(gaps[o + 1 : o + 1 + c])
-        cut[o : o + d] = outs[b]
-    if not srcs:
+    if not faces:
         return _leftmost_first(state, ins, outs, cons)
     right = [_root(parent, f) for f in right]
     left = _root(parent, 0)
     top = tuple(cut)
     # the future of each wire: the wires it reaches, and the top places
-    fut = dict((w, (1 << w, 1 << p)) for p, w in enumerate(top))
-    for w in reversed(range(len(right))):
-        if w in cons:
-            wires, places = 1 << w, 0
-            for x in outs[cons[w][0]]:
-                wires |= fut[x][0]
-                places |= fut[x][1]
-            fut[w] = wires, places
+    fut = {w: (1 << w, 1 << p) for p, w in enumerate(top)}
+    for b in reversed(range(n)):
+        reach = places = 0
+        for x in outs[b]:
+            reach |= fut[x][0]
+            places |= fut[x][1]
+        for w in ins[b]:
+            fut[w] = reach | 1 << w, places
     memo = {}
 
     def fits(a, c):
         """Whether wire `a` can lie left of wire `c`: the top places that only
         one of them reaches are in order, and no box takes a wire that only
         c reaches on its left input and one that only a reaches on its right."""
-        if (a, c) not in memo:
-            (wa, ta), (wc, tc) = fut[a], fut[c]
-            wa, wc, ta, tc = wa & ~wc, wc & ~wa, ta & ~tc, tc & ~ta
-            ok = not ta or not tc or ta < (tc & -tc)
-            ys = wa & seconds
-            while ok and ys:
-                y = ys.bit_length() - 1
-                ys ^= 1 << y
-                ok = not wc >> first[y] & 1
-            memo[a, c] = ok
-        return memo[a, c]
+        (wa, ta), (wc, tc) = fut[a], fut[c]
+        ta, tc, ys = ta & ~tc, tc & ~ta, wa & ~wc & seconds
+        ok = not ta or not tc or ta < (tc & -tc)
+        while ok and ys:
+            y = ys.bit_length() - 1
+            ys ^= 1 << y
+            ok = not (wc & ~wa) >> first[y] & 1
+        memo[a, c] = ok
+        return ok
 
-    # 0-input boxes as (box, wire, group, rank): identical chains in one face
-    # share a group, and per gap only the best rank in a group is tried
-    movers = []
+    # 0-input boxes as (box, wire, face, group, rank): identical chains in one
+    # face share a group, and per gap only the best rank in a group is tried
+    movers, groups = [], {}
     for b in srcs:
         u = w = outs[b][0]
-        group = [state[3 * b + 2 : 3 * b + 4], right[u]]
+        group = [boxes[b], right[u]]
         while w in cons and len(ins[cons[w][0]]) == len(outs[cons[w][0]]) == 1:
-            group.append(state[3 * cons[w][0] + 2 : 3 * cons[w][0] + 4])
+            group.append(boxes[cons[w][0]])
             w = outs[cons[w][0]][0]
         if w not in cons:
-            movers.append((b, u, tuple(group), top.index(w)))
+            group, rank = tuple(group), top.index(w)
         else:
-            movers.append((b, u, (*group, None) if not outs[cons[w][0]] else b, -b))
+            group, rank = (*group, None) if not outs[cons[w][0]] else b, -b
+        movers.append((b, u, right[u], groups.setdefault(group, len(groups)), rank))
 
-    stack = []
+    stack = []  # per level: its moves by key, the key taken and its live cuts
     frontier = {(tuple(range(dom)), 0)}
     dead = set()  # cuts known not to reach the top cut, however they go on
     while len(stack) < n or top not in {cut for cut, _placed in frontier}:
@@ -186,38 +200,49 @@ def _least(state):
             for p, w in enumerate(cut):
                 b, k = cons.get(w, (0, 1))
                 if not k and cut[p : p + len(ins[b])] == ins[b]:
-                    nxt = cut[:p] + outs[b] + cut[p + len(ins[b]) :], placed | 1 << b
-                    moves.setdefault((p, *state[3 * b + 2 : 3 * b + 4]), set()).add(nxt)
+                    moves.setdefault((p, boxes[b]), []).append((cut, placed, b))
             best = {}
-            for b, u, group, rank in movers:
+            for b, u, face, group, rank in movers:
                 if placed >> b & 1:
                     continue
-                lo, hi = 0, len(cut)
-                for i, w in enumerate(cut):
-                    if i < hi and not fits(w, u):
-                        hi = i
-                    if not fits(u, w):
-                        lo = i + 1
-                for p in range(lo, hi + 1):
-                    face = right[cut[p - 1]] if p else left
-                    if face == right[u] and best.get((group, p), (rank - 1,))[0] < rank:
-                        best[group, p] = rank, b, u
-            for (_group, p), (_rank, b, u) in best.items():
-                nxt = cut[:p] + (u,) + cut[p:], placed | 1 << b
-                moves.setdefault((p, *state[3 * b + 2 : 3 * b + 4]), set()).add(nxt)
-        if dead:
-            moves = {key: live for key, nxt in moves.items() if (live := nxt - dead)}
+                # a gap of its face, where each wire of the cut fits on its side of u
+                for p in range(len(cut) + 1):
+                    if (right[cut[p - 1]] if p else left) != face:
+                        continue
+                    if best.get((group, p), (rank - 1,))[0] >= rank:
+                        continue
+                    for i, w in enumerate(cut):
+                        a, c = (w, u) if i < p else (u, w)
+                        ok = memo.get((a, c))
+                        if not (fits(a, c) if ok is None else ok):
+                            break
+                    else:
+                        best[group, p] = rank, b
+            for (_group, p), (_rank, b) in best.items():
+                moves.setdefault((p, boxes[b]), []).append((cut, placed, b))
         if moves:
-            stack.append([sorted(moves.items()), 0])
-        else:  # a dead end: take the next key at the last choice that has one
+            stack.append([moves, None, None])
+        else:  # a dead end: these cuts are dead, and so is the key taken to them
             dead |= frontier
-            while stack[-1][1] + 1 == len(stack[-1][0]):
+        frontier = None
+        while not frontier:  # take the least key at the last level with live cuts
+            moves = stack[-1][0]
+            if not moves:  # every key failed, so the cuts the level grew from are dead
                 stack.pop()
-                dead |= stack[-1][0][stack[-1][1]][1]
-            stack[-1][1] += 1
-        options, i = stack[-1]
-        frontier = options[i][1]
-    return (dom, *(x for options, i in stack for x in options[i][0]))
+                dead |= stack[-1][2]
+                continue
+            p, _box = key = min(moves)
+            frontier = {
+                (cut[:p] + outs[b] + cut[p + len(ins[b]) :], placed | 1 << b)
+                for cut, placed, b in moves[key]
+            } - dead
+            if not frontier:
+                del moves[key]
+        stack[-1][1:] = key, frontier
+    out = [dom]
+    for _moves, (p, box), _live in stack:
+        out += p, *box
+    return tuple(out)
 
 
 def _leftmost_first(state, ins, outs, cons):

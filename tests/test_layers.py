@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cob3 import kernel
+from cob3 import evaluate, kernel
 from cob3.cospan import cospan_of_term
+from cob3.frobenius import diagonal_algebra, hadamard_algebra
 from cob3.layers import (
     GEN_COD,
     GEN_DOM,
@@ -23,6 +24,7 @@ from cob3.layers import (
     sweep,
     term_to_state,
 )
+from cob3.rewrite import _entries
 from cob3.terms import ArityMismatch, parse, print_term, random_term, typecheck
 
 
@@ -78,6 +80,24 @@ def test_each_term_object_is_swept_once():
     for _ in range(2):
         with pytest.raises(ArityMismatch):
             cospan_of_term(bad)
+
+
+def test_each_term_object_is_swept_into_pieces_once(monkeypatch):
+    # eval_term keeps the term's pieces and ports on it, as unseen by ==,
+    # hash, repr and printing; a second algebra reuses them
+    sweeps = []
+    monkeypatch.setattr(evaluate, "sweep", lambda state: sweeps.append(state) or sweep(state))
+    algebras = [hadamard_algebra(), diagonal_algebra([1, 2], primes={"P": (2, 3)})]
+    for text in ["m . pe(P) * id", "pe(P)", "(tr . unit) * comul"]:
+        term, twin = parse(text), parse(text)
+        maps = [evaluate.eval_term(term, algebras[0])]
+        pieces = vars(term)["_pieces"]
+        maps.append(evaluate.eval_term(term, algebras[1]))
+        assert vars(term)["_pieces"] is pieces
+        assert term == twin and twin == term and hash(term) == hash(twin)
+        assert repr(term) == repr(twin) and print_term(term) == print_term(twin) == text
+        assert maps == [evaluate.eval_term(twin, alg) for alg in algebras]
+    assert len(sweeps) == 6
 
 
 def nf_of(text):
@@ -291,10 +311,32 @@ PAST_THE_CAP = [
 @example((0,) + (0, 1, "", 0, 6, "P", 1, 6, "Q") * 3)
 @example(TR_THEN_FLOATS)
 @example(TWO_SCALARS)
+@example((1, 0, 1, "", 0, 0, ""))  # m . (unit * id): a class of one with a unit
+# a class of one on which a search of the whole class backtracks
+@example((1, 0, 5, "P", 0, 2, "", 1, 1, "", 1, 3, "", 0, 0, "", 0, 2, ""))
+@example((1, 0, 6, "P", 0, 0, "", 0, 3, "", 0, 1, ""))  # the search meets a dead end
 def test_nf_is_the_least_member_of_its_slide_class(state):
     want = class_min_oracle(state)
     if want is not None:
         assert kernel.nf(state) == want
+
+
+# the identity sides a search inserts
+INSERTED_SIDES = [(pat, rep) for pat, rep in _entries("CF_LEGS")[0] if len(pat) == 1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(layered_states(pads=(0, 1)), floating_states()).map(kernel.nf))
+def test_nf_of_each_insertion_child_is_the_least_member_of_its_class(state):
+    # the children `apply_insertion` builds before its nf, the states a
+    # search normalizes most; no wide pads, whose every wire is a spot
+    for pat, rep in INSERTED_SIDES:
+        for lvl, col in kernel.find_insertions(state, pat[0]):
+            block = tuple(kernel.instantiate(rep, {}, col))
+            child = state[: 1 + 3 * lvl] + block + state[1 + 3 * lvl :]
+            want = class_min_oracle(child)
+            if want is not None:
+                assert kernel.nf(child) == want
 
 
 @pytest.mark.parametrize("size, state", PAST_THE_CAP)
