@@ -19,7 +19,7 @@ import functools
 import json
 import sys
 
-from cob3.cospan import cospan_of_term, manifold_signature
+from cob3.cospan import cospan_of_state, manifold_signature
 from cob3.evaluate import (
     closed_invariant,
     closed_invariant_by_characters,
@@ -35,16 +35,16 @@ from cob3.frobenius import (
     idempotent_decomposition,
 )
 from cob3.kernel import nf
-from cob3.layers import print_state, term_to_state
+from cob3.layers import print_state, read_state
 from cob3.linmap import fraction_to_scalar
 from cob3.rewrite import (
     RULE_SETS,
     UnknownRuleSet,
     find_path,
-    normalize_G1,
+    term_of_cospan,
     verify_ruleset_soundness,
 )
-from cob3.terms import TermTypeError, parse, print_term
+from cob3.terms import ArityMismatch, TermTypeError, parse, print_term
 
 OK, DIFFER, USAGE, ALGBAD, INTERNAL = 0, 1, 2, 3, 4
 # `eval` refuses a term whose map may have more entries than this
@@ -88,14 +88,19 @@ def _checked_algebra(path: str) -> FrobeniusAlgebra:
 
 
 def _cmd_eq(args):
-    left, right = parse(args.left), parse(args.right)
-    cl, cr = cospan_of_term(left), cospan_of_term(right)
+    try:
+        sl, left = read_state(args.left)
+    except ArityMismatch:
+        parse(args.right)  # a parse error on either side comes first
+        raise
+    sr, right = read_state(args.right)
+    cl, cr = cospan_of_state(sl), cospan_of_state(sr)
     equal = cl == cr
     data = {
         "equal": equal,
-        "left": print_term(left),
+        "left": left,
         "left_signature": manifold_signature(cl),
-        "right": print_term(right),
+        "right": right,
         "right_signature": manifold_signature(cr),
     }
     text = (
@@ -106,13 +111,13 @@ def _cmd_eq(args):
 
 
 def _cmd_normalize(args):
-    term = parse(args.term)
+    state, text = read_state(args.term)
     if args.presentation == "G1":
-        out = print_term(normalize_G1(term))
+        out = print_term(term_of_cospan(cospan_of_state(state)))
     else:  # normalize_G2's text, printed from the state without a term
-        out = print_state(nf(term_to_state(term)))
+        out = print_state(nf(state))
     data = {
-        "input": print_term(term),
+        "input": text,
         "normal_form": out,
         "presentation": args.presentation,
     }

@@ -24,6 +24,7 @@ __all__ = [
     "Component",
     "LabelledCospan",
     "cospan_of_term",
+    "cospan_of_state",
     "terms_equal",
     "manifold_signature",
     "cospan_to_json",
@@ -72,31 +73,33 @@ def _canonical(dom: int, cod: int, comps) -> LabelledCospan:
 
 
 def cospan_of_term(term: Term) -> LabelledCospan:
-    """The canonical cospan a well-typed term denotes.
-
-    `sweep` gives each wire and layer its piece. A piece's primes are its
-    layers' labels, and its genus is #comul - #tr - #outputs + 1: its Euler
-    characteristic 2 - 2 genus - #ports is #unit + #pu + #tr - #m - #comul,
-    and #m is #inputs + #comul + #unit + #pu - #tr - #outputs. The cospan
-    is kept on the term, outside its fields, as `term_to_state` keeps the
-    state: terms are frozen, so each term object is swept once.
-    """
+    """The canonical cospan a well-typed term denotes, kept on the term as
+    `term_to_state` keeps its state: each term object is swept once."""
     memo = getattr(term, "__dict__", {})
     if "_cospan" not in memo:
-        state = term_to_state(term)
-        n, bottom, layers, top = sweep(state)
-        ins, outs = piece_ports(n, bottom), piece_ports(n, top)
-        genus = [1 - len(ports) for ports in outs]
-        primes = [[] for _ in range(n)]
-        for x, gen, lab in zip(layers, state[2::3], state[3::3]):
-            if gen == COMUL:
-                genus[x] += 1
-            elif gen == TR:
-                genus[x] -= 1
-            elif lab:
-                primes[x].append(lab)
-        memo["_cospan"] = _canonical(state[0], len(top), zip(ins, outs, genus, primes))
+        memo["_cospan"] = cospan_of_state(term_to_state(term))
     return memo["_cospan"]
+
+
+def cospan_of_state(state: tuple) -> LabelledCospan:
+    """The canonical cospan of a layered state. `sweep` gives each wire and
+    layer its piece. A piece's primes are its layers' labels, and its genus
+    is #comul - #tr - #outputs + 1: its Euler characteristic 2 - 2 genus -
+    #ports is #unit + #pu + #tr - #m - #comul, and #m is #inputs + #comul +
+    #unit + #pu - #tr - #outputs.
+    """
+    n, bottom, layers, top = sweep(state)
+    ins, outs = piece_ports(n, bottom), piece_ports(n, top)
+    genus = [1 - len(ports) for ports in outs]
+    primes = [[] for _ in range(n)]
+    for x, gen, lab in zip(layers, state[2::3], state[3::3]):
+        if gen == COMUL:
+            genus[x] += 1
+        elif gen == TR:
+            genus[x] -= 1
+        elif lab:
+            primes[x].append(lab)
+    return _canonical(state[0], len(top), zip(ins, outs, genus, primes))
 
 
 def terms_equal(a: Term, b: Term) -> bool:

@@ -4,8 +4,8 @@ A term denotes a planar diagram: generators stacked in layers, each layer a
 single generator whiskered by identity wires. Two terms denote the same
 diagram exactly when they differ by associativity/unit laws of "." and "*"
 and by the interchange law — the structural congruence of a strict monoidal
-category. This module converts terms to and from a flat layer encoding, finds
-its pieces, and compares diagrams by the kernel's slide-sorted representative.
+category. This module turns terms and term text into a flat layer encoding and
+back, finds its pieces, and compares diagrams by nf's slide-sorted form.
 The generator codes and arities below are the one table every consumer of
 the encoding (kernel, cospan, evaluator, rule compiler) reads.
 
@@ -31,8 +31,12 @@ from cob3.terms import (
     Tensor,
     Term,
     _compose_type,
+    atom,
     fold,
+    parse,
+    read,
     stack,
+    whisker,
 )
 
 __all__ = [
@@ -48,6 +52,7 @@ __all__ = [
     "GEN_DOM",
     "GEN_COD",
     "term_to_state",
+    "read_state",
     "state_to_term",
     "print_state",
     "state_widths",
@@ -70,12 +75,36 @@ def term_to_state(term: Term) -> tuple:
     """
     memo = getattr(term, "__dict__", {})
     if "_state" not in memo:
-        dom, _cod, base, layers = fold(term, _gen_layers, _compose_layers, _tensor_layers)
-        out = [dom]
-        for off, gen, label in layers:
-            out += (off + base, gen, label)
-        memo["_state"] = tuple(out)
+        memo["_state"] = _state(fold(term, _gen_layers, _compose_layers, _tensor_layers))
     return memo["_state"]
+
+
+def read_state(text: str) -> tuple[tuple, str]:
+    """(term_to_state(parse(text)), print_term(parse(text))), and their
+    errors, read from the text with no term built: each value is the
+    fold's below plus its text and the kind of node it prints as."""
+
+    def compose(f, g):
+        if f[0] != g[1]:  # raises: a ParseError anywhere first, else this mismatch
+            term_to_state(parse(text))
+        left = f"({f[4]})" if f[5] is Compose else f[4]
+        return (g[0], f[1]) + _join(g, f, 0) + (f"{left} . {g[4]}", Compose)
+
+    def tensor(l, r):
+        left = l[4] if l[5] is Gen else f"({l[4]})"
+        right = f"({r[4]})" if r[5] is Compose else r[4]
+        return (l[0] + r[0], l[1] + r[1]) + _join(l, r, l[1]) + (f"{left} * {right}", Tensor)
+
+    value = read(text, _atom_layers, compose, tensor)
+    return _state(value), value[4]
+
+
+def _state(value) -> tuple:
+    """The state of a whole term from its fold or read value."""
+    base, out = value[2], [value[0]]
+    for off, gen, label in value[3]:
+        out += (off + base, gen, label)
+    return tuple(out)
 
 
 # The fold's value for a subterm is (dom, cod, base, layers): its layers
@@ -83,11 +112,16 @@ def term_to_state(term: Term) -> tuple:
 # join is rebased onto the longer side's base, so a deep or wide term is
 # flattened without re-offsetting its long side at every level.
 
+def _atom_layers(name: str, label: str | None):
+    if name == "id":
+        return 1, 1, 0, [], "id", Gen
+    code = GEN_CODES[name]
+    text = name if label is None else f"{name}({label})"
+    return GEN_DOM[code], GEN_COD[code], 0, [(0, code, label or "")], text, Gen
+
+
 def _gen_layers(node: Gen):
-    if node.name == "id":
-        return 1, 1, 0, []
-    code = GEN_CODES[node.name]
-    return GEN_DOM[code], GEN_COD[code], 0, [(0, code, node.label or "")]
+    return _atom_layers(node.name, node.label)
 
 
 def _compose_layers(node: Compose, f, g):
@@ -177,27 +211,15 @@ def piece_ports(n: int, pieces: list) -> list:
 
 
 def state_to_term(state: tuple) -> Term:
-    """Render a state as a term: a composition of whiskered slices.
-
-    The slices share their identity tensors, as `whisker` would build them,
-    so a wide state costs one term node per width, not one per wire of
-    every slice.
-    """
+    """Render a state as a term: a composition of whiskered slices, which
+    share their identity runs (`id_n`) and unlabelled boxes."""
     if state == (0,):
         raise ValueError("the empty diagram has no term")
     widths = state_widths(state)
-    ids = [Gen("id")]  # ids[k - 1] is id_n(k)
-    while len(ids) < max(widths):
-        ids.append(Tensor(ids[0], ids[-1]))
     layers = []
     for i, (off, gen, lab) in enumerate(zip(state[1::3], state[2::3], state[3::3])):
-        box = Gen(GEN_NAMES[gen], lab or None)
-        right = widths[i] - off - GEN_DOM[gen]
-        if right > 0:
-            box = Tensor(box, ids[right - 1])
-        if off > 0:
-            box = Tensor(ids[off - 1], box)
-        layers.append(box)
+        box = atom(GEN_NAMES[gen], lab or None)
+        layers.append(whisker(box, off, widths[i] - off - GEN_DOM[gen]))
     return stack(layers, state[0])
 
 

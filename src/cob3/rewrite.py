@@ -20,7 +20,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .cospan import cospan_of_term, terms_equal
+from .cospan import LabelledCospan, cospan_of_term, terms_equal
 from .kernel import apply_insertion, apply_match, find_insertions, find_matches, nf, successors
 from .layers import diagram_equal, print_state, state_to_term, state_widths, term_to_state
 from .terms import (
@@ -29,6 +29,7 @@ from .terms import (
     Gen,
     Tensor,
     Term,
+    atom,
     fold,
     id_n,
     parse,
@@ -53,6 +54,7 @@ __all__ = [
     "NotFoundWithinBound",
     "normalize_G1",
     "normalize_G2",
+    "term_of_cospan",
     "verify_ruleset_soundness",
 ]
 
@@ -474,25 +476,28 @@ def _component_core(n_in: int, genus: int, n_out: int) -> Term:
     layers: list[Term] = []
     w = n_in
     if w == 0:
-        layers.append(Gen("unit"))
+        layers.append(atom("unit"))
         w = 1
     while w > 1:
-        layers.append(whisker(Gen("m"), 0, w - 2))
+        layers.append(whisker(atom("m"), 0, w - 2))
         w -= 1
-    for _ in range(genus):
-        layers += (Gen("comul"), Gen("m"))
+    layers += (atom("comul"), atom("m")) * genus
     if n_out == 0:
-        layers.append(Gen("tr"))
+        layers.append(atom("tr"))
     while w < n_out:
-        layers.append(whisker(Gen("comul"), 0, w - 1))
+        layers.append(whisker(atom("comul"), 0, w - 1))
         w += 1
     return stack(layers, n_in)
 
 
 def normalize_G1(term: Term) -> Term:
-    """Semantic normal form: rebuild the term from its invariant.
+    """Semantic normal form: `term_of_cospan` of the term's cospan."""
+    return term_of_cospan(cospan_of_term(term))
 
-    Built in one bottom-up pass over the cospan's pieces:
+
+def term_of_cospan(cos: LabelledCospan) -> Term:
+    """The G1 normal form of a cospan, built in one bottom-up pass over its
+    pieces:
       * the prime feeds pu(LABEL), sorted by label and then by piece, to the
         right of the input wires;
       * each piece's bottom wires: its inputs, then its feeds;
@@ -503,10 +508,9 @@ def normalize_G1(term: Term) -> Term:
     Identity routings are left out. A piece with one bottom wire, genus 0
     and one output is a bare wire; when every piece is one, the cores are
     dropped under the first layer next to them. The result depends only on
-    the bordism the term denotes, so it is idempotent and equal terms
-    normalize identically.
+    the cospan, so normalize_G1 is idempotent and equal terms normalize
+    identically.
     """
-    cos = cospan_of_term(term)
     comps = cos.components
     if not comps:
         raise ValueError("the empty bordism has no term")
@@ -540,8 +544,7 @@ def normalize_G1(term: Term) -> Term:
 def normalize_G2(term: Term) -> Term:
     """Structural normal form: the canonical layered rendering. Its text is
     `layers.print_state` of the same state, which needs no term."""
-    state = nf(term_to_state(term))
-    return state_to_term(state)
+    return state_to_term(nf(term_to_state(term)))
 
 
 # ---------------------------------------------------------------------------

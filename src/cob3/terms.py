@@ -32,12 +32,14 @@ __all__ = [
     "Term",
     "TermTypeError",
     "GENERATOR_ARITIES",
+    "atom",
     "fold",
     "id_n",
     "parse",
     "permutation_term",
     "print_term",
     "random_term",
+    "read",
     "stack",
     "typecheck",
     "whisker",
@@ -241,9 +243,9 @@ def print_term(term: Term) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-# Each match is optional whitespace, then a token (group 1) or a character
-# that starts no token (group 2).
-_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z0-9_#+-]+|[.*()])|(\S))")
+# Term text is tokens and whitespace; any other character starts no token.
+_TOKEN_RE = re.compile(r"[A-Za-z0-9_#+-]+|[.*()]")
+_BAD_RE = re.compile(r"[^A-Za-z0-9_#+\-.*()\s]")
 
 
 def _error(text: str, message: str, pos: int) -> ParseError:
@@ -253,95 +255,99 @@ def _error(text: str, message: str, pos: int) -> ParseError:
 
 
 def parse(text: str) -> Term:
-    """Parse term text; raise ParseError with line/column on malformed input.
+    """Parse term text; raise ParseError with line/column on malformed input."""
+    return read(text, Gen, Compose, Tensor)
 
-    Recursive descent run on an explicit stack: the stack holds open "("
-    and the left operands of pending "." and "*", so nesting depth costs
-    no Python recursion.
-    """
-    words: list[str] = []
-    starts: list[int] = []
-    for match in _TOKEN_RE.finditer(text):
-        word, bad = match.groups()
-        if bad is not None:
-            raise _error(text, f"unexpected character {bad!r}", match.start(2))
-        words.append(word)
-        starts.append(match.start(1))
+
+def read(text: str, gen, compose, tensor):
+    """Reduce term text through callbacks, as `fold` reduces parse(text):
+    gen(name, label) (label None if it has none), compose(f, g) and
+    tensor(l, r), called in fold's order. The stack holds open "(" and the
+    left operands of pending "." and "*", so nesting costs no recursion."""
+    bad = _BAD_RE.search(text)
+    if bad:
+        raise _error(text, f"unexpected character {bad.group()!r}", bad.start())
+    words: list = _TOKEN_RE.findall(text)
     if not words:
         raise ParseError("empty input", 1, 1)
-    n = len(words)
-    i = 0
+    words.append(None)  # the end of the input
 
-    def take() -> str:
-        nonlocal i
-        if i == n:
+    def fail(message: str, k: int):  # at the k-th word, or at the end
+        if words[k] is None:
             raise _error(text, "unexpected end of input", len(text))
-        i += 1
-        return words[i - 1]
+        raise _error(text, message, [m.start() for m in _TOKEN_RE.finditer(text)][k])
 
-    def fail(message: str):
-        # the token just taken is the offending one
-        raise _error(text, message, starts[i - 1])
-
+    i = 0
     stack: list = []  # "(" or (operator, left operand)
     while True:
-        word = take()
+        word = words[i]
+        i += 1
         if word == "(":
             stack.append("(")
             continue
-        if word in (".", "*", ")"):
-            fail(f"expected a term, got {word!r}")
         if word in _LABELLED:
-            if take() != "(":
-                fail(f"{word} needs a parenthesized label")
-            label = take()
-            if not _LABEL_RE.match(label):
-                fail(f"bad prime label {label!r}")
-            if take() != ")":
-                fail(f"expected ')', got {words[i - 1]!r}")
-            term: Term = Gen(word, label)
+            if words[i] != "(":
+                fail(f"{word} needs a parenthesized label", i)
+            label = words[i + 1]
+            if not (label and _LABEL_RE.match(label)):
+                fail(f"bad prime label {label!r}", i + 1)
+            if words[i + 2] != ")":
+                fail(f"expected ')', got {words[i + 2]!r}", i + 2)
+            i += 3
+            term = gen(word, label)
         elif word in GENERATOR_ARITIES:
-            term = Gen(word)
+            term = gen(word, None)
+        elif word in (".", "*", ")"):
+            fail(f"expected a term, got {word!r}", i - 1)
         else:
-            fail(f"unknown generator {word!r}")
+            fail(f"unknown generator {word!r}", i - 1)
         # term is a complete atom: reduce until an operator wants a right
         # operand or the input ends.
         while True:
-            nxt = words[i] if i < n else None
+            nxt = words[i]
             if nxt == "*":
                 i += 1
                 stack.append(("*", term))
                 break
             while stack and stack[-1][0] == "*":
-                term = Tensor(stack.pop()[1], term)
+                term = tensor(stack.pop()[1], term)
             if nxt == ".":
                 i += 1
                 stack.append((".", term))
                 break
             while stack and stack[-1][0] == ".":
-                term = Compose(stack.pop()[1], term)
+                term = compose(stack.pop()[1], term)
             if not stack:
-                if i != n:
-                    raise _error(
-                        text, f"trailing input starting at {nxt!r}", starts[i]
-                    )
+                if nxt is not None:
+                    fail(f"trailing input starting at {nxt!r}", i)
                 return term
-            if take() != ")":
-                fail(f"expected ')', got {words[i - 1]!r}")
+            if nxt != ")":
+                fail(f"expected ')', got {nxt!r}", i)
+            i += 1
             stack.pop()  # the matching "(": the group is an atom
 
 
 # ---------------------------------------------------------------------------
 # builders
 
+# Terms are frozen, so the builders share nodes: one of each unlabelled
+# generator, and each identity run id_n(k) as _IDS[k].
+_ATOMS = {name: Gen(name) for name in GENERATOR_ARITIES if name not in _LABELLED}
+_IDS = {1: _ATOMS["id"]}
+
+
+def atom(name: str, label: str | None = None) -> Gen:
+    """Gen(name, label), shared when it has no label."""
+    return _ATOMS[name] if label is None and name in _ATOMS else Gen(name, label)
+
+
 def id_n(n: int) -> Term:
     """n-fold tensor of id (right-nested); n must be >= 1."""
     if n < 1:
         raise ValueError("id_n needs n >= 1; width-0 interfaces have no term")
-    term: Term = Gen("id")
-    for _ in range(n - 1):
-        term = Tensor(Gen("id"), term)
-    return term
+    for k in range(len(_IDS) + 1, n + 1):  # keys stay 1..len, even across threads
+        _IDS.setdefault(k, Tensor(_IDS[1], _IDS[k - 1]))
+    return _IDS[n]
 
 
 def whisker(box: Term, left: int, right: int) -> Term:
@@ -385,7 +391,7 @@ def permutation_term(perm) -> Term:
                 cur[i], cur[i + 1] = cur[i + 1], cur[i]
                 swaps.append(i)
                 changed = True
-    return stack([whisker(Gen("swap"), i, n - i - 2) for i in swaps], n)
+    return stack([whisker(atom("swap"), i, n - i - 2) for i in swaps], n)
 
 
 def random_term(rng, max_gens: int = 12, labels=("P", "Q")) -> Term:

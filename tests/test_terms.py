@@ -1,10 +1,13 @@
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cob3.layers import term_to_state
+from cob3 import terms
+from cob3.layers import read_state, term_to_state
 from cob3.terms import (
     ArityMismatch,
     Compose,
@@ -12,6 +15,10 @@ from cob3.terms import (
     ParseError,
     Tensor,
     TermTypeError,
+    _print_compose,
+    _print_gen,
+    _print_tensor,
+    atom,
     fold,
     id_n,
     parse,
@@ -65,21 +72,24 @@ def test_parse_print_round_trip_samples():
         assert print_term(parse(print_term(t))) == print_term(t)
 
 
+JUNK = ["m .", "m . (", "pe()", "pe(p", "foo", "id * * id", ""]
+
+
 def test_parse_rejects_junk():
-    for bad in ["m .", "m . (", "pe()", "pe(p", "foo", "id * * id", ""]:
+    for bad in JUNK:
         with pytest.raises(ParseError):
             parse(bad)
 
 
-@pytest.mark.parametrize(
-    "text, message, line, column",
-    [
-        ("m .\n  $", "unexpected character '$'", 2, 3),
-        ("m .\n\n (id *\n  )", "expected a term, got ')'", 4, 3),
-        ("(m .\n m", "unexpected end of input", 2, 3),
-        ("pe(P)\n pe(Q)", "trailing input starting at 'pe'", 2, 2),
-    ],
-)
+ERROR_POSITIONS = [
+    ("m .\n  $", "unexpected character '$'", 2, 3),
+    ("m .\n\n (id *\n  )", "expected a term, got ')'", 4, 3),
+    ("(m .\n m", "unexpected end of input", 2, 3),
+    ("pe(P)\n pe(Q)", "trailing input starting at 'pe'", 2, 2),
+]
+
+
+@pytest.mark.parametrize("text, message, line, column", ERROR_POSITIONS)
 def test_parse_error_position(text, message, line, column):
     with pytest.raises(ParseError) as err:
         parse(text)
@@ -164,3 +174,99 @@ def test_random_terms_are_well_typed():
         arities.add(typecheck(t))
         assert print_term(parse(print_term(t))) == print_term(t)
     assert len(arities) > 10
+
+
+def test_unlabelled_generators_and_identity_runs_are_shared():
+    assert atom("m") is atom("m") and atom("m") == Gen("m")
+    assert atom("pe", "P") == Gen("pe", "P")
+    with pytest.raises(ValueError, match="unknown generator"):
+        atom("foo")
+    assert id_n(5) is id_n(5) and id_n(5).r is id_n(4)
+    assert id_n(7) == parse(" * ".join(["id"] * 7))
+    assert permutation_term((1, 0, 2)).l is atom("swap")
+
+
+def test_identity_runs_stay_right_when_threads_grow_them(monkeypatch):
+    monkeypatch.setattr(terms, "_IDS", {1: atom("id")})
+    widths = list(range(1, 400))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [
+            threading.Thread(target=lambda ws: [id_n(k) for k in ws], args=(ws,))
+            for ws in (widths[::-1], widths, widths[::2], widths[::-3]) * 2
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for k in widths[1:]:
+        assert id_n(k).l is atom("id") and id_n(k).r is id_n(k - 1)
+
+
+# The reader against parse, term_to_state and print_term: the same state and
+# text, or the same error.
+
+def _read_as_parse(text):
+    """Check read_state(text) against the three calls it stands for."""
+    try:
+        term = parse(text)
+        want = term_to_state(term), print_term(term)
+    except (ParseError, TermTypeError) as err:
+        with pytest.raises(type(err)) as got:
+            read_state(text)
+        assert type(got.value) is type(err) and str(got.value) == str(err)
+    else:
+        assert read_state(text) == want
+
+
+def _print_with_parens(term, rng):
+    """print_term's text, with redundant parentheses around random subterms."""
+
+    def wrap(text):
+        return f"({text})" if rng.random() < 0.3 else text
+
+    return fold(
+        term,
+        lambda node: wrap(_print_gen(node)),
+        lambda node, f, g: wrap(_print_compose(node, f, g)),
+        lambda node, l, r: wrap(_print_tensor(node, l, r)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _TREES,
+    st.sampled_from([" ", "  ", "\n", " \n\t "]),
+    st.randoms(use_true_random=False),
+    st.sampled_from(["", " )", " .", " * m", " $", " (m"]),
+)
+def test_read_state_is_parse_flatten_and_print(term, space, rng, tail):
+    # any tree, well-typed or not; a tail makes the parse fail after the
+    # first arity mismatch, and a parse error must still win
+    _read_as_parse(print_term(term))
+    _read_as_parse(_print_with_parens(term, rng).replace(" ", space) + tail)
+
+
+def test_read_state_rejects_what_parse_rejects():
+    texts = JUNK + [text for text, *_ in ERROR_POSITIONS]
+    texts += ["m . unit . id )", "m . unit", "(m . m) . (comul . comul)", "m . m $"]
+    for text in texts:
+        _read_as_parse(text)
+    with pytest.raises(ParseError, match=r"trailing input starting at '\)'"):
+        read_state("m . unit . id )")
+
+
+def test_read_state_of_long_and_deep_text():
+    # no Python recursion on the length of a chain or the depth of nesting
+    chain = " . ".join(["pe(P)", "m", "comul"] * 1000)
+    deep = "(" * 3000 + "pe(P) . id" + ")" * 3000
+    left = "(" * 3000 + "pe(P)" + " . pe(Q))" * 3000
+    for text in [chain, deep, left, left.replace("pe(P)", "m")]:
+        _read_as_parse(text)
+    assert read_state(deep) == ((1, 0, 5, "P"), "pe(P) . id")
+    with pytest.raises(ArityMismatch):
+        read_state("(" * 3000 + "m . m" + ")" * 3000)
