@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .layers import COMUL, TR, piece_ports, sweep, term_to_state
-from .terms import Term
+from .layers import COMUL, TR, pieces, term_to_state
+from .terms import Term, _kept
 
 __all__ = [
     "Component",
@@ -75,23 +75,19 @@ def _canonical(dom: int, cod: int, comps) -> LabelledCospan:
 def cospan_of_term(term: Term) -> LabelledCospan:
     """The canonical cospan a well-typed term denotes, kept on the term as
     `term_to_state` keeps its state: each term object is swept once."""
-    memo = getattr(term, "__dict__", {})
-    if "_cospan" not in memo:
-        memo["_cospan"] = cospan_of_state(term_to_state(term))
-    return memo["_cospan"]
+    return _kept(term, "_cospan", lambda: cospan_of_state(term_to_state(term)))
 
 
 def cospan_of_state(state: tuple) -> LabelledCospan:
-    """The canonical cospan of a layered state. `sweep` gives each wire and
+    """The canonical cospan of a layered state. `pieces` gives each wire and
     layer its piece. A piece's primes are its layers' labels, and its genus
     is #comul - #tr - #outputs + 1: its Euler characteristic 2 - 2 genus -
     #ports is #unit + #pu + #tr - #m - #comul, and #m is #inputs + #comul +
     #unit + #pu - #tr - #outputs.
     """
-    n, bottom, layers, top = sweep(state)
-    ins, outs = piece_ports(n, bottom), piece_ports(n, top)
+    _, layers, cod, ins, outs = pieces(state)
     genus = [1 - len(ports) for ports in outs]
-    primes = [[] for _ in range(n)]
+    primes = [[] for _ in ins]
     for x, gen, lab in zip(layers, state[2::3], state[3::3]):
         if gen == COMUL:
             genus[x] += 1
@@ -99,7 +95,7 @@ def cospan_of_state(state: tuple) -> LabelledCospan:
             genus[x] -= 1
         elif lab:
             primes[x].append(lab)
-    return _canonical(state[0], len(top), zip(ins, outs, genus, primes))
+    return _canonical(state[0], cod, zip(ins, outs, genus, primes))
 
 
 def terms_equal(a: Term, b: Term) -> bool:

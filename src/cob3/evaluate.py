@@ -4,7 +4,7 @@ A 2D TQFT is a symmetric monoidal functor, so a diagram's map is the tensor
 product of its connected pieces' maps, placed at their boundary wires by
 `_placed` with no range check or zero filter, which cannot fail there (see
 `_placed`). Maps are keyed as `LinearMap.nums` is, by one flat int
-row * cols + col. `eval_term` walks each piece of `layers.sweep` on its own:
+row * cols + col. `eval_term` walks each piece of `layers.pieces` on its own:
 an int accumulator over the piece's wires starts from the identity on its
 inputs (the scalar 1 for a piece born from units), each layer applies the
 algebra's generator map at its offset among the piece's wires, a `swap`
@@ -12,11 +12,10 @@ between two pieces only reorders them, and zeros left by cancelling sums
 are dropped. `eval_semantic` reads each glued component's map from the
 algebra's kept `surface_map`s. The two agree on every well-typed term; that
 agreement is the whole point of the invariant. Past `max_entries`,
-`eval_term` raises `MapTooLarge` before any arithmetic. `term_to_state`
-keeps a term's state on it, `eval_term` its pieces and their ports, and
-`cospan_of_term` its cospan, so a term object is flattened once, swept
-into its pieces once and into its cospan once, however many algebras
-evaluate it.
+`eval_term` raises `MapTooLarge` before any arithmetic. A term's state,
+its pieces and its cospan are each kept on the term (`terms._kept`), so a
+term object is flattened, swept into pieces and into its cospan once,
+however many algebras evaluate it.
 """
 
 from __future__ import annotations
@@ -27,9 +26,9 @@ from typing import Optional, Tuple
 
 from cob3.cospan import LabelledCospan
 from cob3.frobenius import FrobeniusAlgebra, character_on_block, idempotent_decomposition
-from cob3.layers import GEN_COD, GEN_DOM, GEN_NAMES, SWAP, piece_ports, sweep, term_to_state
+from cob3.layers import GEN_COD, GEN_DOM, GEN_NAMES, SWAP, pieces, term_to_state
 from cob3.linmap import LinearMap, scalar_to_fraction
-from cob3.terms import _LABEL_RE, fold, parse
+from cob3.terms import _LABEL_RE, _kept, fold, parse
 
 __all__ = [
     "MapTooLarge",
@@ -84,22 +83,17 @@ def eval_term(
         maps = {k: gen(GEN_NAMES[k[0]], k[1] or None) for k in set(zip(codes, labels))}
     except (KeyError, ValueError, TypeError):  # an unknown label or a bad override
         # the layers meet labels bottom-up: raise for the first in printed order
-        fold(term, lambda node: gen(node.name, node.label), _skip, _skip)
+        fold(term, gen, _skip, _skip)
         raise
-    memo = getattr(term, "__dict__", {})  # kept on the term as tuples, as its state is
-    if "_pieces" not in memo:
-        n, bottom, pieces, top = sweep(state)
-        ports = [tuple(map(tuple, piece_ports(n, ends))) for ends in (bottom, top)]
-        memo["_pieces"] = tuple(bottom), tuple(pieces), len(top), *ports
-    bottom, pieces, cod, ins, outs = memo["_pieces"]
+    bottom, layers, cod, ins, outs = _kept(term, "_pieces", lambda: pieces(state))
     if max_entries is not None:
-        _check_size(d, pieces, codes, ins, outs, max_entries)
+        _check_size(d, layers, codes, ins, outs, max_entries)
     widths = [len(ports) for ports in ins]
     ncols = [d**w for w in widths]  # an accumulator's key is row * ncols + col
     accs = [{i * (c + 1): 1 for i in range(c)} for c in ncols]
     dens = [1] * len(ins)
     wires = list(bottom)  # the piece of each current wire
-    for p, off, g, lab in zip(pieces, state[1::3], codes, labels):
+    for p, off, g, lab in zip(layers, state[1::3], codes, labels):
         if g == SWAP and wires[off] != wires[off + 1]:
             wires[off], wires[off + 1] = wires[off + 1], wires[off]
             continue

@@ -26,11 +26,13 @@ from __future__ import annotations
 
 from cob3.terms import (
     GENERATOR_ARITIES,
-    Compose,
-    Gen,
-    Tensor,
+    ArityMismatch,
     Term,
     _compose_type,
+    _kept,
+    _print_compose,
+    _print_gen,
+    _print_tensor,
     atom,
     fold,
     parse,
@@ -56,8 +58,7 @@ __all__ = [
     "state_to_term",
     "print_state",
     "state_widths",
-    "sweep",
-    "piece_ports",
+    "pieces",
     "diagram_equal",
 ]
 
@@ -70,33 +71,28 @@ def term_to_state(term: Term) -> tuple:
     """Flatten a term to its layer encoding (not yet slide-sorted).
 
     One fold both checks arities, raising what typecheck would, and
-    collects the layers. The state is kept on the term, outside its
-    fields: terms are frozen, so each term object is flattened once.
+    collects the layers. The state is kept on the term (`terms._kept`), so
+    each term object is flattened once.
     """
-    memo = getattr(term, "__dict__", {})
-    if "_state" not in memo:
-        memo["_state"] = _state(fold(term, _gen_layers, _compose_layers, _tensor_layers))
-    return memo["_state"]
+    layers = (_atom_layers, _compose_layers, _tensor_layers)
+    return _kept(term, "_state", lambda: _state(fold(term, *layers)))
 
 
 def read_state(text: str) -> tuple[tuple, str]:
     """(term_to_state(parse(text)), print_term(parse(text))), and their
-    errors, read from the text with no term built: each value is the
-    fold's below plus its text and the kind of node it prints as."""
-
-    def compose(f, g):
-        if f[0] != g[1]:  # raises: a ParseError anywhere first, else this mismatch
-            term_to_state(parse(text))
-        left = f"({f[4]})" if f[5] is Compose else f[4]
-        return (g[0], f[1]) + _join(g, f, 0) + (f"{left} . {g[4]}", Compose)
-
-    def tensor(l, r):
-        left = l[4] if l[5] is Gen else f"({l[4]})"
-        right = f"({r[4]})" if r[5] is Compose else r[4]
-        return (l[0] + r[0], l[1] + r[1]) + _join(l, r, l[1]) + (f"{left} * {right}", Tensor)
-
-    value = read(text, _atom_layers, compose, tensor)
-    return _state(value), value[4]
+    errors, read from the text with no term built: the layers' callbacks
+    and the printer's, paired."""
+    try:
+        layers, (printed, _) = read(
+            text,
+            lambda name, label: (_atom_layers(name, label), _print_gen(name, label)),
+            lambda f, g: (_compose_layers(f[0], g[0]), _print_compose(f[1], g[1])),
+            lambda l, r: (_tensor_layers(l[0], r[0]), _print_tensor(l[1], r[1])),
+        )
+    except ArityMismatch:  # a ParseError anywhere comes first, else the mismatch with its node
+        term_to_state(parse(text))
+        raise
+    return _state(layers), printed
 
 
 def _state(value) -> tuple:
@@ -107,29 +103,23 @@ def _state(value) -> tuple:
     return tuple(out)
 
 
-# The fold's value for a subterm is (dom, cod, base, layers): its layers
+# The layers: a subterm's value is (dom, cod, base, layers), its layers
 # bottom-up as (offset - base, code, label) triples. The shorter side of a
 # join is rebased onto the longer side's base, so a deep or wide term is
 # flattened without re-offsetting its long side at every level.
 
 def _atom_layers(name: str, label: str | None):
     if name == "id":
-        return 1, 1, 0, [], "id", Gen
+        return 1, 1, 0, []
     code = GEN_CODES[name]
-    text = name if label is None else f"{name}({label})"
-    return GEN_DOM[code], GEN_COD[code], 0, [(0, code, label or "")], text, Gen
+    return GEN_DOM[code], GEN_COD[code], 0, [(0, code, label or "")]
 
 
-def _gen_layers(node: Gen):
-    return _atom_layers(node.name, node.label)
+def _compose_layers(f, g):
+    return _compose_type(f, g) + _join(g, f, 0)
 
 
-def _compose_layers(node: Compose, f, g):
-    dom, cod = _compose_type(node, f, g)
-    return (dom, cod) + _join(g, f, 0)
-
-
-def _tensor_layers(node: Tensor, l, r):
+def _tensor_layers(l, r):
     return (l[0] + r[0], l[1] + r[1]) + _join(l, r, l[1])
 
 
@@ -138,7 +128,8 @@ def _join(first, second, shift: int):
     base1, layers1 = first[2], first[3]
     base2, layers2 = second[2] + shift, second[3]
     if len(layers1) >= len(layers2):
-        layers1 += _rebase(layers2, base2 - base1)
+        if layers2:
+            layers1 += _rebase(layers2, base2 - base1)
         return base1, layers1
     layers2[:0] = _rebase(layers1, base1 - base2)
     return base2, layers2
@@ -159,12 +150,13 @@ def state_widths(state: tuple) -> list[int]:
     return widths
 
 
-def sweep(state: tuple):
-    """The connected pieces of a state's diagram: (n, bottom, layers, top),
-    the number of pieces and the piece of each bottom wire, layer and top
-    wire, numbered in the order the pieces start. One pass keeps a
-    union-find over the pieces on the wires: bottom wires and births start
-    pieces, `m` unites two, and any other box stays on its left wire's."""
+def pieces(state: tuple) -> tuple:
+    """The connected pieces of a state's diagram, numbered in the order
+    they start: (bottom, layers, cod, ins, outs), the piece of each bottom
+    wire and of each layer, the number of top wires, and each piece's
+    bottom and top wire positions, all tuples. One pass keeps a union-find
+    over the pieces on the wires: bottom wires and births start pieces,
+    `m` unites two, and any other box stays on its left wire's."""
     dom = state[0]
     parent = list(range(dom))  # parent[x] <= x, so a root is its set's least
     wires, at = list(range(dom)), []  # at: the node each layer sits on
@@ -192,7 +184,9 @@ def sweep(state: tuple):
     for x, up in enumerate(parent):  # up < x, or x is a root
         piece.append(n if up == x else piece[up])
         n += up == x
-    return n, piece[:dom], [piece[x] for x in at], [piece[x] for x in wires]
+    bottom, top = tuple(piece[:dom]), [piece[x] for x in wires]
+    layers = tuple([piece[x] for x in at])
+    return bottom, layers, len(top), _ports(n, bottom), _ports(n, top)
 
 
 def _root(parent: list, x: int) -> int:
@@ -202,12 +196,12 @@ def _root(parent: list, x: int) -> int:
     return x
 
 
-def piece_ports(n: int, pieces: list) -> list:
+def _ports(n: int, ends) -> tuple:
     """The wire positions of each of n pieces, given the piece of each wire."""
     ports = [[] for _ in range(n)]
-    for i, p in enumerate(pieces):
+    for i, p in enumerate(ends):
         ports[p].append(i)
-    return ports
+    return tuple(map(tuple, ports))
 
 
 def state_to_term(state: tuple) -> Term:
@@ -237,7 +231,7 @@ def print_state(state: tuple) -> str:
     widths = state_widths(state)
     slices = []
     for i, (off, gen, lab) in enumerate(zip(state[1::3], state[2::3], state[3::3])):
-        text = f"{GEN_NAMES[gen]}({lab})" if lab else GEN_NAMES[gen]
+        text = _print_gen(GEN_NAMES[gen], lab or None)[0]
         right = widths[i] - off - GEN_DOM[gen]
         if right > 0:
             text = " * ".join([text] + ["id"] * right)

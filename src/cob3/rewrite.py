@@ -82,12 +82,7 @@ class Rule:
 
 def _relabel(term: Term, f) -> Term:
     """term with every prime label x replaced by f(x)."""
-    return fold(
-        term,
-        lambda g: g if g.label is None else Gen(g.name, f(g.label)),
-        lambda _node, a, b: Compose(a, b),
-        lambda _node, a, b: Tensor(a, b),
-    )
+    return fold(term, lambda name, label: atom(name, label and f(label)), Compose, Tensor)
 
 
 def _side(text: str) -> Term:

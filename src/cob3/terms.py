@@ -118,9 +118,9 @@ class Term:
     def __hash__(self) -> int:
         return fold(
             self,
-            hash,
-            lambda _node, f, g: hash((".", f, g)),
-            lambda _node, l, r: hash(("*", l, r)),
+            lambda name, label: hash((name, label)),  # Gen's own hash
+            lambda f, g: hash((".", f, g)),
+            lambda l, r: hash(("*", l, r)),
         )
 
 
@@ -163,11 +163,13 @@ _JOIN = object()  # stack marker: both children of the node below are done
 def fold(term: Term, gen, compose, tensor):
     """Combine a term bottom-up without recursion.
 
-    gen(node) gives a generator's value; compose(node, f_val, g_val) and
-    tensor(node, l_val, r_val) combine the values of a composite's children.
-    Children are visited in printed order (f before g, l before r), so the
-    first combine that raises is the one a recursive post-order walk would
-    reach first.
+    gen(name, label) gives a generator's value (label None if it has none);
+    compose(f, g) and tensor(l, r) combine the values of a composite's
+    children. These are `read`'s callbacks, so one triple gives a meaning
+    to both trees and text. Children are visited in printed order (f before
+    g, l before r), so the first combine that raises is the one a recursive
+    post-order walk would reach first; an ArityMismatch it raises is raised
+    again with the printed node appended.
     """
     stack = [term]
     vals: list = []
@@ -176,7 +178,7 @@ def fold(term: Term, gen, compose, tensor):
         node = pop()
         kind = type(node)
         if kind is Gen:
-            out(gen(node))
+            out(gen(node.name, node.label))
         elif kind is Compose:
             push((node, _JOIN, node.g, node.f))
         elif kind is Tensor:
@@ -185,27 +187,43 @@ def fold(term: Term, gen, compose, tensor):
             node = pop()
             second = vals.pop()
             first = vals.pop()
-            out((compose if type(node) is Compose else tensor)(node, first, second))
+            try:
+                out((compose if type(node) is Compose else tensor)(first, second))
+            except ArityMismatch as err:
+                raise ArityMismatch(f"{err} in {print_term(node)!r}") from None
         else:
             raise TermTypeError(f"not a term: {node!r}")
     return vals[0]
 
 
-def _gen_type(node: Gen) -> tuple[int, int]:
-    return GENERATOR_ARITIES[node.name]
+def _kept(term: Term, key: str, compute):
+    """compute(), kept on the term outside its fields: terms are frozen, so
+    each object computes it once, and ==, hash, repr and printing never see
+    it. A value that raises is not kept."""
+    memo = getattr(term, "__dict__", {})
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
-def _compose_type(node: Compose, f, g) -> tuple[int, int]:
+# Each meaning of a term is one (gen, compose, tensor) triple, for `fold`
+# on a tree and `read` on text. The types: (inputs, outputs).
+
+def _gen_type(name: str, label: str | None) -> tuple[int, int]:
+    return GENERATOR_ARITIES[name]
+
+
+def _compose_type(f, g) -> tuple[int, int]:
     """(inputs, outputs) of f . g, given those of f and g (read from [0], [1])."""
     if f[0] != g[1]:
         raise ArityMismatch(
             f"cannot compose: left factor wants {f[0]} inputs but right "
-            f"factor yields {g[1]} outputs in {print_term(node)!r}"
+            f"factor yields {g[1]} outputs"
         )
     return (g[0], f[1])
 
 
-def _tensor_type(node: Tensor, l, r) -> tuple[int, int]:
+def _tensor_type(l, r) -> tuple[int, int]:
     return (l[0] + r[0], l[1] + r[1])
 
 
@@ -214,30 +232,27 @@ def typecheck(term: Term) -> tuple[int, int]:
     return fold(term, _gen_type, _compose_type, _tensor_type)
 
 
-# ---------------------------------------------------------------------------
-# printing
+# The text: (text, class of the node it prints), so that a parent adds the
+# parentheses its child needs.
 
-def _print_gen(node: Gen) -> str:
-    return node.name if node.label is None else f"{node.name}({node.label})"
-
-
-def _print_compose(node: Compose, left: str, right: str) -> str:
-    if type(node.f) is Compose:
-        left = f"({left})"
-    return f"{left} . {right}"
+def _print_gen(name: str, label: str | None) -> tuple[str, type]:
+    return (name if label is None else f"{name}({label})"), Gen
 
 
-def _print_tensor(node: Tensor, left: str, right: str) -> str:
-    if type(node.l) is not Gen:
-        left = f"({left})"
-    if type(node.r) is Compose:
-        right = f"({right})"
-    return f"{left} * {right}"
+def _print_compose(f, g) -> tuple[str, type]:
+    left = f"({f[0]})" if f[1] is Compose else f[0]
+    return f"{left} . {g[0]}", Compose
+
+
+def _print_tensor(l, r) -> tuple[str, type]:
+    left = l[0] if l[1] is Gen else f"({l[0]})"
+    right = f"({r[0]})" if r[1] is Compose else r[0]
+    return f"{left} * {right}", Tensor
 
 
 def print_term(term: Term) -> str:
     """Render with minimal parentheses; parse(print_term(t)) == t."""
-    return fold(term, _print_gen, _print_compose, _print_tensor)
+    return fold(term, _print_gen, _print_compose, _print_tensor)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +275,11 @@ def parse(text: str) -> Term:
 
 
 def read(text: str, gen, compose, tensor):
-    """Reduce term text through callbacks, as `fold` reduces parse(text):
-    gen(name, label) (label None if it has none), compose(f, g) and
-    tensor(l, r), called in fold's order. The stack holds open "(" and the
-    left operands of pending "." and "*", so nesting costs no recursion."""
+    """Reduce term text through `fold`'s callbacks, called in the order
+    fold calls them on parse(text); an ArityMismatch is raised as the
+    compose callback raises it, without the node. The stack holds open "("
+    and the left operands of pending "." and "*", so nesting costs no
+    recursion."""
     bad = _BAD_RE.search(text)
     if bad:
         raise _error(text, f"unexpected character {bad.group()!r}", bad.start())

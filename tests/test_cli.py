@@ -91,6 +91,20 @@ def test_type_error_is_usage(capsys):
     assert code == USAGE
 
 
+def test_eq_reports_a_parse_error_in_either_text_before_an_arity_mismatch(capsys):
+    # the left text is ill-typed, and the right one does not parse
+    code, out, err = run(capsys, "eq", "m . unit", "m )")
+    assert (code, out) == (USAGE, "")
+    assert err == "error: trailing input starting at ')' (line 1, column 3)\n"
+    # the right text parses: the left one's mismatch names its node
+    code, out, err = run(capsys, "eq", "pe(P) * (m . unit)", "m")
+    assert (code, out) == (USAGE, "")
+    assert err == (
+        "error: cannot compose: left factor wants 2 inputs but right factor "
+        "yields 1 outputs in 'm . unit'\n"
+    )
+
+
 def test_normalize_both_presentations(capsys):
     code, out, _ = run(capsys, "normalize", "m . swap")
     assert code == OK

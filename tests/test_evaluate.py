@@ -149,14 +149,14 @@ def fold_eval(term, alg, overrides=None):
     `.` and tensor for `*`, with no pieces. The oracle for eval_term."""
     d = alg.dim
 
-    def gen(node):
-        if node.name == "pe" and overrides and node.label in overrides:
-            m = overrides[node.label]
+    def gen(name, label):
+        if name == "pe" and overrides and label in overrides:
+            m = overrides[label]
             return LinearMap(1, 1, d, {(k, i): F(m[k][i]) for k in range(d) for i in range(d)})
-        return alg.generator(node.name, node.label)
+        return alg.generator(name, label)
 
     typecheck(term)
-    return fold(term, gen, lambda _n, f, g: f.compose(g), lambda _n, l, r: l.tensor(r))
+    return fold(term, gen, LinearMap.compose, LinearMap.tensor)
 
 
 # closed pieces that float beside the rest of a term

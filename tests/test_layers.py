@@ -7,8 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cob3 import evaluate, kernel
-from cob3.cospan import cospan_of_term
+from cob3 import cospan, evaluate, kernel, layers
 from cob3.frobenius import diagonal_algebra, hadamard_algebra
 from cob3.layers import (
     GEN_COD,
@@ -20,8 +19,8 @@ from cob3.layers import (
     diagram_equal,
     print_state,
     state_to_term,
+    pieces,
     state_widths,
-    sweep,
     term_to_state,
 )
 from cob3.rewrite import _entries
@@ -50,54 +49,42 @@ def test_state_labels_are_their_names():
     assert kernel.nf(b)[3::3] == ("Fresh_a", "Fresh_b")
 
 
-def test_each_term_object_is_flattened_once():
-    # the state is kept on the term, outside the fields that ==, hash,
-    # repr and printing read
-    for text in ["m . pe(P) * id", "pe(P)"]:
+ALGEBRAS = [hadamard_algebra(), diagonal_algebra([1, 2], primes={"P": (2, 3)})]
+
+
+@pytest.mark.parametrize(
+    "module, computes, key, call",
+    [
+        (layers, "fold", "_state", term_to_state),
+        (cospan, "cospan_of_state", "_cospan", cospan.cospan_of_term),
+        (evaluate, "pieces", "_pieces", lambda t: [evaluate.eval_term(t, a) for a in ALGEBRAS]),
+    ],
+    ids=["state", "cospan", "pieces"],
+)
+def test_each_term_object_keeps_its_values_once(monkeypatch, module, computes, key, call):
+    # a term's state, cospan and pieces are kept on it, outside the fields
+    # that ==, hash, repr and printing read: each is computed once per term
+    # object, however many times or algebras ask for it
+    counted = getattr(module, computes)
+    calls = []
+    monkeypatch.setattr(module, computes, lambda *a: calls.append(a) or counted(*a))
+    texts = ["m . pe(P) * id", "pe(P)", "(tr . unit) * comul"]
+    for text in texts:
         term, twin = parse(text), parse(text)
-        state = term_to_state(term)
-        assert term_to_state(term) is state
+        value = call(term)
+        kept = vars(term)[key]
+        assert call(term) == value and call(term) == value
+        assert vars(term)[key] is kept
         assert term == twin and twin == term and hash(term) == hash(twin)
         assert repr(term) == repr(twin) and print_term(term) == print_term(twin) == text
-    # an ill-typed term is not kept: it raises on every call
+        assert call(twin) == value
+    assert len(calls) == 2 * len(texts)
+    # an ill-typed term keeps nothing: it raises on every call
     bad = parse("m . m")
     for _ in range(2):
         with pytest.raises(ArityMismatch):
-            term_to_state(bad)
-
-
-def test_each_term_object_is_swept_once():
-    # the cospan is kept on the term like its state, and as unseen by ==,
-    # hash, repr and printing
-    for text in ["m . pe(P) * id", "pe(P)", "(tr . unit) * comul"]:
-        term, twin = parse(text), parse(text)
-        cos = cospan_of_term(term)
-        assert cospan_of_term(term) is cos
-        assert term == twin and twin == term and hash(term) == hash(twin)
-        assert repr(term) == repr(twin) and print_term(term) == print_term(twin) == text
-        assert cospan_of_term(twin) == cos
-    bad = parse("m . m")
-    for _ in range(2):
-        with pytest.raises(ArityMismatch):
-            cospan_of_term(bad)
-
-
-def test_each_term_object_is_swept_into_pieces_once(monkeypatch):
-    # eval_term keeps the term's pieces and ports on it, as unseen by ==,
-    # hash, repr and printing; a second algebra reuses them
-    sweeps = []
-    monkeypatch.setattr(evaluate, "sweep", lambda state: sweeps.append(state) or sweep(state))
-    algebras = [hadamard_algebra(), diagonal_algebra([1, 2], primes={"P": (2, 3)})]
-    for text in ["m . pe(P) * id", "pe(P)", "(tr . unit) * comul"]:
-        term, twin = parse(text), parse(text)
-        maps = [evaluate.eval_term(term, algebras[0])]
-        pieces = vars(term)["_pieces"]
-        maps.append(evaluate.eval_term(term, algebras[1]))
-        assert vars(term)["_pieces"] is pieces
-        assert term == twin and twin == term and hash(term) == hash(twin)
-        assert repr(term) == repr(twin) and print_term(term) == print_term(twin) == text
-        assert maps == [evaluate.eval_term(twin, alg) for alg in algebras]
-    assert len(sweeps) == 6
+            call(bad)
+    assert key not in vars(bad)
 
 
 def nf_of(text):
@@ -132,13 +119,13 @@ def test_state_widths():
     assert state_widths(st) == [3, 2, 1]
 
 
-def test_sweep_numbers_pieces_in_the_order_they_start():
+def test_pieces_are_numbered_in_the_order_they_start():
     # the unit's piece joins input 0's at the merge; the swap is on input 1's
     st = term_to_state(parse("(m * id) . (id * swap) . (id * id * unit)"))
-    assert sweep(st) == (2, [0, 1], [0, 1, 0], [0, 1])
+    assert pieces(st) == ((0, 1), (0, 1, 0), 2, ((0,), (1,)), ((0,), (1,)))
     # a floating closed piece starts after the inputs, and a trace ends one
     st = term_to_state(parse("(tr . pu(P)) * tr * pe(Q)"))
-    assert sweep(st) == (3, [0, 1], [2, 2, 0, 1], [1])
+    assert pieces(st) == ((0, 1), (2, 2, 0, 1), 1, ((0,), (1,), ()), ((), (0,), ()))
 
 
 def test_interchange_layerings_equal():

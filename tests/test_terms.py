@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cob3 import terms
+from cob3 import layers, terms
 from cob3.layers import read_state, term_to_state
 from cob3.terms import (
     ArityMismatch,
@@ -15,9 +15,6 @@ from cob3.terms import (
     ParseError,
     Tensor,
     TermTypeError,
-    _print_compose,
-    _print_gen,
-    _print_tensor,
     atom,
     fold,
     id_n,
@@ -25,6 +22,7 @@ from cob3.terms import (
     permutation_term,
     print_term,
     random_term,
+    read,
     typecheck,
     whisker,
 )
@@ -129,7 +127,7 @@ def test_fold_visits_children_in_printed_order():
     seen = []
     fold(
         parse("(pe(A) * pe(B)) . pe(C) . pe(D)"),
-        lambda g: seen.append(g.label),
+        lambda name, label: seen.append(label),
         lambda *_: None,
         lambda *_: None,
     )
@@ -164,6 +162,40 @@ def test_parse_inverts_print(term, space):
     text = print_term(term)
     assert parse(text) == term
     assert parse(text.replace(" ", space)) == term
+
+
+# Each meaning of a term in cob3 as fold's and read's callbacks: the types,
+# the layers and the text.
+TRIPLES = [
+    (terms._gen_type, terms._compose_type, terms._tensor_type),
+    (layers._atom_layers, layers._compose_layers, layers._tensor_layers),
+    (terms._print_gen, terms._print_compose, terms._print_tensor),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_each_meaning_is_one_triple_for_trees_and_text(term):
+    # the types, the layers and the text each read the same from a tree
+    # and from its printed text; read's mismatch lacks only fold's node
+    text = print_term(term)
+    for triple in TRIPLES:
+        try:
+            want = fold(term, *triple)
+        except ArityMismatch as err:
+            with pytest.raises(ArityMismatch) as got:
+                read(text, *triple)
+            assert str(err).startswith(f"{got.value} in '")
+        else:
+            assert read(text, *triple) == want
+    # and the three ways to a state name the same ill-typed node
+    try:
+        typecheck(term)
+    except ArityMismatch as err:
+        for call in (term_to_state, lambda t: read_state(print_term(t))):
+            with pytest.raises(ArityMismatch) as got:
+                call(term)
+            assert str(got.value) == str(err)
 
 
 def test_random_terms_are_well_typed():
@@ -229,12 +261,14 @@ def _print_with_parens(term, rng):
     def wrap(text):
         return f"({text})" if rng.random() < 0.3 else text
 
-    return fold(
-        term,
-        lambda node: wrap(_print_gen(node)),
-        lambda node, f, g: wrap(_print_compose(node, f, g)),
-        lambda node, l, r: wrap(_print_tensor(node, l, r)),
-    )
+    def wrapped(make):
+        def combine(*args):
+            text, kind = make(*args)
+            return wrap(text), kind
+
+        return combine
+
+    return fold(term, *map(wrapped, TRIPLES[2]))[0]
 
 
 @settings(max_examples=300, deadline=None)
