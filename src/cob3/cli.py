@@ -41,10 +41,10 @@ from cob3.rewrite import (
     RULE_SETS,
     UnknownRuleSet,
     find_path,
-    term_of_cospan,
+    g1_text,
     verify_ruleset_soundness,
 )
-from cob3.terms import ArityMismatch, TermTypeError, parse, print_term
+from cob3.terms import ArityMismatch, TermTypeError, parse
 
 OK, DIFFER, USAGE, ALGBAD, INTERNAL = 0, 1, 2, 3, 4
 # `eval` refuses a term whose map may have more entries than this
@@ -113,7 +113,7 @@ def _cmd_eq(args):
 def _cmd_normalize(args):
     state, text = read_state(args.term)
     if args.presentation == "G1":
-        out = print_term(term_of_cospan(cospan_of_state(state)))
+        out = g1_text(cospan_of_state(state))
     else:  # normalize_G2's text, printed from the state without a term
         out = print_state(nf(state))
     data = {

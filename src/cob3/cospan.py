@@ -59,17 +59,12 @@ class LabelledCospan:
 
 
 def _canonical(dom: int, cod: int, comps) -> LabelledCospan:
-    """Sort each (in_ports, out_ports, genus, primes) piece and the pieces."""
-    boundary = []
-    closed = []
-    for ins, outs, genus, primes in comps:
-        comp = Component(
-            tuple(sorted(ins)), tuple(sorted(outs)), genus, tuple(sorted(primes))
-        )
-        (closed if comp.is_closed() else boundary).append(comp)
-    boundary.sort(key=lambda c: (c.in_ports, c.out_ports))
-    closed.sort(key=lambda c: (c.genus, c.primes))
-    return LabelledCospan(dom, cod, tuple(boundary + closed))
+    """Sort the primes of each (in_ports, out_ports, genus, primes) piece,
+    whose ports come sorted, and then the pieces: those with ports by their
+    ports, which no two share, then the closed ones by genus and primes."""
+    out = [Component(tuple(i), tuple(o), g, tuple(sorted(p))) for i, o, g, p in comps]
+    out.sort(key=lambda c: (c.is_closed(), c.in_ports, c.out_ports, c.genus, c.primes))
+    return LabelledCospan(dom, cod, tuple(out))
 
 
 def cospan_of_term(term: Term) -> LabelledCospan:
@@ -145,6 +140,7 @@ def cospan_to_json(cospan: LabelledCospan) -> str:
 def cospan_from_json(text: str) -> LabelledCospan:
     data = json.loads(text)
     comps = [
-        (c["in"], c["out"], int(c["genus"]), c["primes"]) for c in data["components"]
+        (sorted(c["in"]), sorted(c["out"]), int(c["genus"]), c["primes"])
+        for c in data["components"]
     ]
     return _canonical(int(data["dom"]), int(data["cod"]), comps)

@@ -38,6 +38,7 @@ from cob3.terms import (
     parse,
     read,
     stack,
+    stack_text,
     whisker,
 )
 
@@ -222,12 +223,8 @@ def print_state(state: tuple) -> str:
 
     Each slice prints as its box between runs of "id"; a left run of two
     or more is parenthesized, as the printer does for a left tensor factor
-    that is not a generator. The slices are joined top-down by " . ".
+    that is not a generator. `stack_text` joins the slices.
     """
-    if state == (0,):
-        raise ValueError("the empty diagram has no term")
-    if len(state) == 1:
-        return " * ".join(["id"] * state[0])
     widths = state_widths(state)
     slices = []
     for i, (off, gen, lab) in enumerate(zip(state[1::3], state[2::3], state[3::3])):
@@ -239,8 +236,8 @@ def print_state(state: tuple) -> str:
             text = "id * " + text
         elif off > 1:
             text = f"({' * '.join(['id'] * off)}) * {text}"
-        slices.append(text)
-    return " . ".join(reversed(slices))
+        slices.append([text])
+    return stack_text(slices, state[0])
 
 
 def diagram_equal(a: Term, b: Term) -> bool:

@@ -11,6 +11,10 @@ a rule side is a diagram window, located anywhere in a state up to the
 structural congruence. find_path searches for an equational derivation
 between two terms by bidirectional breadth-first search over these one-step
 rewrites and returns a replayable trace.
+
+The two normal forms: G2 is the least layering of the diagram, and G1 is
+the term's cospan written back as text by g1_text, so it names the bordism
+and not the diagram.
 """
 
 from __future__ import annotations
@@ -26,18 +30,15 @@ from .layers import diagram_equal, print_state, state_to_term, state_widths, ter
 from .terms import (
     ArityMismatch,
     Compose,
-    Gen,
     Tensor,
     Term,
     atom,
     fold,
-    id_n,
     parse,
-    permutation_term,
     print_term,
-    stack,
+    routing,
+    stack_text,
     typecheck,
-    whisker,
 )
 
 __all__ = [
@@ -54,7 +55,7 @@ __all__ = [
     "NotFoundWithinBound",
     "normalize_G1",
     "normalize_G2",
-    "term_of_cospan",
+    "g1_text",
     "verify_ruleset_soundness",
 ]
 
@@ -466,49 +467,44 @@ def replay(trace: RewriteTrace) -> Term:
 # ---------------------------------------------------------------------------
 # normalization
 
-def _component_core(n_in: int, genus: int, n_out: int) -> Term:
-    """Canonical one-piece bordism: n_in spheres -> n_out, given genus."""
-    layers: list[Term] = []
-    w = n_in
-    if w == 0:
-        layers.append(atom("unit"))
-        w = 1
-    while w > 1:
-        layers.append(whisker(atom("m"), 0, w - 2))
-        w -= 1
-    layers += (atom("comul"), atom("m")) * genus
-    if n_out == 0:
-        layers.append(atom("tr"))
-    while w < n_out:
-        layers.append(whisker(atom("comul"), 0, w - 1))
-        w += 1
-    return stack(layers, n_in)
-
-
 def normalize_G1(term: Term) -> Term:
-    """Semantic normal form: `term_of_cospan` of the term's cospan."""
-    return term_of_cospan(cospan_of_term(term))
+    """Semantic normal form: the parse of the term's `g1_text`."""
+    return parse(g1_text(cospan_of_term(term)))
 
 
-def term_of_cospan(cos: LabelledCospan) -> Term:
-    """The G1 normal form of a cospan, built in one bottom-up pass over its
-    pieces:
-      * the prime feeds pu(LABEL), sorted by label and then by piece, to the
-        right of the input wires;
-      * each piece's bottom wires: its inputs, then its feeds;
-      * an input routing that brings each piece's bottom wires together;
-      * the tensor of cores, one per piece: merges, one comul . m per
-        handle, then splits;
-      * an output routing that puts each piece's outputs in place.
-    Identity routings are left out. A piece with one bottom wire, genus 0
-    and one output is a bare wire; when every piece is one, the cores are
-    dropped under the first layer next to them. The result depends only on
+def _tree(box: str, width: int) -> list[list[str]]:
+    """A balanced tree of box on width wires, leaves first: each step pairs
+    the wires off from the left, and an odd one out stays on an id."""
+    steps = []
+    while width > 1:
+        steps.append([box] * (width // 2) + ["id"] * (width % 2))
+        width -= width // 2
+    return steps
+
+
+def _core(n_in: int, genus: int, n_out: int) -> list[list[str]]:
+    """The steps of one piece's core: n_in wires (or a unit) merged to one,
+    one comul then m per handle, then split to n_out wires (or a tr)."""
+    steps = [["unit"]] if n_in == 0 else _tree("m", n_in)
+    steps += [["comul"], ["m"]] * genus
+    return steps + ([["tr"]] if n_out == 0 else _tree("comul", n_out)[::-1])
+
+
+def g1_text(cos: LabelledCospan) -> str:
+    """The G1 normal form of a cospan, as `stack_text` of these slices,
+    bottom first:
+      * the feeds: id on each input wire, then one pu(LABEL) per prime,
+        sorted by label and then by piece;
+      * the input routing, which brings each piece its inputs, then its
+        feeds;
+      * the cores side by side, one slice per step (see `_core`); a piece
+        whose core has ended shows id on each of its outputs;
+      * the output routing, which puts each piece's outputs in place.
+    Slices that would hold only ids are left out. The text depends only on
     the cospan, so normalize_G1 is idempotent and equal terms normalize
-    identically.
+    identically; it grows with the square of the width.
     """
     comps = cos.components
-    if not comps:
-        raise ValueError("the empty bordism has no term")
     feeds = sorted((label, ci) for ci, c in enumerate(comps) for label in c.primes)
     wires = [list(c.in_ports) for c in comps]
     for rank, (_label, ci) in enumerate(feeds):
@@ -516,24 +512,15 @@ def term_of_cospan(cos: LabelledCospan) -> Term:
     route_in = [0] * (cos.dom + len(feeds))
     for target, wire in enumerate(w for piece in wires for w in piece):
         route_in[wire] = target
-    shapes = [(len(w), c.genus, len(c.out_ports)) for w, c in zip(wires, comps)]
-    core = functools.reduce(Tensor, [_component_core(*shape) for shape in shapes])
-    route_out = [port for c in comps for port in c.out_ports]
-
-    # The output routing over ((cores . input routing) . feeds).
-    lower = [core]
-    if route_in != sorted(route_in):
-        lower.append(permutation_term(route_in))
-    if feeds:
-        pus = functools.reduce(Tensor, [Gen("pu", label) for label, _ci in feeds])
-        lower.append(Tensor(id_n(cos.dom), pus) if cos.dom else pus)
-    top = permutation_term(route_out) if route_out != sorted(route_out) else None
-    if all(shape == (1, 0, 1) for shape in shapes) and (len(lower) > 1 or top):
-        del lower[0]
-    if not lower:
-        return top
-    term = functools.reduce(Compose, lower)
-    return term if top is None else Compose(top, term)
+    slices = [["id"] * cos.dom + [f"pu({label})" for label, _ci in feeds]] if feeds else []
+    slices += routing(route_in)
+    cores = [_core(len(w), c.genus, len(c.out_ports)) for w, c in zip(wires, comps)]
+    depth = max(map(len, cores), default=0)
+    for core, c in zip(cores, comps):
+        core += [["id"] * len(c.out_ports)] * (depth - len(core))
+    slices += [[box for part in step for box in part] for step in zip(*cores)]
+    slices += routing([port for c in comps for port in c.out_ports])
+    return stack_text(slices, cos.dom)
 
 
 def normalize_G2(term: Term) -> Term:

@@ -40,7 +40,9 @@ __all__ = [
     "print_term",
     "random_term",
     "read",
+    "routing",
     "stack",
+    "stack_text",
     "typecheck",
     "whisker",
 ]
@@ -271,7 +273,7 @@ def _error(text: str, message: str, pos: int) -> ParseError:
 
 def parse(text: str) -> Term:
     """Parse term text; raise ParseError with line/column on malformed input."""
-    return read(text, Gen, Compose, Tensor)
+    return read(text, atom, Compose, Tensor)
 
 
 def read(text: str, gen, compose, tensor):
@@ -385,29 +387,47 @@ def stack(layers: list[Term], width: int) -> Term:
     return term
 
 
-def permutation_term(perm) -> Term:
-    """A term over swap/id routing input i to output perm[i].
-
-    Built deterministically from adjacent transpositions (bubble network);
-    the identity permutation yields id_n(len(perm)).
-    """
-    perm = list(perm)
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
-    if n == 0:
-        raise ValueError("empty permutation has no term")
+def routing(perm) -> list[list[str]]:
+    """The boxes of a swap/id network routing input i to output perm[i], as
+    slices bottom first, by odd-even transposition sort (Knuth, TAOCP vol. 3,
+    5.3.4): each slice swaps every out-of-order adjacent pair of its parity.
+    Slices that swap nothing are left out, so n wires take at most n slices."""
     cur = list(perm)
-    swaps: list[int] = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1):
-            if cur[i] > cur[i + 1]:
-                cur[i], cur[i + 1] = cur[i + 1], cur[i]
-                swaps.append(i)
-                changed = True
-    return stack([whisker(atom("swap"), i, n - i - 2) for i in swaps], n)
+    n = len(cur)
+    if sorted(cur) != list(range(n)):
+        raise ValueError(f"not a permutation of 0..{n - 1}: {cur}")
+    slices, parity, idle = [], 0, 0
+    while idle < 2:  # two idle parities in a row: no pair is out of order
+        swaps = [i for i in range(parity, n - 1, 2) if cur[i] > cur[i + 1]]
+        boxes, done = [], 0
+        for i in swaps:
+            cur[i], cur[i + 1] = cur[i + 1], cur[i]
+            boxes += ["id"] * (i - done) + ["swap"]
+            done = i + 2
+        if swaps:
+            slices.append(boxes + ["id"] * (n - done))
+        idle = 0 if swaps else idle + 1
+        parity ^= 1
+    return slices
+
+
+def stack_text(slices, width: int) -> str:
+    """The text of slices composed bottom-up, slices[0] applied first, each
+    the texts of its boxes left to right; the identity on width wires if
+    there are none. When each slice is text as print_term prints it, so is
+    the result."""
+    if not slices:
+        if width < 1:
+            raise ValueError("the empty diagram has no term")
+        return " * ".join(["id"] * width)
+    return " . ".join(" * ".join(boxes) for boxes in reversed(slices))
+
+
+def permutation_term(perm) -> Term:
+    """A term over swap/id routing input i to output perm[i]: the parse of
+    the `routing` slices; the identity permutation yields n wires of id."""
+    perm = list(perm)
+    return parse(stack_text(routing(perm), len(perm)))
 
 
 def random_term(rng, max_gens: int = 12, labels=("P", "Q")) -> Term:

@@ -4,18 +4,19 @@ Each call must exit 0, 1 or 2, never 4 (an internal error); on exit 2,
 stdout is empty and stderr is one "error:" line; and each call finishes
 within a few seconds.
 
-Left out, each for a measured cost rather than a failure:
-  * G1 on long chains and on wide labelled tensors: its text grows
-    quadratically with the primes on one piece and cubically with the
-    width of a labelled tensor (2.5 MB in 2.7 s for a 1000-layer pe(P)
-    chain, and in 2.8 s for a tensor of 80 pe(P));
-  * rewrite-path between most pairs of different terms: --budget counts
-    stored states, but every successor of an expanded state is built
-    before it is checked. At --budget 100, a search from a random term of
-    up to 40 generators to its own G1 form took up to 11 s, and one from a
-    200-layer pe(P) chain to id took 3.8 s, growing cubically with the
-    chain. So every input is searched against itself, and only the short
-    inputs against their neighbours, which mostly differ in width.
+Both normal forms run on every input. G1 text grows with the square of
+the width: balanced trees merge and split each piece, and odd-even
+transposition routes the wires, so a tensor of 1000 pe(P) gives about
+8.5 MB of text, and the 80-wide tensor over five labels below 96 KB.
+
+Left out, for a measured cost rather than a failure: rewrite-path between
+most pairs of different terms. --budget counts stored states, but every
+successor of an expanded state is built before it is checked. At --budget
+100, a search from a random term of up to 40 generators to its own G1
+form took up to 11 s, and one from a 200-layer pe(P) chain to id took
+3.8 s, growing cubically with the chain. So every input is searched
+against itself, and only the short inputs against their neighbours, which
+mostly differ in width.
 """
 
 import random
@@ -33,11 +34,12 @@ LONG = [
     " . ".join(["pe(P)"] * 3000),
     " * ".join(["id"] * 3000),
 ]
-# wide tensors, for G2 and eval: 1000 labelled boxes side by side, 30
+# wide tensors: 1000 labelled boxes side by side, 80 over five labels, 30
 # floating units, whose 30! layerings are one diagram, and identity-heavy
 # terms whose maps are past eval's size limit, or exactly at it
 WIDE = [
     " * ".join(["pe(P)"] * 1000),
+    " * ".join(f"pe({'PQRST'[i % 5]})" for i in range(80)),
     " * ".join(["unit"] * 30),
     " * ".join(["id"] * 39 + ["(m . comul)"]),
     " * ".join(["id"] * 16 + ["pe(P)"]),
@@ -79,17 +81,18 @@ def calls(alg):
     texts = random_texts()
     for x in LONG + texts + MALFORMED:
         yield ("eq", x, x)
+        yield ("normalize", x)
         yield ("normalize", x, "--presentation", "G2")
         yield ("rewrite-path", x, x, *SEARCH)
         yield ("eval", x, "--algebra", alg)
     for x in WIDE:
+        yield ("normalize", x)
         yield ("normalize", x, "--presentation", "G2")
         yield ("eval", x, "--algebra", alg)
     short = texts[:24] + MALFORMED
     for x, y in zip(short, short[1:]):
         yield ("eq", x, y)
         yield ("rewrite-path", x, y, *SEARCH)
-        yield ("normalize", x)
 
 
 def test_every_call_ends_in_a_documented_exit_code(capsys, tmp_path):

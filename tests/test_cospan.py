@@ -1,5 +1,6 @@
 """Labelled-cospan invariant: gluing, genus counting, signatures."""
 
+import json
 import random
 
 import pytest
@@ -127,6 +128,17 @@ def test_json_round_trip():
         assert cospan_from_json(cospan_to_json(c)) == c
     blob = cospan_to_json(cos("pe(P)"))
     assert '"genus": 0' in blob and '"primes"' in blob
+
+
+def test_json_ports_and_primes_may_come_unsorted():
+    c = cos("(m . (pe(Q) * pe(P))) * ((comul * id) . comul)")
+    blob = json.loads(cospan_to_json(c))
+    for comp in blob["components"]:
+        for key in ("in", "out", "primes"):
+            comp[key].reverse()
+    blob["components"].reverse()
+    assert blob["components"][1]["in"] == [1, 0]
+    assert cospan_from_json(json.dumps(blob)) == c
 
 
 def test_compose_requires_matching_interfaces():

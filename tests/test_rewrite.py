@@ -24,7 +24,7 @@ from cob3 import (
 )
 from cob3.kernel import nf, successors
 from cob3.layers import diagram_equal, state_to_term, term_to_state
-from cob3.rewrite import _entries
+from cob3.rewrite import _entries, g1_text
 from cob3.terms import random_term
 from test_kernel import reference_successors
 
@@ -262,11 +262,13 @@ def normal_form_corpus():
 
 
 # sha256 of the G1 and G2 texts of normal_form_corpus(), computed before
-# normalize_G1 was rebuilt straight from the cospan's pieces, and again when
-# nf became exact on every slide class: the G2 texts of the 19 terms whose
-# diagrams have more than 4096 layerings changed then. A change to how
-# either normal form is built must leave it as it is.
-NORMAL_FORM_DIGEST = "48f82a17d2dd4544b0ef474da33010920fc053201bcb0e7b842fb96cde580f03"
+# normalize_G1 was rebuilt straight from the cospan's pieces, again when nf
+# became exact on every slide class (the G2 texts of the 19 terms whose
+# diagrams have more than 4096 layerings changed then), and again when G1
+# became slices read off the cospan: balanced trees of m and comul, routings
+# by odd-even transposition, and no core dropped (every G2 text stayed). A
+# change to how either normal form is built must leave it as it is.
+NORMAL_FORM_DIGEST = "651b506b3a6985bf3480677ca30a4c50b9ebda52f7785544c7bff3b3cb954221"
 
 
 def test_normal_forms_are_pinned():
@@ -280,12 +282,36 @@ def test_normal_forms_are_pinned():
 @pytest.mark.parametrize(
     "text, g1",
     [
-        ("pu(P)", "pu(P)"),  # a bare core is dropped under the feed
-        ("swap", "swap"),  # ... and under the routing
-        ("id * id * id", "(id * id) * id"),  # nothing follows: it stays
+        ("pu(P)", "pu(P)"),  # a bare wire's core has no step
+        ("swap", "swap"),
+        ("id * id * id", "id * id * id"),  # no slice: the identity
         ("pu(Q) * pu(P)", "swap . pu(P) * pu(Q)"),  # feeds sort by label
         ("m . (pu(P) * id)", "m . id * pu(P)"),  # inputs come before feeds
+        # a balanced tree of m, one handle, then of comul; a piece of no
+        # steps, or whose steps have ended, shows id on its outputs
+        (
+            "(comul . m . comul . m . (m * m)) * (m . (id * unit))",
+            "comul * id . m * id . comul * id . m * id . m * m * id",
+        ),
+        (
+            "(tr . m . comul) * ((comul * id) . comul)",
+            "tr * id * id * id . m * comul * id . comul * comul",
+        ),
+        ("(tr . pu(P)) * unit", "unit * tr . pu(P)"),  # closed pieces last
     ],
 )
 def test_g1_layout_of_small_terms(text, g1):
     assert print_term(normalize_G1(parse(text))) == g1
+    assert g1_text(cospan_of_term(parse(text))) == g1
+
+
+def test_g1_text_stays_small_on_wide_and_long_terms():
+    # a tensor of 80 pe boxes over five labels, and a 1000-layer chain
+    wide = " * ".join(f"pe({'PQRST'[i % 5]})" for i in range(80))
+    chain = " . ".join(["pe(P)"] * 1000)
+    for text, most in ((wide, 150_000), (chain, 50_000)):
+        g1 = g1_text(cospan_of_term(parse(text)))
+        assert len(g1) < most
+        assert print_term(parse(g1)) == g1
+        assert g1_text(cospan_of_term(parse(g1))) == g1
+        assert cospan_of_term(parse(g1)) == cospan_of_term(parse(text))

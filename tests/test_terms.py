@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cob3 import layers, terms
+from cob3 import eval_term, hadamard_algebra, layers, permutation_map, terms
 from cob3.layers import read_state, term_to_state
 from cob3.terms import (
     ArityMismatch,
@@ -23,6 +23,7 @@ from cob3.terms import (
     print_term,
     random_term,
     read,
+    routing,
     typecheck,
     whisker,
 )
@@ -114,7 +115,28 @@ def test_permutation_term():
     t = permutation_term((2, 0, 1))
     assert typecheck(t) == (3, 3)
     ident = permutation_term((0, 1, 2))
-    assert typecheck(ident) == (3, 3)
+    assert print_term(ident) == "id * id * id"
+    with pytest.raises(ValueError, match="not a permutation"):
+        permutation_term((0, 2))
+    with pytest.raises(ValueError, match="no term"):
+        permutation_term(())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.permutations(range(n))))
+def test_routing_is_an_odd_even_transposition_network(perm):
+    slices = routing(perm)
+    assert len(slices) <= len(perm)
+    for boxes in slices:  # each swaps wires (i, i + 1) for i of one parity
+        at, parities = 0, set()
+        for box in boxes:
+            if box == "swap":
+                parities.add(at % 2)
+            at += 2 if box == "swap" else 1
+        assert at == len(perm) and len(parities) == 1
+    # permutation_map(d, q) puts input q[j] on output j, so q is perm's inverse
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    assert eval_term(permutation_term(perm), hadamard_algebra()) == permutation_map(2, inverse)
 
 
 def test_whisker_pads_right_first():
@@ -216,6 +238,7 @@ def test_unlabelled_generators_and_identity_runs_are_shared():
     assert id_n(5) is id_n(5) and id_n(5).r is id_n(4)
     assert id_n(7) == parse(" * ".join(["id"] * 7))
     assert permutation_term((1, 0, 2)).l is atom("swap")
+    assert parse("m * pe(P)").l is atom("m")  # parse shares them too
 
 
 def test_identity_runs_stay_right_when_threads_grow_them(monkeypatch):
