@@ -28,6 +28,7 @@ from cob3.evaluate import (
 )
 from cob3.frobenius import (
     FrobeniusAlgebra,
+    NotScalarOnBlock,
     UnknownPrime,
     algebra_from_json,
     character_on_block,
@@ -49,6 +50,8 @@ from cob3.terms import ArityMismatch, TermTypeError, parse
 OK, DIFFER, USAGE, ALGBAD, INTERNAL = 0, 1, 2, 3, 4
 # `eval` refuses a term whose map may have more entries than this
 EVAL_MAX_ENTRIES = 2**18
+# `invariant` refuses a manifold whose value may have more bits than this
+INVARIANT_MAX_BITS = 2**19
 
 
 class _AlgebraFails(Exception):
@@ -135,8 +138,42 @@ def _cmd_eval(args):
     return OK, m.to_json(), "\n".join(lines)
 
 
+def _growth_bits(x) -> int:
+    """ceil(log2 |p|) + ceil(log2 q) for x = p/q, 0 for x = 0: about the
+    bits that each factor x adds to an exact product."""
+    return max(abs(x.numerator) - 1, 0).bit_length() + (x.denominator - 1).bit_length()
+
+
+def _check_invariant_size(alg: FrobeniusAlgebra, manifold: str) -> None:
+    """Refuse, before any arithmetic, a manifold whose value may have more
+    than INVARIANT_MAX_BITS bits. Each handle multiplies a block's term by
+    the block's handle character, so the value grows by about genus times
+    the largest `_growth_bits` of those characters. An algebra with no
+    split into blocks over Q is estimated by its handle element's
+    coordinates instead. Primes are not counted: each is one factor of
+    the text."""
+    genus = parse_manifold(manifold)[0]
+    if not genus:
+        return
+    handle = alg.handle_element()
+    try:
+        factors = [
+            character_on_block(alg, idem, handle)
+            for idem in idempotent_decomposition(alg).idempotents
+        ]
+    except NotScalarOnBlock:
+        factors = handle
+    bits = genus * max(map(_growth_bits, factors), default=0)
+    if bits > INVARIANT_MAX_BITS:
+        raise ValueError(
+            f"the value of {manifold!r} may have about {bits} bits, "
+            f"more than the {INVARIANT_MAX_BITS} that invariant computes"
+        )
+
+
 def _cmd_invariant(args):
     alg = _checked_algebra(args.algebra)
+    _check_invariant_size(alg, args.manifold)
     value = fraction_to_scalar(closed_invariant(alg, args.manifold))
     data = {"manifold": args.manifold, "value": value}
     lines = [f"Z({args.manifold}) = {value}"]
@@ -349,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=200_000,
-        help="most states stored; it does not cap the successors that one "
-        "expanded state builds",
+        help="most states stored, one per normal form; the search builds no "
+        "successor past the one that passes it",
     )
     p.add_argument(
         "--max-extra-layers",

@@ -25,6 +25,13 @@ by construction even in corner cases the scan arithmetic does not model.
 widths, generator set) once; a side's view is cached. A side with a
 generator the state lacks is skipped unscanned, an exact prefilter.
 
+Surgery is pure: `apply_match`, `apply_insertion` and so `successors` return
+each child as built, and whoever compares children applies `nf` (the search
+does so lazily, see `rewrite.find_path`). `wiring_key` hashes a state's
+wiring, which slides do not change, so it is one value on a slide class and
+cheap next to `nf`; it can only say that two states may be equal, never
+that they are.
+
 A zero-layer side (an identity on one or two wires) is found by inserting
 the other side instead. The inserted block slides along its wires past every
 layer that does not touch them, so all placements on the same wire segment,
@@ -49,6 +56,7 @@ __all__ = [
     "apply_insertion",
     "instantiate",
     "successors",
+    "wiring_key",
 ]
 
 
@@ -409,16 +417,22 @@ def _rebuild(state, match, block_layers):
 
 
 def _verify(state, pat, match):
-    """A candidate is real iff rebuilding with the matched side itself
-    reproduces the state's normal form."""
-    block = instantiate(pat, match[5], match[1])
-    return nf(_rebuild(state, match, block)) == state
+    """A candidate is real iff rebuilding with the matched side itself gives
+    a state whose every layer fits on the wires below it, and whose normal
+    form is the state."""
+    rebuilt = _rebuild(state, match, instantiate(pat, match[5], match[1]))
+    width = rebuilt[0]
+    for o, g in zip(rebuilt[1::3], rebuilt[2::3]):
+        if o < 0 or o + GEN_DOM[g] > width:
+            return False
+        width += GEN_COD[g] - GEN_DOM[g]
+    return nf(rebuilt) == state
 
 
 def apply_match(state, match, rep):
-    """Replace a verified match window by rule side `rep` (normalized)."""
-    block = instantiate(rep, match[5], match[1])
-    return nf(_rebuild(state, match, block))
+    """Replace a verified match window by rule side `rep`. The result is
+    the state as rebuilt, not its normal form: the caller applies `nf`."""
+    return _rebuild(state, match, instantiate(rep, match[5], match[1]))
 
 
 def find_insertions(state, width, widths=None):
@@ -442,28 +456,32 @@ def find_insertions(state, width, widths=None):
 
 
 def apply_insertion(state, lvl, col, rep):
-    """Insert rule side `rep` at a level/column of an identity window."""
+    """Insert rule side `rep` at a level/column of an identity window. The
+    result is the state as built, not its normal form: the caller applies
+    `nf`."""
     out = list(state[: 1 + 3 * lvl])
     out.extend(instantiate(rep, {}, col))
     out.extend(state[1 + 3 * lvl :])
-    return nf(tuple(out))
+    return tuple(out)
 
 
-def successors(state, entries, max_layers, until=()):
+def successors(state, entries, max_layers, until=None):
     """All one-step rewrites of a normal-form state with at most
     `max_layers` layers.
 
     `entries` is a sequence of (pattern, replacement) pairs in the order
     that defines the tie-break. Returns a list of tuples
     (entry_index, pos_bottom, pos_col, pos_layers, new_state) in
-    deterministic order. It stops right after the first tuple whose
-    new_state is in `until`, so the list is then a prefix of the full one
-    and nothing past a search's meet is built.
+    deterministic order. Each new_state is the child as `apply_match` or
+    `apply_insertion` built it, not its normal form: the caller applies
+    `nf` to the children it needs to compare. `until`, if given, is called
+    on each tuple as it is built, and the list stops right after the first
+    one for which it returns true, so nothing past a search's meet is built.
 
     Every rewrite by one entry turns an n-layer state into one of
     n - k_pat + k_rep layers, k_pat and k_rep being the layer counts of its
-    two sides (nf keeps the count), so an entry that would exceed
-    `max_layers` is skipped before any window is scanned or built.
+    two sides, so an entry that would exceed `max_layers` is skipped before
+    any window is scanned or built.
 
     The state's view is built once and passed to every `find_matches`, a
     side's view is cached per side, and insertion spots are listed once per
@@ -488,6 +506,28 @@ def successors(state, entries, max_layers, until=()):
             )
         for step in steps:
             out.append(step)
-            if step[4] in until:
+            if until is not None and until(step):
                 return out
     return out
+
+
+def wiring_key(state):
+    """A hash of a state's wiring, equal on every member of its slide class.
+
+    Wires get names: a bottom wire its place, the one output of a box the
+    box's name, and each of two outputs that name and its port. A box's
+    name is the hash of its code, its label and the names of its input
+    wires. The key is the sum of the box names plus the hash of the top
+    cut's names. A slide moves no wire from one port to another, so it
+    changes no name. The key says nothing about where a 0-input box sits,
+    and hashes collide, so two classes may share a key: equal keys only say
+    that `nf` is worth comparing.
+    """
+    cut = list(range(state[0]))
+    key = 0
+    for o, g, lab in zip(state[1::3], state[2::3], state[3::3]):
+        d, c = GEN_DOM[g], GEN_COD[g]
+        name = hash((g, lab, *cut[o : o + d]))
+        key += name
+        cut[o : o + d] = (name,) if c == 1 else ((name, 0), (name, 1))[:c]
+    return key + hash(tuple(cut))

@@ -25,7 +25,15 @@ import re
 from dataclasses import dataclass
 
 from .cospan import LabelledCospan, cospan_of_term, terms_equal
-from .kernel import apply_insertion, apply_match, find_insertions, find_matches, nf, successors
+from .kernel import (
+    apply_insertion,
+    apply_match,
+    find_insertions,
+    find_matches,
+    nf,
+    successors,
+    wiring_key,
+)
 from .layers import diagram_equal, print_state, state_to_term, state_widths, term_to_state
 from .terms import (
     ArityMismatch,
@@ -223,17 +231,17 @@ def apply_rule(term: Term, rule_name: str, direction: str = "fwd", position=None
     if k:
         for m in find_matches(state, pat):
             if want is None or want == (m[0], k, m[1]):
-                return state_to_term(apply_match(state, m, rep))
+                return state_to_term(nf(apply_match(state, m, rep)))
     elif want is None:
         spots = find_insertions(state, pat[0])
         if spots:
-            return state_to_term(apply_insertion(state, *spots[0], rep))
+            return state_to_term(nf(apply_insertion(state, *spots[0], rep)))
     else:
         # any placement where the side's wires fit, listed or not
         bottom, layers, col = want
         widths = state_widths(state)
         if layers == 0 and 0 <= bottom < len(widths) and 0 <= col <= widths[bottom] - pat[0]:
-            return state_to_term(apply_insertion(state, bottom, col, rep))
+            return state_to_term(nf(apply_insertion(state, bottom, col, rep)))
     raise NoMatch(f"{rule_name} ({direction}) does not apply at {position!r}")
 
 
@@ -324,11 +332,22 @@ def find_path(
     Bidirectional breadth-first search over one-step rewrites of canonical
     states, alternating strictly between the two ends. States are deduped by
     canonical form; ties break by rule name, direction, then window position.
-    budget caps the total number of states stored; max_extra_layers caps how
-    far intermediate diagrams may grow beyond the larger endpoint, keeping
-    the space finite. Returns a RewriteTrace or a NotFoundWithinBound value.
-    A negative bound raises ValueError: no search could honour it, and an
-    empty one would report a false "exhausted".
+    budget caps the total number of distinct canonical states stored;
+    max_extra_layers caps how far intermediate diagrams may grow beyond the
+    larger endpoint, keeping the space finite. Returns a RewriteTrace or a
+    NotFoundWithinBound value. A negative bound raises ValueError: no
+    search could honour it, and an empty one would report a false
+    "exhausted".
+
+    Children are stored as `successors` builds them, keyed by
+    `kernel.wiring_key`, and normalised only when needed: when their side
+    is about to expand them (a level is settled in order, the first child
+    of each normal form kept), when their key is stored on the other side
+    (`nf` equality is then the exact meet test, and `successors` stops
+    there), when a side's next level must be tested for emptiness, and when
+    the stored count, each unsettled child counted once, passes the budget.
+    The result is the one an eager search that normalised every child
+    would give; the key never reaches it.
     """
     for name, bound in (
         ("max_steps", max_steps),
@@ -358,11 +377,20 @@ def find_path(
         return RewriteTrace(start_text, goal_text, rules, (), explored=0)
 
     layer_cap = max(_n_layers(s0), _n_layers(g0)) + max_extra_layers
-    # parents[side][state] = (prev_state, entry_index, bottom, col, k)
+    # Per side: every state stored, in the order built, as (state, link),
+    # link = (parent, entry_index, bottom, col, k) or None at the root. A
+    # child is stored as built; `settled` holds, for a prefix of `stored`,
+    # each state's normal form if it is the first of its class on its side,
+    # else None. `parents` maps those normal forms to their links, and
+    # `buckets` the stored states by wiring key.
+    stored = ([(s0, None)], [(g0, None)])
+    settled = ([s0], [g0])
     parents = ({s0: None}, {g0: None})
-    frontiers = ([s0], [g0])
+    buckets = ({wiring_key(s0): [stored[0][0]]}, {wiring_key(g0): [stored[1][0]]})
+    heads = [0, 0]  # where each side's next level starts in `stored`
     depths = [0, 0]
     explored = 0
+    parent = ended = None
 
     def step(e, where, b, c, k, result):
         rn, d = legend[e]
@@ -394,38 +422,80 @@ def find_path(
             start_text, goal_text, rules, tuple(steps), explored=explored
         )
 
+    def settle(s):
+        """Normalise the first unsettled state stored on side s."""
+        state, link = stored[s][len(settled[s])]
+        n = nf(state)
+        if n in parents[s]:
+            settled[s].append(None)
+        else:
+            parents[s][n] = link
+            settled[s].append(n)
+
+    def level(s, lo, hi):
+        """The states new to side s among stored[s][lo:hi], normalised as
+        they are reached."""
+        for i in range(lo, hi):
+            if i == len(settled[s]):
+                settle(s)
+            if settled[s][i] is not None:
+                yield settled[s][i]
+
+    def waiting(s):
+        """Whether side s's next level holds a state new to it."""
+        return next(level(s, heads[s], len(stored[s])), None) is not None
+
+    def store(move):
+        """Store a child of `parent` on `side`. True when the search ends
+        there: the child meets the other side, or the states stored pass
+        the budget."""
+        nonlocal ended
+        e, b, c, k, child = move
+        link = (parent, e, b, c, k)
+        key = wiring_key(child)
+        if key in buckets[1 - side]:
+            # No normal form is stored on both sides, so a child whose class
+            # is stored on the other side is the meet, and the first state
+            # stored there in that class holds that side's link.
+            meet = nf(child)
+            for state, first in buckets[1 - side][key]:
+                if nf(state) == meet:
+                    parents[side][meet] = link
+                    parents[1 - side][meet] = first
+                    ended = rebuild(meet)
+                    return True
+        entry = (child, link)
+        stored[side].append(entry)
+        buckets[side].setdefault(key, []).append(entry)
+        # Each unsettled state adds at most one normal form, so the exact
+        # count is needed only once this bound passes the budget.
+        unsettled = len(stored[0]) - len(settled[0]) + len(stored[1]) - len(settled[1])
+        if len(parents[0]) + len(parents[1]) + unsettled > budget:
+            for s in (0, 1):
+                while len(settled[s]) < len(stored[s]):
+                    settle(s)
+            if len(parents[0]) + len(parents[1]) > budget:
+                ended = not_found("budget", explored)
+                return True
+        return False
+
     while True:
         # Pick the side to deepen: strict alternation, but an exhausted or
         # step-capped side cedes its turn.
         order = (0, 1) if depths[0] <= depths[1] else (1, 0)
         side = None
-        for s in order:
-            if frontiers[s] and depths[0] + depths[1] < max_steps:
-                side = s
-                break
+        if depths[0] + depths[1] < max_steps:
+            side = next((s for s in order if waiting(s)), None)
         if side is None:
-            reason = (
-                "exhausted"
-                if not frontiers[0] and not frontiers[1]
-                else "max_steps"
-            )
+            reason = "max_steps" if waiting(0) or waiting(1) else "exhausted"
             return not_found(reason, explored)
-        mine, other = parents[side], parents[1 - side]
-        new_frontier = []
-        for state in frontiers[side]:
+        lo, hi = heads[side], len(stored[side])
+        heads[side] = hi
+        for parent in level(side, lo, hi):
             explored += 1
-            # No state is in both dicts, so the first successor in `other`
-            # is where this loop returns: successors stops right there.
-            for (e, b, c, k, ns) in successors(state, entries, layer_cap, other):
-                if ns in mine:
-                    continue
-                mine[ns] = (state, e, b, c, k)
-                if ns in other:
-                    return rebuild(ns)
-                if len(parents[0]) + len(parents[1]) > budget:
-                    return not_found("budget", explored)
-                new_frontier.append(ns)
-        frontiers[side][:] = new_frontier
+            successors(parent, entries, layer_cap, store)
+            if ended is not None:
+                return ended
         depths[side] += 1
 
 

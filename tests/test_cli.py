@@ -25,7 +25,17 @@ from cob3 import (
     typecheck,
 )
 from cob3.layers import term_to_state
-from cob3.cli import ALGBAD, DIFFER, EVAL_MAX_ENTRIES, INTERNAL, OK, USAGE, build_parser, main
+from cob3.cli import (
+    ALGBAD,
+    DIFFER,
+    EVAL_MAX_ENTRIES,
+    INTERNAL,
+    INVARIANT_MAX_BITS,
+    OK,
+    USAGE,
+    build_parser,
+    main,
+)
 from cob3.rewrite import RULE_SETS
 
 
@@ -244,6 +254,42 @@ def test_long_exact_value_is_printed(capsys, tmp_path):
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+def test_invariant_refuses_a_value_past_its_size_limit(capsys, tmp_path):
+    # one block of trace 2: the handle character is 1/2, and each handle
+    # adds one bit to Z = 2 * (1/2)**genus
+    half = tmp_path / "half.json"
+    half.write_text(algebra_to_json(diagonal_algebra([2])))
+    alg = cob3.cli._load_algebra(str(half))
+    cob3.cli._check_invariant_size(alg, f"(S2xS1)^{INVARIANT_MAX_BITS}")
+    with pytest.raises(ValueError, match="may have about"):
+        cob3.cli._check_invariant_size(alg, f"(S2xS1)^{INVARIANT_MAX_BITS - 9} # (S2xS1)^10")
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, "invariant", "--algebra", str(half), "--manifold", "(S2xS1)^10000000"
+    )
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # handle characters of 1 add no bits, so any genus is computed
+    plane = tmp_path / "plane.json"
+    plane.write_text(algebra_to_json(hadamard_algebra()))
+    code, out, _ = run(
+        capsys, "invariant", "--algebra", str(plane), "--manifold", "(S2xS1)^10000000"
+    )
+    assert (code, out) == (OK, "Z((S2xS1)^10000000) = 2\n")
+    # with no split into blocks over Q, the handle element's coordinates
+    # stand in for the characters: the dual numbers' handle is 2x
+    dual = FrobeniusAlgebra(2, [[[1, 0], [0, 0]], [[0, 1], [1, 0]]], [1, 0], [0, 1])
+    path = tmp_path / "dual.json"
+    path.write_text(algebra_to_json(dual))
+    code, _, _ = run(capsys, "invariant", "--algebra", str(path), "--manifold", "(S2xS1)^3")
+    assert code == OK
+    code, _, err = run(
+        capsys, "invariant", "--algebra", str(path), "--manifold", "(S2xS1)^10000000"
+    )
+    assert code == USAGE and err.startswith("error: ")
 
 
 def test_unknown_prime_names_the_label(capsys, alg_file):
@@ -767,8 +813,10 @@ def test_rewrite_path_help_names_every_bound(capsys):
         ("--max-extra-layers", "most layers a state may have"),
     ):
         assert f"{flag} {flag[2:].upper().replace('-', '_')} {help_text}" in out
-    # the budget is checked per stored state, not per successor built
-    assert "does not cap the successors" in out
+    # the budget counts normal forms, and the search stops building
+    # successors once it is passed
+    assert "one per normal form" in out
+    assert "builds no successor past the one that passes it" in out
 
 
 def test_demo_counterexample(capsys):

@@ -48,7 +48,7 @@ def test_legs_match_skips_feeding_context():
     ms = kp.find_matches(u, LEGS_L)
     assert len(ms) == 1
     res = kp.apply_match(u, ms[0], LEGS_R)
-    assert res == nf_of("m . (id * (pe(B) . pe(A) . unit))")
+    assert kp.nf(res) == nf_of("m . (id * (pe(B) . pe(A) . unit))")
 
 
 def test_assoc_match_through_parked_wire():
@@ -56,7 +56,7 @@ def test_assoc_match_through_parked_wire():
     ms = kp.find_matches(s, ASSOC_L)
     assert len(ms) == 1
     res = kp.apply_match(s, ms[0], ASSOC_R)
-    assert res == nf_of("m . (id * m) . (id * id * (pe(P) . unit))")
+    assert kp.nf(res) == nf_of("m . (id * m) . (id * id * (pe(P) . unit))")
 
 
 def test_assoc_no_false_match_on_right_feeding_m():
@@ -72,7 +72,7 @@ def test_context_moves_above_the_window():
     ms = kp.find_matches(s, rhs)
     assert [m[:3] for m in ms] == [(0, 0, (0, 2))]
     assert ms[0][3] == () and ms[0][4] == (0, 5, "P")
-    assert kp.apply_match(s, ms[0], lhs) == nf_of("(pe(P) * id) . (pe(P) * id) . comul")
+    assert kp.nf(kp.apply_match(s, ms[0], lhs)) == nf_of("(pe(P) * id) . (pe(P) * id) . comul")
 
 
 def test_context_moves_above_an_upside_down_window_past_width_changes():
@@ -93,7 +93,7 @@ def test_unit_collapse_with_bystander():
     s = nf_of("m . (unit * pe(Q))")
     ms = kp.find_matches(s, UNITL_L)
     assert len(ms) == 1
-    assert kp.apply_match(s, ms[0], UNITL_R) == nf_of("pe(Q)")
+    assert kp.nf(kp.apply_match(s, ms[0], UNITL_R)) == nf_of("pe(Q)")
 
 
 def test_metavariable_binding_repeats():
@@ -108,7 +108,18 @@ def test_two_distinct_metavariables():
     assert len(ms) == 1
     swapped = (1, 0, 5, "?p", 0, 5, "?q")
     res = kp.apply_match(nf_of("pe(A) . pe(B)"), ms[0], swapped)
-    assert res == nf_of("pe(B) . pe(A)")
+    assert kp.nf(res) == nf_of("pe(B) . pe(A)")
+
+
+def test_a_candidate_whose_context_leaves_its_wires_is_no_match():
+    # the scan for swap . (unit * id) proposes a window whose context,
+    # moved below it, ends the only wire with a tr and then starts pu(P)
+    # at column 1, where there is no gap. nf of that rebuilt state raised
+    # IndexError, so a search reaching this state ended in an internal error.
+    s = (1, 1, 1, "", 1, 3, "", 1, 6, "P", 0, 4, "", 2, 6, "Q", 1, 4, "", 2, 2, "",
+         1, 4, "", 0, 4, "", 2, 4, "")
+    assert kp.nf(s) == s
+    assert kp.find_matches(s, (1, 0, 1, "", 0, 4, "")) == []
 
 
 def test_insertions_one_per_wire_segment():
@@ -117,7 +128,7 @@ def test_insertions_one_per_wire_segment():
     # each pe starts a new segment
     assert spots == [(0, 0), (1, 0), (2, 0)]
     grown = kp.apply_insertion(s, 2, 0, UNITL_L)
-    assert grown == nf_of("m . (unit * id) . pe(A) . pe(B)")
+    assert kp.nf(grown) == nf_of("m . (unit * id) . pe(A) . pe(B)")
 
 
 def test_insertions_skip_a_segment_the_layer_below_leaves_alone():
@@ -134,7 +145,7 @@ def test_a_floating_scalar_between_two_wires_ends_their_run():
     # different diagrams, so both placements are kept
     s = nf_of("(id * tr * id) . (id * unit * id)")
     assert kp.find_insertions(s, 2) == [(0, 0), (1, 0), (1, 1), (2, 0)]
-    below, above = (kp.apply_insertion(s, b, 0, SWAP_SWAP) for b in (0, 2))
+    below, above = (kp.nf(kp.apply_insertion(s, b, 0, SWAP_SWAP)) for b in (0, 2))
     assert below != above
 
 
@@ -159,7 +170,7 @@ def all_insertions(state, width, hull):
 
 def reference_successors(state, entries, max_layers):
     """kp.successors with every zero-layer side inserted at all_insertions'
-    placements."""
+    placements, and each child normalised."""
     n = n_layers(state)
     out = []
     for e, (pat, rep) in enumerate(entries):
@@ -167,19 +178,17 @@ def reference_successors(state, entries, max_layers):
         if n - k + n_layers(rep) > max_layers:
             continue
         if k:
-            out += [(e,) + t[1:] for t in kp.successors(state, ((pat, rep),), max_layers)]
+            out += [
+                (e, *t[1:4], kp.nf(t[4]))
+                for t in kp.successors(state, ((pat, rep),), max_layers)
+            ]
         else:
             hull = max(state_widths(rep))
             out += [
-                (e, b, c, 0, kp.apply_insertion(state, b, c, rep))
+                (e, b, c, 0, kp.nf(kp.apply_insertion(state, b, c, rep)))
                 for b, c in all_insertions(state, pat[0], hull)
             ]
     return out
-
-
-def inserted(state, lvl, col, rep):
-    """The state with `rep` inserted at (lvl, col), before nf."""
-    return state[: 1 + 3 * lvl] + tuple(kp.instantiate(rep, {}, col)) + state[1 + 3 * lvl :]
 
 
 def slid_down(state, lvl, col, width):
@@ -198,7 +207,7 @@ def slid_down(state, lvl, col, width):
 def first_positions(state, spots, rep):
     out = {}
     for b, c in spots:
-        out.setdefault(kp.apply_insertion(state, b, c, rep), (b, c))
+        out.setdefault(kp.nf(kp.apply_insertion(state, b, c, rep)), (b, c))
     return out
 
 
@@ -296,10 +305,12 @@ def test_insertions_keep_the_lowest_placement_of_each_slide_class(state):
             if low == (b, c):
                 continue
             if low not in classes:
-                classes[low] = slide_class(inserted(state, *low, rep), ORACLE_CAP)
+                classes[low] = slide_class(kp.apply_insertion(state, *low, rep), ORACLE_CAP)
             if len(classes[low]) <= ORACLE_CAP:
-                assert _layers(inserted(state, b, c, rep)) in classes[low]
-            assert kp.nf(inserted(state, b, c, rep)) == kp.nf(inserted(state, *low, rep))
+                assert _layers(kp.apply_insertion(state, b, c, rep)) in classes[low]
+            assert kp.nf(kp.apply_insertion(state, b, c, rep)) == kp.nf(
+                kp.apply_insertion(state, *low, rep)
+            )
         assert first_positions(state, kept, rep) == first_positions(state, ref, rep)
 
 
@@ -328,23 +339,38 @@ def test_layer_bound_only_drops_oversized_rewrites(seed):
             assert kp.successors(s, entries, bound) == kept
 
 
-# sha256 of the successor lists below. A deliberate change to what the
-# matcher finds updates it and says so in CHANGES.md.
+# sha256 of the successor lists below, each child normalised. A deliberate
+# change to what the matcher finds updates it and says so in CHANGES.md.
 SUCCESSORS_DIGEST = "b39212013a79683250e7c37454a226361a7cb3712b805499548942a4a6a94ee1"
+
+
+def successor_corpus():
+    """(rules, state, successors as built) over 100 random states a rule set."""
+    for rules in ("CF_LEGS", "G2_FULL"):
+        entries, _ = _entries(rules)
+        for seed in range(100):
+            s = kp.nf(term_to_state(random_term(random.Random(seed), max_gens=5)))
+            yield rules, s, kp.successors(s, entries, n_layers(s) + 3)
 
 
 def test_successor_lists_are_pinned():
     h = hashlib.sha256()
     count = 0
-    for rules in ("CF_LEGS", "G2_FULL"):
-        entries, _ = _entries(rules)
-        for seed in range(100):
-            s = kp.nf(term_to_state(random_term(random.Random(seed), max_gens=5)))
-            succ = kp.successors(s, entries, n_layers(s) + 3)
-            count += len(succ)
-            h.update(repr(succ).encode())
+    for _rules, _s, succ in successor_corpus():
+        count += len(succ)
+        h.update(repr([(*t[:4], kp.nf(t[4])) for t in succ]).encode())
     assert count == 5581
     assert h.hexdigest() == SUCCESSORS_DIGEST
+
+
+def test_each_child_has_the_wiring_key_of_its_normal_form():
+    built = 0
+    for _rules, _s, succ in successor_corpus():
+        for *_pos, child in succ:
+            built += child != kp.nf(child)
+            assert kp.wiring_key(child) == kp.wiring_key(kp.nf(child))
+    # successors hands out children as built, and most are not normal forms
+    assert built > 1000
 
 
 @settings(max_examples=25, deadline=None)
@@ -356,13 +382,18 @@ def test_successors_stop_at_the_first_state_in_until(seed):
     for rules in ("CF_LEGS", "G2_FULL"):
         entries, _ = _entries(rules)
         full = kp.successors(s, entries, bound)
-        states = [t[4] for t in full]
-        # some of the successors (a dict, as find_path passes) and a state
-        # that is none of them
-        until = dict.fromkeys(rng.sample(states, min(len(states), rng.randint(0, 3))))
-        until[s] = None
+        # the classes of some of the successors, and the state's own, which
+        # none of them is in
+        states = [kp.nf(t[4]) for t in full]
+        targets = set(rng.sample(states, min(len(states), rng.randint(0, 3)))) | {s}
+        seen = []
+
+        def until(step):
+            seen.append(step)
+            return kp.nf(step[4]) in targets
+
         got = kp.successors(s, entries, bound, until)
         # a list, not a generator: perfbench's tracer takes its len
         assert isinstance(got, list)
-        cut = next((i + 1 for i, ns in enumerate(states) if ns in until), len(full))
-        assert got == full[:cut]
+        cut = next((i + 1 for i, ns in enumerate(states) if ns in targets), len(full))
+        assert got == seen == full[:cut]

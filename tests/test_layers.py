@@ -315,15 +315,40 @@ INSERTED_SIDES = [(pat, rep) for pat, rep in _entries("CF_LEGS")[0] if len(pat) 
 @settings(max_examples=20, deadline=None)
 @given(st.one_of(layered_states(pads=(0, 1)), floating_states()).map(kernel.nf))
 def test_nf_of_each_insertion_child_is_the_least_member_of_its_class(state):
-    # the children `apply_insertion` builds before its nf, the states a
-    # search normalizes most; no wide pads, whose every wire is a spot
+    # the children `apply_insertion` builds, the states a search normalizes
+    # most; no wide pads, whose every wire is a spot
     for pat, rep in INSERTED_SIDES:
         for lvl, col in kernel.find_insertions(state, pat[0]):
-            block = tuple(kernel.instantiate(rep, {}, col))
-            child = state[: 1 + 3 * lvl] + block + state[1 + 3 * lvl :]
+            child = kernel.apply_insertion(state, lvl, col, rep)
             want = class_min_oracle(child)
             if want is not None:
                 assert kernel.nf(child) == want
+
+
+def unit_rich_states(seed):
+    """A random term with one to four floating unit or pu boxes tensored in
+    at random places: every layer order of those boxes is one diagram."""
+    rng = random.Random(seed)
+    parts = [f"({print_term(random_term(rng, max_gens=5))})"]
+    for _ in range(rng.randint(1, 4)):
+        box = rng.choice(("unit", "pu(P)", "pu(Q)", "pe(P) . unit"))
+        parts.insert(rng.randint(0, len(parts)), f"({box})")
+    return term_to_state(parse(" * ".join(parts)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    layered_states(pads=(0, 1)),
+    floating_states(),
+    st.integers(0, 2**32).map(unit_rich_states),
+))
+@example(TR_THEN_FLOATS)
+@example(TWO_SCALARS)
+def test_wiring_key_takes_one_value_on_a_slide_class(state):
+    members = slide_class(state, 500)
+    keys = {kernel.wiring_key(_flat(state[0], seq)) for seq in members}
+    assert keys == {kernel.wiring_key(state)}
+    assert kernel.wiring_key(kernel.nf(state)) == kernel.wiring_key(state)
 
 
 @pytest.mark.parametrize("size, state", PAST_THE_CAP)

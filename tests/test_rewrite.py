@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cob3 import (
@@ -22,10 +22,11 @@ from cob3 import (
     print_term,
     replay,
 )
+from cob3 import kernel, rewrite
 from cob3.kernel import nf, successors
-from cob3.layers import diagram_equal, state_to_term, term_to_state
+from cob3.layers import diagram_equal, print_state, state_to_term, state_widths, term_to_state
 from cob3.rewrite import _entries, g1_text
-from cob3.terms import random_term
+from cob3.terms import random_term, typecheck
 from test_kernel import reference_successors
 
 
@@ -179,7 +180,7 @@ def test_two_step_rewrites_are_found_and_replay(seed, rules):
     bound = (len(t) - 1) // 3 + 4
     state = t
     for _ in range(2):
-        state = rng.choice(successors(state, entries, bound))[4]
+        state = nf(rng.choice(successors(state, entries, bound))[4])
     r = find_path(
         state_to_term(t), state_to_term(state), rules=rules,
         max_steps=4, max_extra_layers=4,
@@ -220,6 +221,141 @@ def test_find_path_results_are_pinned():
         h.update(r.to_json().encode())
     assert found == 43
     assert h.hexdigest() == FIND_PATH_DIGEST
+
+
+def reference_find_path(start, goal, rules, max_steps, budget, max_extra_layers):
+    """find_path as it was before it normalised lazily: every child is
+    normalised as it is built and stored by its normal form, and a frontier
+    is a list of normal forms. The reference the lazy search is checked
+    against, result for result."""
+    start, goal = parse(start), parse(goal)
+    s0, g0 = nf(term_to_state(start)), nf(term_to_state(goal))
+    if (s0[0], state_widths(s0)[-1]) != (g0[0], state_widths(g0)[-1]):
+        raise ArityMismatch("cannot search: endpoints have different interface widths")
+    entries, legend = _entries(rules)
+    texts = print_term(start), print_term(goal), rules
+    if s0 == g0:
+        return RewriteTrace(*texts, (), explored=0)
+    layer_cap = (max(len(s0), len(g0)) - 1) // 3 + max_extra_layers
+    parents = ({s0: None}, {g0: None})
+    frontiers = ([s0], [g0])
+    depths = [0, 0]
+    explored = 0
+
+    def step(e, where, b, c, k, result):
+        rn, d = legend[e]
+        position = {"bottom": b, "layers": k, "offset": c, "in": where}
+        return TraceStep(rn, d, position, print_state(result))
+
+    def rebuild(meet):
+        steps = []
+        st = meet
+        while parents[0][st] is not None:
+            prev, e, b, c, k = parents[0][st]
+            steps.append(step(e, "source", b, c, k, st))
+            st = prev
+        steps.reverse()
+        st = meet
+        while parents[1][st] is not None:
+            prev, e, b, c, k = parents[1][st]
+            steps.append(step(e ^ 1, "result", b, c, k, prev))
+            st = prev
+        return RewriteTrace(*texts, tuple(steps), explored=explored)
+
+    while True:
+        order = (0, 1) if depths[0] <= depths[1] else (1, 0)
+        side = next(
+            (s for s in order if frontiers[s] and depths[0] + depths[1] < max_steps), None
+        )
+        if side is None:
+            reason = "exhausted" if not frontiers[0] and not frontiers[1] else "max_steps"
+            return NotFoundWithinBound(*texts, reason, max_steps, budget, explored)
+        mine, other = parents[side], parents[1 - side]
+        new_frontier = []
+        for state in frontiers[side]:
+            explored += 1
+            for e, b, c, k, child in successors(state, entries, layer_cap):
+                ns = nf(child)
+                if ns in mine:
+                    continue
+                mine[ns] = (state, e, b, c, k)
+                if ns in other:
+                    return rebuild(ns)
+                if len(parents[0]) + len(parents[1]) > budget:
+                    return NotFoundWithinBound(*texts, "budget", max_steps, budget, explored)
+                new_frontier.append(ns)
+        frontiers[side][:] = new_frontier
+        depths[side] += 1
+
+
+@st.composite
+def search_cases(draw):
+    """A pair of terms of one interface type and bounds to search it with:
+    a random term and the end of two random successor steps from it, a
+    random term of its type, or its G1 text."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rules = draw(st.sampled_from(["CF", "CF_LEGS", "G2_FULL"]))
+    start = random_term(rng, max_gens=draw(st.integers(2, 6)))
+    kind = draw(st.sampled_from(["steps", "random", "g1"]))
+    goal = g1_text(cospan_of_term(start))
+    if kind == "random":
+        others = (random_term(rng, max_gens=rng.randint(2, 6)) for _ in range(100))
+        goal = next((print_term(t) for t in others if typecheck(t) == typecheck(start)), goal)
+    elif kind == "steps":
+        entries, _ = _entries(rules)
+        state = nf(term_to_state(start))
+        bound = (len(state) - 1) // 3 + 3
+        for _ in range(2):
+            succ = successors(state, entries, bound)
+            state = nf(rng.choice(succ)[4]) if succ else state
+        goal = print_state(state)
+    bounds = {
+        "max_steps": draw(st.integers(0, 4)),
+        "budget": draw(st.sampled_from([1, 3, 10, 50, 200])),
+        "max_extra_layers": draw(st.integers(0, 3)),
+    }
+    return print_term(start), goal, rules, bounds
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_cases())
+# the goal side's last level holds only states it stored before: a side
+# whose frontier is empty once normalised cedes its turn, and the search
+# is exhausted
+@example(("id * unit", "((unit . tr) . unit) * id", "CF_LEGS",
+          {"max_steps": 5, "budget": 200, "max_extra_layers": 1}))
+def test_find_path_gives_the_reference_result(case):
+    start, goal, rules, bounds = case
+    want = reference_find_path(start, goal, rules, **bounds)
+    assert find_path(start, goal, rules=rules, **bounds).to_json() == want.to_json()
+
+
+def test_a_budget_stopped_search_builds_no_child_past_the_budget(monkeypatch):
+    # every child of a 200-layer pe(P) chain is a new normal form: with the
+    # two endpoints stored, the 99th child passes a budget of 100, and the
+    # search builds none of the 800 or so children after it
+    built = []
+    for name in ("apply_insertion", "apply_match"):
+        surgery = getattr(kernel, name)
+        monkeypatch.setattr(kernel, name, lambda *a, f=surgery: built.append(a) or f(*a))
+    r = find_path(" . ".join(["pe(P)"] * 200), "id", max_steps=2, budget=100)
+    assert (r.reason, r.explored) == ("budget", 1)
+    assert len(built) == 99
+
+
+def test_colliding_wiring_keys_change_no_result(monkeypatch):
+    # every child shares one key, so every child is normalised and compared
+    # with everything on the other side; the key only saves work
+    want = [
+        find_path(start, goal, rules=rules, max_steps=steps, max_extra_layers=3).to_json()
+        for rules, start, goal, steps in two_step_pairs()
+    ]
+    monkeypatch.setattr(rewrite, "wiring_key", lambda state: 0)
+    got = [
+        find_path(start, goal, rules=rules, max_steps=steps, max_extra_layers=3).to_json()
+        for rules, start, goal, steps in two_step_pairs()
+    ]
+    assert got == want
 
 
 # Edge cases of the G1 layout: bare wires with and without routing or
