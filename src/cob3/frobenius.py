@@ -182,19 +182,9 @@ class FrobeniusAlgebra:
 
     def multiply(self, x: Sequence[Fraction], y: Sequence[Fraction]):
         d = self.dim
-        out = [Fraction(0)] * d
-        for i in range(d):
-            if not x[i]:
-                continue
-            for j in range(d):
-                if not y[j]:
-                    continue
-                xy = x[i] * y[j]
-                for k in range(d):
-                    c = self.mul[k][i][j]
-                    if c:
-                        out[k] += c * xy
-        return tuple(out)
+        xy = {i * d + j: a * b for i, a in enumerate(x) if a for j, b in enumerate(y) if b}
+        out = self.generator("m").apply(xy)
+        return tuple(out.get(k) or Fraction(0) for k in range(d))
 
     def trace_of(self, x: Sequence[Fraction]) -> Fraction:
         return sum((self.trace[i] * x[i] for i in range(self.dim)), Fraction(0))

@@ -180,12 +180,10 @@ class LinearMap:
     def apply(self, vec: Dict[int, Fraction]) -> Dict[int, Fraction]:
         """Apply to a sparse column vector {index: value}."""
         out: Dict[int, Fraction] = {}
-        cols = self.cols
-        for k, v in self.nums.items():
-            r, c = divmod(k, cols)
-            x = vec.get(c)
-            if x is not None:
-                out[r] = out.get(r, 0) + v * x
+        columns = self.columns
+        for c, x in vec.items():
+            for r, v in columns.get(c, ()):
+                out[r] = out[r] + v * x if r in out else v * x
         return {k: Fraction(v) / self.den for k, v in out.items() if v != 0}
 
     def scalar(self) -> Fraction:

@@ -25,15 +25,7 @@ import re
 from dataclasses import dataclass
 
 from .cospan import LabelledCospan, cospan_of_term, terms_equal
-from .kernel import (
-    apply_insertion,
-    apply_match,
-    find_insertions,
-    find_matches,
-    nf,
-    successors,
-    wiring_key,
-)
+from .kernel import apply_insertion, nf, successors, wiring_key
 from .layers import diagram_equal, print_state, state_to_term, state_widths, term_to_state
 from .terms import (
     ArityMismatch,
@@ -206,13 +198,15 @@ def _n_layers(state) -> int:
 def apply_rule(term: Term, rule_name: str, direction: str = "fwd", position=None) -> Term:
     """Apply one rule to a term and return the rewritten term.
 
-    position selects where:
-      * None: the first window in the kernel's deterministic order;
+    The windows are the ones `kernel.successors` lists for the rule
+    direction in the term's canonical layered form, in its order. position
+    selects one:
+      * None: the first window listed;
       * a dict {"bottom", "layers", "offset"}, as reported in traces: the
-        window of the term's canonical layered form that starts at layer
-        "bottom" and column "offset" and holds the rule direction's
-        "layers"-layer pattern (zero layers: an insertion point). Other
-        keys, such as a trace's "in", are ignored.
+        first window listed that starts at layer "bottom" and column
+        "offset" and holds the rule direction's "layers"-layer pattern.
+        A zero-layer side is inserted there whenever its wires fit, listed
+        or not. Other keys, such as a trace's "in", are ignored.
     Raises NoMatch when the rule does not apply there.
     """
     if rule_name not in RULES:
@@ -227,21 +221,19 @@ def apply_rule(term: Term, rule_name: str, direction: str = "fwd", position=None
         raise TypeError(f"position must be None or a window dict, not {position!r}")
     pat, rep = _rule_entries(rule_name)[direction == "rev"]
     state = nf(term_to_state(term))
-    k = _n_layers(pat)
-    if k:
-        for m in find_matches(state, pat):
-            if want is None or want == (m[0], k, m[1]):
-                return state_to_term(nf(apply_match(state, m, rep)))
-    elif want is None:
-        spots = find_insertions(state, pat[0])
-        if spots:
-            return state_to_term(nf(apply_insertion(state, *spots[0], rep)))
-    else:
-        # any placement where the side's wires fit, listed or not
-        bottom, layers, col = want
+
+    def at(step):
+        return want is None or (step[1], step[3], step[2]) == want
+
+    if want is not None and want[1] == _n_layers(pat) == 0:
+        bottom, _, col = want
         widths = state_widths(state)
-        if layers == 0 and 0 <= bottom < len(widths) and 0 <= col <= widths[bottom] - pat[0]:
+        if 0 <= bottom < len(widths) and 0 <= col <= widths[bottom] - pat[0]:
             return state_to_term(nf(apply_insertion(state, bottom, col, rep)))
+    else:
+        steps = successors(state, ((pat, rep),), _n_layers(state) + _n_layers(rep), at)
+        if steps and at(steps[-1]):
+            return state_to_term(nf(steps[-1][4]))
     raise NoMatch(f"{rule_name} ({direction}) does not apply at {position!r}")
 
 
@@ -379,10 +371,12 @@ def find_path(
     layer_cap = max(_n_layers(s0), _n_layers(g0)) + max_extra_layers
     # Per side: every state stored, in the order built, as (state, link),
     # link = (parent, entry_index, bottom, col, k) or None at the root. A
-    # child is stored as built; `settled` holds, for a prefix of `stored`,
-    # each state's normal form if it is the first of its class on its side,
-    # else None. `parents` maps those normal forms to their links, and
-    # `buckets` the stored states by wiring key.
+    # child is stored as built. `level` walks the stored states in order and
+    # settles each the first time any walk reaches it: `settled` holds, for
+    # the prefix reached so far, each state's normal form if it is the first
+    # of its class on its side, else None, so no state is normalised twice.
+    # `parents` maps those normal forms to their links, and `buckets` the
+    # stored states by wiring key.
     stored = ([(s0, None)], [(g0, None)])
     settled = ([s0], [g0])
     parents = ({s0: None}, {g0: None})
@@ -391,11 +385,6 @@ def find_path(
     depths = [0, 0]
     explored = 0
     parent = ended = None
-
-    def step(e, where, b, c, k, result):
-        rn, d = legend[e]
-        position = {"bottom": b, "layers": k, "offset": c, "in": where}
-        return TraceStep(rn, d, position, print_state(result))
 
     def rebuild(meet):
         """Stitch the two half-paths at the meet state into one trace.
@@ -406,38 +395,27 @@ def find_path(
         direction e ^ 1: its window lies in the step's result and holds
         that step's replacement side.
         """
-        steps = []
-        st = meet
-        while parents[0][st] is not None:
-            prev, e, b, c, k = parents[0][st]
-            steps.append(step(e, "source", b, c, k, st))
-            st = prev
-        steps.reverse()
-        st = meet
-        while parents[1][st] is not None:
-            prev, e, b, c, k = parents[1][st]
-            steps.append(step(e ^ 1, "result", b, c, k, prev))
-            st = prev
-        return RewriteTrace(
-            start_text, goal_text, rules, tuple(steps), explored=explored
-        )
-
-    def settle(s):
-        """Normalise the first unsettled state stored on side s."""
-        state, link = stored[s][len(settled[s])]
-        n = nf(state)
-        if n in parents[s]:
-            settled[s].append(None)
-        else:
-            parents[s][n] = link
-            settled[s].append(n)
+        halves = ([], [])
+        for s, where in ((0, "source"), (1, "result")):
+            st = meet
+            while parents[s][st] is not None:
+                prev, e, b, c, k = parents[s][st]
+                rn, d = legend[e ^ s]
+                position = {"bottom": b, "layers": k, "offset": c, "in": where}
+                halves[s].append(TraceStep(rn, d, position, print_state(prev if s else st)))
+                st = prev
+        steps = tuple(halves[0][::-1] + halves[1])
+        return RewriteTrace(start_text, goal_text, rules, steps, explored=explored)
 
     def level(s, lo, hi):
-        """The states new to side s among stored[s][lo:hi], normalised as
-        they are reached."""
+        """The states new to side s among stored[s][lo:hi], each settled
+        the first time a walk reaches it; lo is at most len(settled[s])."""
         for i in range(lo, hi):
             if i == len(settled[s]):
-                settle(s)
+                state, link = stored[s][i]
+                n = nf(state)
+                settled[s].append(None if n in parents[s] else n)
+                parents[s].setdefault(n, link)
             if settled[s][i] is not None:
                 yield settled[s][i]
 
@@ -472,8 +450,8 @@ def find_path(
         unsettled = len(stored[0]) - len(settled[0]) + len(stored[1]) - len(settled[1])
         if len(parents[0]) + len(parents[1]) + unsettled > budget:
             for s in (0, 1):
-                while len(settled[s]) < len(stored[s]):
-                    settle(s)
+                for _ in level(s, len(settled[s]), len(stored[s])):
+                    pass
             if len(parents[0]) + len(parents[1]) > budget:
                 ended = not_found("budget", explored)
                 return True
@@ -526,7 +504,6 @@ def replay(trace: RewriteTrace) -> Term:
         if not diagram_equal(got, expected):
             raise ValueError(f"step {step.rule} does not lead to its recorded result")
         term = result
-        typecheck(term)
         if cospan_of_term(term) != want:
             raise ValueError(f"step {step.rule} changed the bordism")
     if not diagram_equal(term, goal):

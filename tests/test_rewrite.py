@@ -324,6 +324,14 @@ def search_cases(draw):
 # is exhausted
 @example(("id * unit", "((unit . tr) . unit) * id", "CF_LEGS",
           {"max_steps": 5, "budget": 200, "max_extra_layers": 1}))
+# the cowaist search stores more than 1000 states before it meets, so the
+# budget's exact count settles every stored state, and the search goes on
+# to the path it finds without a budget
+@example(("comul . pe(P)", "(pe(P) * id) . comul", "CF_LEGS",
+          {"max_steps": 24, "budget": 1000, "max_extra_layers": 4}))
+# the same search stopped by its budget
+@example(("comul . pe(P)", "(pe(P) * id) . comul", "CF_LEGS",
+          {"max_steps": 24, "budget": 400, "max_extra_layers": 4}))
 def test_find_path_gives_the_reference_result(case):
     start, goal, rules, bounds = case
     want = reference_find_path(start, goal, rules, **bounds)

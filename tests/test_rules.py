@@ -1,8 +1,11 @@
 """Equational rule table: membership, soundness, single-step application."""
 
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cob3 import (
     RULE_SETS,
@@ -17,8 +20,10 @@ from cob3 import (
     typecheck,
     verify_ruleset_soundness,
 )
-from cob3.layers import PU, diagram_equal, term_to_state
-from cob3.rewrite import ruleset
+from cob3.kernel import nf, successors
+from cob3.layers import PU, diagram_equal, state_to_term, term_to_state
+from cob3.rewrite import _rule_entries, ruleset
+from cob3.terms import random_term
 
 
 def test_rule_set_sizes():
@@ -101,6 +106,32 @@ def test_apply_at_window_position():
     # a zero-layer side is inserted at a level and column
     grown = apply_rule(t, "unit_l", "rev", {"bottom": 2, "layers": 0, "offset": 0})
     assert diagram_equal(grown, parse("m . (unit * id) . m . (unit * id)"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**30))
+def test_apply_rule_takes_the_windows_successors_lists(seed):
+    # apply_rule and the search list a rule's windows one way: with no
+    # position it returns the first step successors lists for the rule
+    # direction, and at a listed position the first step there
+    term = random_term(random.Random(seed), max_gens=6)
+    state = nf(term_to_state(term))
+    cap = (len(state) - 1) // 3 + 3  # no rule side has more than 3 layers
+    for name in RULE_SETS["G2_FULL"]:
+        for direction, entry in zip(("fwd", "rev"), _rule_entries(name)):
+            steps = successors(state, [entry], cap)
+            if not steps:
+                with pytest.raises(NoMatch):
+                    apply_rule(term, name, direction)
+                continue
+            assert apply_rule(term, name, direction) == state_to_term(nf(steps[0][4]))
+            first = {}
+            for _e, b, c, k, child in steps:
+                first.setdefault((b, k, c), child)
+            for (b, k, c), child in first.items():
+                position = {"bottom": b, "layers": k, "offset": c}
+                got = apply_rule(term, name, direction, position)
+                assert got == state_to_term(nf(child)), (name, direction, position)
 
 
 def test_metavariable_rules_bind_any_label():
