@@ -216,7 +216,8 @@ class FrobeniusAlgebra:
         """The map of a connected surface with a inputs and b outputs:
         (b-fold comul) . (multiplication by the surface element) . (a-fold
         mul), where a 0-fold mul is the unit and a 0-fold comul the trace.
-        Built on first use and kept."""
+        Built on first use and kept. The middle map is the (1, 1) surface's,
+        so each (genus, primes) builds its surface element once."""
         key = (a, b, genus, tuple(primes))
         if key not in self._surfaces:
             g, ident = self.generator, self.generator("id")
@@ -226,7 +227,10 @@ class FrobeniusAlgebra:
             comul = g("tr") if b == 0 else ident
             for _ in range(b - 1):
                 comul = comul.tensor(ident).compose(g("comul"))
-            z = self.element_map(self.surface_element(genus, primes))
+            if (a, b) == (1, 1):
+                z = self.element_map(self.surface_element(genus, primes))
+            else:
+                z = self.surface_map(1, 1, genus, primes)
             self._surfaces[key] = comul.compose(z).compose(mul)
         return self._surfaces[key]
 

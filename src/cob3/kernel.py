@@ -21,6 +21,11 @@ side with the arity tables swapped, moves context above the window. The scan
 is optimistic — every candidate is verified by rebuilding the state with the
 block in place and comparing normal forms — so a reported match is correct
 by construction even in corner cases the scan arithmetic does not model.
+Two exits skip that comparison, both exact: a candidate that moved no
+context layer rebuilds the state itself, which is a normal form, so it is
+real; and a rebuilt state whose `wiring_key` differs from the state's lies
+in another slide class, so it is not. Only rebuilt states with the state's
+key are normalised.
 `successors` builds a state's view (widths, upside-down tuple, reversed
 widths, generator set) once; a side's view is cached. A side with a
 generator the state lacks is skipped unscanned, an exact prefilter.
@@ -306,6 +311,10 @@ def find_matches(state, pat, view=None):
     `view` is the state's `_view`, built here if not given; the side's is
     cached. A side with a generator the state lacks is skipped unscanned,
     which drops no match: each side layer pairs with a layer of its code.
+    `_verify` accepts a candidate that moved no context as it is, since it
+    rebuilds the state itself, and rejects without `nf` one whose rebuilt
+    state has another wiring key, since that is another slide class. The
+    state's key is computed once, and only if some candidate moved context.
     """
     k = (len(pat) - 1) // 3
     if k == 0:
@@ -329,11 +338,12 @@ def find_matches(state, pat, view=None):
         matched = tuple(n - 1 - i for i in m)
         above = tuple(x for t in skipped for x in t)
         cands.append((matched[0], delta, matched, (), above, bindings))
+    key = wiring_key(state) if any(c[3] or c[4] for c in cands) else None
     seen = {}
     for cand in cands:
-        key = (cand[0], cand[1], cand[2])
-        if key not in seen and _verify(state, pat, cand):
-            seen[key] = cand
+        window = (cand[0], cand[1], cand[2])
+        if window not in seen and _verify(state, pat, cand, key):
+            seen[window] = cand
     return sorted(seen.values())
 
 
@@ -416,17 +426,26 @@ def _rebuild(state, match, block_layers):
     return tuple(out)
 
 
-def _verify(state, pat, match):
+def _verify(state, pat, match, key):
     """A candidate is real iff rebuilding with the matched side itself gives
     a state whose every layer fits on the wires below it, and whose normal
-    form is the state."""
+    form is the state. `key` is the state's `wiring_key`.
+
+    Two exits decide without `nf`. A candidate that moved no context layer
+    kept the scan's shift at `delta`, so the side instantiated there is the
+    matched layers and the rebuilt state is the normal-form state itself:
+    real, and `key` is not read. A rebuilt state with another wiring key is
+    in another slide class, since the key is one value per class: not real.
+    """
+    if not match[3] and not match[4]:
+        return True
     rebuilt = _rebuild(state, match, instantiate(pat, match[5], match[1]))
     width = rebuilt[0]
     for o, g in zip(rebuilt[1::3], rebuilt[2::3]):
         if o < 0 or o + GEN_DOM[g] > width:
             return False
         width += GEN_COD[g] - GEN_DOM[g]
-    return nf(rebuilt) == state
+    return wiring_key(rebuilt) == key and nf(rebuilt) == state
 
 
 def apply_match(state, match, rep):

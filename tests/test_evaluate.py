@@ -28,7 +28,13 @@ from cob3 import (
     parse_manifold,
     permutation_term,
 )
-from cob3.frobenius import FrobeniusAlgebra, conjugate_algebra, diagonal_algebra
+from cob3.frobenius import (
+    FrobeniusAlgebra,
+    algebra_from_json,
+    algebra_to_json,
+    conjugate_algebra,
+    diagonal_algebra,
+)
 from cob3.terms import ArityMismatch, fold, random_term, typecheck
 
 ALG = hadamard_algebra()  # componentwise plane, P = (2, 3)
@@ -346,6 +352,42 @@ def test_handle_power_is_repeated_multiplication():
             want = {(k, i): x for i, col in enumerate(cols) for k, x in enumerate(col)}
             assert alg.surface_map(1, 1, genus, ("P",)) == LinearMap(1, 1, d, want)
             cols = [alg.multiply(handle, v) for v in cols]
+
+
+def surface_from_scratch(alg, a, b, genus, primes):
+    """(b-fold comul) . (multiplication by the surface element) . (a-fold mul),
+    every factor built afresh."""
+    g, ident = alg.generator, alg.generator("id")
+    mul = g("unit") if a == 0 else ident
+    for _ in range(a - 1):
+        mul = g("m").compose(mul.tensor(ident))
+    comul = g("tr") if b == 0 else ident
+    for _ in range(b - 1):
+        comul = comul.tensor(ident).compose(g("comul"))
+    return comul.compose(alg.element_map(alg.surface_element(genus, primes))).compose(mul)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(FUZZ_ALGEBRAS),
+    st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.integers(0, 3),
+            st.integers(0, 3),
+            st.lists(st.sampled_from(["P", "Q"]), max_size=3).map(tuple),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_surface_maps_are_the_composite_in_any_call_order(alg, keys):
+    # a fresh copy, so that no map is kept from an earlier example
+    alg = algebra_from_json(algebra_to_json(alg))
+    for a, b, genus, primes in keys:
+        assert alg.surface_map(a, b, genus, primes) == surface_from_scratch(
+            alg, a, b, genus, primes
+        )
 
 
 def test_semantic_genus_weighting():

@@ -218,12 +218,14 @@ def random_state(seed):
     return kp.nf(term_to_state(random_term(random.Random(seed), max_gens=6)))
 
 
-# find_matches before the per-state view: it computed both widths lists and
-# both upside-down tuples on every call and scanned every side. The
-# reference the viewed, prefiltered matcher is checked against.
+# find_matches before the per-state view and the early exits of _verify: it
+# computed both widths lists and both upside-down tuples on every call,
+# scanned every side, and normalised every well-typed rebuilt candidate.
+# The reference the viewed, prefiltered, filtered matcher is checked against.
 
 
-def reference_matches(state, pat):
+def scan_candidates(state, pat):
+    """Every candidate window of both scans, unverified, in scan order."""
     k = n_layers(pat)
     n = n_layers(state)
     if k > n:
@@ -243,10 +245,34 @@ def reference_matches(state, pat):
         matched = tuple(n - 1 - i for i in m)
         above = tuple(x for t in skipped for x in t)
         cands.append((matched[0], delta, matched, (), above, bindings))
+    return cands
+
+
+def rebuilt_with_side(state, pat, cand):
+    return kp._rebuild(state, cand, kp.instantiate(pat, cand[5], cand[1]))
+
+
+def well_typed(state):
+    width = state[0]
+    for o, g in zip(state[1::3], state[2::3]):
+        if o < 0 or o + GEN_DOM[g] > width:
+            return False
+        width += GEN_COD[g] - GEN_DOM[g]
+    return True
+
+
+def nf_only_check(state, pat, cand):
+    """_verify with no early exit: rebuild, check every layer fits, compare
+    normal forms."""
+    rebuilt = rebuilt_with_side(state, pat, cand)
+    return well_typed(rebuilt) and kp.nf(rebuilt) == state
+
+
+def reference_matches(state, pat):
     seen = {}
-    for cand in cands:
+    for cand in scan_candidates(state, pat):
         key = (cand[0], cand[1], cand[2])
-        if key not in seen and kp._verify(state, pat, cand):
+        if key not in seen and nf_only_check(state, pat, cand):
             seen[key] = cand
     return sorted(seen.values())
 
@@ -255,6 +281,14 @@ MATCHED_SIDES = sorted(
     {pat for rules in ("CF", "CF_LEGS", "G2_FULL") for pat, _rep in _entries(rules)[0]
      if n_layers(pat)},
     key=repr,
+)
+
+
+# normal-form states for the matcher: layered, random, and bare identities
+MATCHER_STATES = st.one_of(
+    layered_states(pads=(0, 1)).map(kp.nf),
+    st.integers(0, 2**30).map(random_state),
+    st.sampled_from(["id", "id * id", "id * id * id"]).map(nf_of),
 )
 
 
@@ -271,11 +305,7 @@ def successors_view(state):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(
-    layered_states(pads=(0, 1)).map(kp.nf),
-    st.integers(0, 2**30).map(random_state),
-    st.sampled_from(["id", "id * id", "id * id * id"]).map(nf_of),
-))
+@given(MATCHER_STATES)
 def test_matches_with_and_without_a_view_equal_the_reference(state):
     view = successors_view(state)
     assert view is not None
@@ -283,6 +313,53 @@ def test_matches_with_and_without_a_view_equal_the_reference(state):
         ref = reference_matches(state, pat)
         assert kp.find_matches(state, pat) == ref
         assert kp.find_matches(state, pat, view) == ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(MATCHER_STATES)
+def test_verify_agrees_with_the_normal_form_check_on_every_candidate(state):
+    key = kp.wiring_key(state)
+    for pat in MATCHED_SIDES:
+        for cand in scan_candidates(state, pat):
+            assert kp._verify(state, pat, cand, key) == nf_only_check(state, pat, cand)
+
+
+def test_a_candidate_with_another_wiring_key_is_rejected_without_nf(monkeypatch):
+    # pe(Q) sits on the one wire between m and comul. Both scans for
+    # comul . m move it out of the window, onto m's right input below or
+    # comul's right output above: well-typed rebuilt states of another
+    # wiring, which _verify must reject without normalising them
+    state = nf_of("comul . pe(Q) . m")
+    pat = nf_of("comul . m")
+    assert pat in MATCHED_SIDES
+    cands = scan_candidates(state, pat)
+    assert [(c[3], c[4]) for c in cands] == [((1, 5, "Q"), ()), ((), (1, 5, "Q"))]
+    for cand in cands:
+        rebuilt = rebuilt_with_side(state, pat, cand)
+        assert well_typed(rebuilt) and kp.wiring_key(rebuilt) != kp.wiring_key(state)
+        assert not nf_only_check(state, pat, cand)
+    calls = []
+    nf = kp.nf
+    monkeypatch.setattr(kp, "nf", lambda s: calls.append(s) or nf(s))
+    key = kp.wiring_key(state)
+    assert [kp._verify(state, pat, c, key) for c in cands] == [False] * len(cands)
+    assert calls == []
+
+
+def test_a_candidate_with_the_same_wiring_key_is_decided_by_nf():
+    # the scans for comul . m move the scalar unit . tr, which floats left of
+    # the wire between m and comul, out of the window and between m's inputs
+    # or comul's outputs: another face, which the wiring key does not see
+    state = nf_of("comul . tr * id . unit * id . m")
+    pat = nf_of("comul . m")
+    cands = scan_candidates(state, pat)
+    assert [(c[3], c[4]) for c in cands] == [
+        ((1, 1, "", 1, 3, ""), ()), ((), (1, 1, "", 1, 3, "")),
+    ]
+    key = kp.wiring_key(state)
+    for cand in cands:
+        assert kp.wiring_key(rebuilt_with_side(state, pat, cand)) == key
+        assert not kp._verify(state, pat, cand, key)
 
 
 @settings(max_examples=40, deadline=None)
