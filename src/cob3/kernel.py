@@ -12,23 +12,14 @@ a search from the bottom cut (see `_least`); it is the canonical form used
 for equality and search dedup.
 
 Matching is window-based: a rule side is located as a contiguous block of
-layers after sliding independent context layers out of the window. One scan
-anchors the side's top layer and moves context below the window. Turned
-upside down, a state is again a state: its domain is the old top width, its
-layers run in reverse order with the same offsets, and each box trades its
-inputs for its outputs. So the same scan, run on the upside-down state and
-side with the arity tables swapped, moves context above the window. The scan
-is optimistic — every candidate is verified by rebuilding the state with the
-block in place and comparing normal forms — so a reported match is correct
-by construction even in corner cases the scan arithmetic does not model.
-Two exits skip that comparison, both exact: a candidate that moved no
-context layer rebuilds the state itself, which is a normal form, so it is
-real; and a rebuilt state whose `wiring_key` differs from the state's lies
-in another slide class, so it is not. Only rebuilt states with the state's
-key are normalised.
-`successors` builds a state's view (widths, upside-down tuple, reversed
-widths, generator set) once; a side's view is cached. A side with a
-generator the state lacks is skipped unscanned, an exact prefilter.
+layers after sliding independent context layers out of the window. A `Table`
+indexes a rule set's sides by their top and bottom layer codes; a state's
+`View` walks it once upright, anchoring each side at the layers of its top
+code and scanning down (context moves below the window), and once upside
+down, boxes trading inputs for outputs (context moves above). A candidate
+is verified by rebuilding the state with the side in place: one that moved
+no context is the state itself, so real; one whose rebuilt state has another
+`wiring_key` is in another class; the rest are compared by normal form.
 
 Surgery is pure: `apply_match`, `apply_insertion` and so `successors` return
 each child as built, and whoever compares children applies `nf` (the search
@@ -70,7 +61,7 @@ __all__ = [
 # of the earlier one's wires. Both can hold at once: a 0-input box sitting
 # exactly where a 0-output box ended a wire may pass on either side.
 
-# Kept: without it perfbench `search` ran at 246 op/s, not 318 (2-vCPU box).
+# Kept: without it, seed-41 `search` ran at 653-666 op/s, not 701-724 (2-vCPU Xeon).
 _NF_CACHE: dict = {}
 _NF_CACHE_MAX = 1 << 18
 
@@ -293,6 +284,101 @@ def instantiate(side, bindings, col):
     return out
 
 
+_SPAN = [max(d, c) for d, c in zip(GEN_DOM, GEN_COD)]  # the wires a box covers
+_CHANGE = [c - d for d, c in zip(GEN_DOM, GEN_COD)]
+
+
+class Table(tuple):
+    """(pattern, replacement) entries compiled for the matcher: the entries
+    tuple, with `rows`, (e, pat, rep, k, growth) per entry (k the pattern's
+    layers, growth the layers a rewrite adds), and `sides`, per distinct
+    pattern of k >= 1: k, its generator codes, least growth, top and bottom
+    layer codes, and the side as the scan reads it upright and upside down.
+    """
+
+    def __new__(cls, entries):
+        table = super().__new__(cls, entries)
+        table.rows, least = [], {}
+        for e, (pat, rep) in enumerate(table):
+            k = (len(pat) - 1) // 3
+            growth = (len(rep) - 1) // 3 - k
+            table.rows.append((e, pat, rep, k, growth))
+            if k:
+                least[pat] = min(growth, least.get(pat, growth))
+        table.sides = []
+        for pat, growth in least.items():
+            k, pw = (len(pat) - 1) // 3, state_widths(pat)
+            reads = []
+            for side, ws in ((pat, pw), (_upside_down(pat, pw[k]), pw[::-1])):
+                lays = [side[p : p + 3] for p in range(1, len(side), 3)]
+                reads.append((pat, lays, [w - ws[0] for w in ws[1:]], ws[k]))
+            table.sides.append((k, frozenset(pat[2::3]), growth, pat[-2], pat[2], *reads))
+        return table
+
+
+class View:
+    """What the matcher reads of a normal-form state: its `widths`, `cands`,
+    the candidate windows of each live side of a `Table` by pattern (upright
+    ones first, anchors ascending), and its `key`, the `wiring_key`, computed
+    on first use. A side is live when it has at most the state's layers, its
+    generators are among the state's, and an entry of it adds at most `room`.
+    """
+
+    def __init__(self, state, table, room):
+        self.state, self.widths, self.cands = state, state_widths(state), {}
+        n, gens = (len(state) - 1) // 3, frozenset(state[2::3])
+        up, down = {}, {}
+        for k, need, growth, top, bottom, upright, flipped in table.sides:
+            if k <= n and growth <= room and need <= gens:
+                up.setdefault(top, []).append(upright)
+                down.setdefault(bottom, []).append(flipped)
+        if up:
+            self._walk(state, self.widths, up, n, _CHANGE, True)
+            flipped = _upside_down(state, self.widths[-1])
+            self._walk(flipped, self.widths[::-1], down, n, [-c for c in _CHANGE], False)
+
+    @functools.cached_property
+    def key(self):
+        return wiring_key(self.state)
+
+    def _walk(self, state, widths, index, n, change, upright):
+        """Anchor each side of `index` (by top-layer code) at each layer of
+        its code and scan down, skipping context below the window. `change`
+        is the width change by code, negated when read upside down."""
+        for it in range(n):
+            p = 1 + 3 * it
+            for pat, lays, grown, width in index.get(state[p + 1], ()):
+                top_off, _gen, top_lab = lays[-1]
+                delta = shift = state[p] - top_off
+                if shift < 0 or shift + width > widths[it + 1]:
+                    continue
+                bindings = {}
+                if not _bind(top_lab, state[p + 2], bindings):
+                    continue
+                matched, skipped = [it], []  # both from the top down
+                j, i = len(lays) - 2, it - 1
+                while j >= 0 and i >= 0:
+                    o2, g2, l2 = state[3 * i + 1 : 3 * i + 4]
+                    o1, g1, l1 = lays[j]
+                    if g2 == g1 and o2 == o1 + shift and _bind(l1, l2, bindings):
+                        matched.append(i)
+                        j -= 1
+                    elif o2 + _SPAN[g2] <= shift:
+                        skipped.append((o2, g2, l2))
+                        shift -= change[g2]
+                    else:
+                        adj = o2 - grown[j]
+                        if adj < 0:
+                            break
+                        skipped.append((adj, g2, l2))
+                    i -= 1
+                if j >= 0:
+                    continue
+                m = tuple(matched[::-1]) if upright else tuple(n - 1 - i for i in matched)
+                moved = (sum(skipped[::-1], ()), ()) if upright else ((), sum(skipped, ()))
+                self.cands.setdefault(pat, []).append((m[0], delta, m, *moved, bindings))
+
+
 def find_matches(state, pat, view=None):
     """All verified windows where `pat` occurs in `state`.
 
@@ -303,58 +389,22 @@ def find_matches(state, pat, view=None):
     replacement block belongs at column `delta` directly between them.
     `bindings` maps each of the pattern's metavariables to its label.
 
-    One scan finds both kinds. Run on the state, it moves context below the
-    window. Run on the upside-down views of state and pattern, with the
-    arity tables swapped, it moves context below the upside-down window,
-    which is above the real one; each such window is mapped back.
-
-    `view` is the state's `_view`, built here if not given; the side's is
-    cached. A side with a generator the state lacks is skipped unscanned,
-    which drops no match: each side layer pairs with a layer of its code.
-    `_verify` accepts a candidate that moved no context as it is, since it
-    rebuilds the state itself, and rejects without `nf` one whose rebuilt
-    state has another wiring key, since that is another slide class. The
-    state's key is computed once, and only if some candidate moved context.
+    `view` is the state's `View` over a table that holds `pat`; without one,
+    a view of `pat` alone is built. The first candidate of each window is
+    verified (`_verify`) with the view's key, read only if some moved context.
     """
-    k = (len(pat) - 1) // 3
-    if k == 0:
+    if len(pat) < 4:
         raise ValueError("zero-layer sides are located by find_insertions")
-    n = (len(state) - 1) // 3
-    if k > n:
-        return []
-    widths, flipped, rwidths, gens = view or _view(state)
-    pw, pflipped, rpw, pgens = _side_view(pat)
-    if not pgens <= gens:
-        return []
-    cands = []
-    for delta, m, skipped, bindings in _scan(
-        state, pat, pw, widths, n, k, GEN_DOM, GEN_COD
-    ):
-        below = tuple(x for t in reversed(skipped) for x in t)
-        cands.append((m[-1], delta, tuple(reversed(m)), below, (), bindings))
-    for delta, m, skipped, bindings in _scan(
-        flipped, pflipped, rpw, rwidths, n, k, GEN_COD, GEN_DOM
-    ):
-        matched = tuple(n - 1 - i for i in m)
-        above = tuple(x for t in skipped for x in t)
-        cands.append((matched[0], delta, matched, (), above, bindings))
-    key = wiring_key(state) if any(c[3] or c[4] for c in cands) else None
+    if view is None:
+        view = View(state, Table(((pat, pat),)), 0)
+    cands = view.cands.get(pat, ())
+    key = view.key if any(c[3] or c[4] for c in cands) else None
     seen = {}
     for cand in cands:
-        window = (cand[0], cand[1], cand[2])
+        window = cand[:3]
         if window not in seen and _verify(state, pat, cand, key):
             seen[window] = cand
     return sorted(seen.values())
-
-
-def _view(state):
-    """What the scans read of a state or side: widths, upside-down tuple,
-    reversed widths and generator codes."""
-    widths = state_widths(state)
-    return widths, _upside_down(state, widths[-1]), widths[::-1], frozenset(state[2::3])
-
-
-_side_view = functools.cache(_view)  # rule sides are few and reused
 
 
 def _upside_down(state, top):
@@ -365,53 +415,6 @@ def _upside_down(state, top):
     out[2::3] = state[-2:0:-3]
     out[3::3] = state[-1:0:-3]
     return tuple(out)
-
-
-def _scan(state, pat, pw, widths, n, k, dom, cod):
-    """Anchor the top pattern layer and scan downward, skipping context
-    layers into the region below the window. `dom` and `cod` are the arity
-    tables, swapped when state and pattern are read upside down.
-
-    Yields (delta, matched, skipped, bindings) per candidate window, both
-    lists from the top down: the matched layer indices, and the skipped
-    layers as (off, gen, lab) in their below-window placement.
-    """
-    top_off, top_gen, top_lab = pat[3 * k - 2 : 3 * k + 1]
-    for it in range(n):
-        p = 1 + 3 * it
-        if state[p + 1] != top_gen:
-            continue
-        delta = shift = state[p] - top_off
-        if shift < 0 or shift + pw[k] > widths[it + 1]:
-            continue
-        bindings = {}
-        if not _bind(top_lab, state[p + 2], bindings):
-            continue
-        matched = [it]
-        skipped = []
-        j = k - 2
-        i = it - 1
-        while j >= 0 and i >= 0:
-            q = 1 + 3 * i
-            o2, g2, l2 = state[q], state[q + 1], state[q + 2]
-            if (
-                g2 == pat[2 + 3 * j]
-                and o2 == pat[1 + 3 * j] + shift
-                and _bind(pat[3 + 3 * j], l2, bindings)
-            ):
-                matched.append(i)
-                j -= 1
-            elif o2 + (dom[g2] if dom[g2] > cod[g2] else cod[g2]) <= shift:
-                skipped.append((o2, g2, l2))
-                shift -= cod[g2] - dom[g2]
-            else:
-                adj = o2 - (pw[j + 1] - pw[0])
-                if adj < 0:
-                    break
-                skipped.append((adj, g2, l2))
-            i -= 1
-        if j < 0:
-            yield delta, matched, skipped, bindings
 
 
 def _rebuild(state, match, block_layers):
@@ -429,13 +432,10 @@ def _rebuild(state, match, block_layers):
 def _verify(state, pat, match, key):
     """A candidate is real iff rebuilding with the matched side itself gives
     a state whose every layer fits on the wires below it, and whose normal
-    form is the state. `key` is the state's `wiring_key`.
-
-    Two exits decide without `nf`. A candidate that moved no context layer
-    kept the scan's shift at `delta`, so the side instantiated there is the
-    matched layers and the rebuilt state is the normal-form state itself:
-    real, and `key` is not read. A rebuilt state with another wiring key is
-    in another slide class, since the key is one value per class: not real.
+    form is the state. `key` is the state's `wiring_key`. Two exits skip
+    `nf`: a candidate that moved no context kept the scan's shift at
+    `delta`, so it rebuilds the normal-form state itself (real, `key` not
+    read); a rebuilt state with another key is in another class (not real).
     """
     if not match[3] and not match[4]:
         return True
@@ -489,40 +489,37 @@ def successors(state, entries, max_layers, until=None):
     `max_layers` layers.
 
     `entries` is a sequence of (pattern, replacement) pairs in the order
-    that defines the tie-break. Returns a list of tuples
-    (entry_index, pos_bottom, pos_col, pos_layers, new_state) in
-    deterministic order. Each new_state is the child as `apply_match` or
-    `apply_insertion` built it, not its normal form: the caller applies
-    `nf` to the children it needs to compare. `until`, if given, is called
-    on each tuple as it is built, and the list stops right after the first
-    one for which it returns true, so nothing past a search's meet is built.
+    that defines the tie-break, a `Table` or compiled into one for this
+    call. Returns a list of tuples (entry_index, pos_bottom, pos_col,
+    pos_layers, new_state) in deterministic order. Each new_state is the
+    child as `apply_match` or `apply_insertion` built it, not its normal
+    form: the caller applies `nf` to the children it needs to compare.
+    `until`, if given, is called on each tuple as it is built, and the list
+    stops right after the first one for which it returns true.
 
     Every rewrite by one entry turns an n-layer state into one of
     n - k_pat + k_rep layers, k_pat and k_rep being the layer counts of its
-    two sides, so an entry that would exceed `max_layers` is skipped before
-    any window is scanned or built.
-
-    The state's view is built once and passed to every `find_matches`, a
-    side's view is cached per side, and insertion spots are listed once per
-    width (the four width-1 zero-layer entries share one list).
+    two sides, so an entry that would exceed `max_layers` is skipped. One
+    `View` finds every side's candidates, `find_matches` runs only on sides
+    with some, and insertion spots are listed once per width.
     """
+    table = entries if isinstance(entries, Table) else Table(entries)
     n = (len(state) - 1) // 3
-    view = _view(state)
+    view = View(state, table, max_layers - n)
     spots = {}
     out = []
-    for e, (pat, rep) in enumerate(entries):
-        k = (len(pat) - 1) // 3
-        if n - k + (len(rep) - 1) // 3 > max_layers:
+    for e, pat, rep, k, growth in table.rows:
+        if n + growth > max_layers:
             continue
         if k == 0:
             if pat[0] not in spots:
-                spots[pat[0]] = find_insertions(state, pat[0], view[0])
+                spots[pat[0]] = find_insertions(state, pat[0], view.widths)
             steps = ((e, b, c, 0, apply_insertion(state, b, c, rep)) for b, c in spots[pat[0]])
+        elif pat in view.cands:
+            matches = find_matches(state, pat, view)
+            steps = ((e, m[0], m[1], k, apply_match(state, m, rep)) for m in matches)
         else:
-            steps = (
-                (e, m[0], m[1], k, apply_match(state, m, rep))
-                for m in find_matches(state, pat, view)
-            )
+            continue
         for step in steps:
             out.append(step)
             if until is not None and until(step):
@@ -533,20 +530,22 @@ def successors(state, entries, max_layers, until=None):
 def wiring_key(state):
     """A hash of a state's wiring, equal on every member of its slide class.
 
-    Wires get names: a bottom wire its place, the one output of a box the
-    box's name, and each of two outputs that name and its port. A box's
-    name is the hash of its code, its label and the names of its input
-    wires. The key is the sum of the box names plus the hash of the top
-    cut's names. A slide moves no wire from one port to another, so it
-    changes no name. The key says nothing about where a 0-input box sits,
-    and hashes collide, so two classes may share a key: equal keys only say
-    that `nf` is worth comparing.
+    Wires get int names: a bottom wire its place, a box's outputs its name
+    and, for a second, its negation. A box's name hashes its code, label
+    and input wires' names; the key hashes the sum of the box names with
+    the top cut's names. A slide moves no wire from one port to another, so
+    it changes no name. The key says nothing about where a 0-input box
+    sits, and hashes collide: equal keys only say `nf` is worth comparing.
     """
     cut = list(range(state[0]))
-    key = 0
-    for o, g, lab in zip(state[1::3], state[2::3], state[3::3]):
-        d, c = GEN_DOM[g], GEN_COD[g]
-        name = hash((g, lab, *cut[o : o + d]))
-        key += name
-        cut[o : o + d] = (name,) if c == 1 else ((name, 0), (name, 1))[:c]
-    return key + hash(tuple(cut))
+    total = 0
+    layers = iter(state[1:])
+    for o, g, lab in zip(layers, layers, layers):
+        d = GEN_DOM[g]
+        if d == 2:
+            name = hash((g, lab, cut[o], cut[o + 1]))
+        else:
+            name = hash((g, lab, cut[o]) if d else (g, lab))
+        total += name
+        cut[o : o + d] = (name, -name)[: GEN_COD[g]]
+    return hash((total, *cut))

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 
 from .cospan import LabelledCospan, cospan_of_term, terms_equal
-from .kernel import apply_insertion, nf, successors, wiring_key
+from .kernel import Table, apply_insertion, nf, successors, wiring_key
 from .layers import diagram_equal, print_state, state_to_term, state_widths, term_to_state
 from .terms import (
     ArityMismatch,
@@ -175,7 +175,8 @@ def _rule_entries(name: str) -> tuple[tuple, tuple]:
 
 @functools.cache
 def _entries(rules_name: str):
-    """Kernel entries + (rule, direction) legend, in tie-break order.
+    """Kernel entries, compiled once as a `kernel.Table`, + (rule,
+    direction) legend, in tie-break order.
 
     Entry 2i is a rule's fwd direction and entry 2i + 1 its rev, so e ^ 1
     is the opposite direction of entry e.
@@ -185,7 +186,7 @@ def _entries(rules_name: str):
     for rule in sorted(ruleset(rules_name), key=lambda r: r.name):
         entries += _rule_entries(rule.name)
         legend += ((rule.name, "fwd"), (rule.name, "rev"))
-    return tuple(entries), tuple(legend)
+    return Table(entries), tuple(legend)
 
 
 def _n_layers(state) -> int:

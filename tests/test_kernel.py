@@ -220,8 +220,62 @@ def random_state(seed):
 
 # find_matches before the per-state view and the early exits of _verify: it
 # computed both widths lists and both upside-down tuples on every call,
-# scanned every side, and normalised every well-typed rebuilt candidate.
-# The reference the viewed, prefiltered, filtered matcher is checked against.
+# scanned every side from every layer, and normalised every well-typed
+# rebuilt candidate. The reference the viewed, prefiltered, filtered
+# matcher is checked against; its scan is a copy of the kernel's per-side
+# scan from before all sides were anchored in one walk, so it shares no
+# code with the matcher under test.
+
+
+def upside_down(state, top):
+    out = [top, *state[1:]]
+    out[1::3] = state[-3:0:-3]
+    out[2::3] = state[-2:0:-3]
+    out[3::3] = state[-1:0:-3]
+    return tuple(out)
+
+
+def bind(pl, l, bindings):
+    if pl[:1] != "?":
+        return pl == l
+    return bindings.setdefault(pl, l) == l
+
+
+def oracle_scan(state, pat, pw, widths, n, k, dom, cod):
+    """Anchor the top pattern layer at every layer and scan downward,
+    skipping context layers below the window; yields (delta, matched,
+    skipped, bindings), both lists from the top down."""
+    top_off, top_gen, top_lab = pat[3 * k - 2 : 3 * k + 1]
+    for it in range(n):
+        p = 1 + 3 * it
+        if state[p + 1] != top_gen:
+            continue
+        delta = shift = state[p] - top_off
+        if shift < 0 or shift + pw[k] > widths[it + 1]:
+            continue
+        bindings = {}
+        if not bind(top_lab, state[p + 2], bindings):
+            continue
+        matched, skipped = [it], []
+        j, i = k - 2, it - 1
+        while j >= 0 and i >= 0:
+            o2, g2, l2 = state[1 + 3 * i : 4 + 3 * i]
+            if g2 == pat[2 + 3 * j] and o2 == pat[1 + 3 * j] + shift and bind(
+                pat[3 + 3 * j], l2, bindings
+            ):
+                matched.append(i)
+                j -= 1
+            elif o2 + max(dom[g2], cod[g2]) <= shift:
+                skipped.append((o2, g2, l2))
+                shift -= cod[g2] - dom[g2]
+            else:
+                adj = o2 - (pw[j + 1] - pw[0])
+                if adj < 0:
+                    break
+                skipped.append((adj, g2, l2))
+            i -= 1
+        if j < 0:
+            yield delta, matched, skipped, bindings
 
 
 def scan_candidates(state, pat):
@@ -233,13 +287,13 @@ def scan_candidates(state, pat):
     pw = state_widths(pat)
     widths = state_widths(state)
     cands = []
-    for delta, m, skipped, bindings in kp._scan(
+    for delta, m, skipped, bindings in oracle_scan(
         state, pat, pw, widths, n, k, GEN_DOM, GEN_COD
     ):
         below = tuple(x for t in reversed(skipped) for x in t)
         cands.append((m[-1], delta, tuple(reversed(m)), below, (), bindings))
-    for delta, m, skipped, bindings in kp._scan(
-        kp._upside_down(state, widths[n]), kp._upside_down(pat, pw[k]),
+    for delta, m, skipped, bindings in oracle_scan(
+        upside_down(state, widths[n]), upside_down(pat, pw[k]),
         pw[::-1], widths[::-1], n, k, GEN_COD, GEN_DOM,
     ):
         matched = tuple(n - 1 - i for i in m)
@@ -292,15 +346,18 @@ MATCHER_STATES = st.one_of(
 )
 
 
+MATCHED_TABLE = kp.Table([(pat, pat) for pat in MATCHED_SIDES])
+
+
 def successors_view(state):
-    """The view `successors` hands to find_matches for `state`."""
+    """The view `successors` builds for `state` over every matched side."""
     views = []
-    find_matches = kp.find_matches
-    kp.find_matches = lambda s, pat, view=None: views.append(view) or []
+    view = kp.View
+    kp.View = lambda *args: views.append(view(*args)) or views[-1]
     try:
-        kp.successors(state, [(MATCHED_SIDES[0], MATCHED_SIDES[0])], n_layers(state) + 9)
+        kp.successors(state, MATCHED_TABLE, n_layers(state))
     finally:
-        kp.find_matches = find_matches
+        kp.View = view
     return views[0]
 
 
@@ -308,7 +365,6 @@ def successors_view(state):
 @given(MATCHER_STATES)
 def test_matches_with_and_without_a_view_equal_the_reference(state):
     view = successors_view(state)
-    assert view is not None
     for pat in MATCHED_SIDES:
         ref = reference_matches(state, pat)
         assert kp.find_matches(state, pat) == ref
@@ -318,10 +374,47 @@ def test_matches_with_and_without_a_view_equal_the_reference(state):
 @settings(max_examples=60, deadline=None)
 @given(MATCHER_STATES)
 def test_verify_agrees_with_the_normal_form_check_on_every_candidate(state):
-    key = kp.wiring_key(state)
+    view = successors_view(state)
     for pat in MATCHED_SIDES:
-        for cand in scan_candidates(state, pat):
-            assert kp._verify(state, pat, cand, key) == nf_only_check(state, pat, cand)
+        cands = view.cands.get(pat, [])
+        assert cands == scan_candidates(state, pat)
+        for cand in cands:
+            assert kp._verify(state, pat, cand, view.key) == nf_only_check(state, pat, cand)
+    assert view.key == kp.wiring_key(state)
+
+
+def reference_step_list(state, entries, max_layers):
+    """successors entry by entry: the reference's matches of each side of at
+    least one layer, and every placement find_insertions lists."""
+    n = n_layers(state)
+    out = []
+    for e, (pat, rep) in enumerate(entries):
+        k = n_layers(pat)
+        if n - k + n_layers(rep) > max_layers:
+            continue
+        if k:
+            out += [(e, m[0], m[1], k, kp.apply_match(state, m, rep))
+                    for m in reference_matches(state, pat)]
+        else:
+            out += [(e, b, c, 0, kp.apply_insertion(state, b, c, rep))
+                    for b, c in kp.find_insertions(state, pat[0])]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(MATCHER_STATES, st.integers(-1, 3), st.integers(0, 2**30))
+def test_successors_equal_the_per_entry_reference(state, extra, seed):
+    rng = random.Random(seed)
+    bound = n_layers(state) + extra
+    for rules in ("CF", "CF_LEGS", "G2_FULL"):
+        entries, _ = _entries(rules)
+        ref = reference_step_list(state, entries, bound)
+        assert kp.successors(state, entries, bound) == ref
+        assert kp.successors(state, list(entries), bound) == ref  # compiled per call
+        if ref:
+            stop = rng.choice(ref)
+            got = kp.successors(state, entries, bound, lambda step: step == stop)
+            assert got == ref[: ref.index(stop) + 1]
 
 
 def test_a_candidate_with_another_wiring_key_is_rejected_without_nf(monkeypatch):

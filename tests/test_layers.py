@@ -1,6 +1,9 @@
 """Layered-state round trips and slide-class normalization."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -349,6 +352,41 @@ def test_wiring_key_takes_one_value_on_a_slide_class(state):
     keys = {kernel.wiring_key(_flat(state[0], seq)) for seq in members}
     assert keys == {kernel.wiring_key(state)}
     assert kernel.wiring_key(kernel.nf(state)) == kernel.wiring_key(state)
+
+
+def printed_under_hash_seed(code, hash_seed):
+    """What `code` prints when a new interpreter runs it, with cob3 on its
+    path, under PYTHONHASHSEED=hash_seed."""
+    src = os.path.dirname(os.path.dirname(kernel.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+# two states of the cowaist search with tr on different outputs: the key
+# that added the top cut's hash to a sum of box hashes gave them one value
+# under PYTHONHASHSEED=0
+COLLIDING = [
+    f"{top} . (id * id) * m . (id * id * id) * pe(P) . comul * id * id . comul * id . unit * id"
+    for top in ("(id * id) * tr", "id * tr * id")
+]
+
+
+def test_wiring_keys_of_two_classes_that_once_collided_differ():
+    a, b = (term_to_state(parse(text)) for text in COLLIDING)
+    assert kernel.nf(a) != kernel.nf(b)
+    assert kernel.wiring_key(a) != kernel.wiring_key(b)
+    code = (
+        "from cob3.kernel import wiring_key\n"
+        "from cob3.layers import term_to_state\n"
+        "from cob3.terms import parse\n"
+        f"a, b = (wiring_key(term_to_state(parse(t))) for t in {COLLIDING!r})\n"
+        "print(a != b)\n"
+    )
+    for hash_seed in (0, 1):
+        assert printed_under_hash_seed(code, hash_seed) == "True\n"
 
 
 @pytest.mark.parametrize("size, state", PAST_THE_CAP)
