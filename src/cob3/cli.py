@@ -9,7 +9,8 @@ Each command returns ``(code, data, text)``: ``data`` is what ``--format
 json`` prints (an object, dumped with sorted keys, or JSON text the library
 renders), ``text`` what ``--format text`` prints. Only ``main`` prints. An
 algebra failing its axioms raises ``_AlgebraFails``; ``main`` exits 3 with
-the report in the chosen format.
+the report in the chosen format. A term given as ``-`` is read from
+standard input, one per call.
 """
 
 from __future__ import annotations
@@ -330,6 +331,9 @@ _DEMOS = {
 }
 
 
+_TERM_HELP = "a term, or - to read it from standard input"
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cob3",
@@ -344,12 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eq", help="decide equality of two terms")
-    p.add_argument("left")
-    p.add_argument("right")
+    p.add_argument("left", help=_TERM_HELP)
+    p.add_argument("right", help=_TERM_HELP)
     p.set_defaults(func=_cmd_eq)
 
     p = sub.add_parser("normalize", help="normal form of a term")
-    p.add_argument("term")
+    p.add_argument("term", help=_TERM_HELP)
     p.add_argument(
         "--presentation",
         choices=("G1", "G2"),
@@ -359,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("eval", help="evaluate a term in an algebra")
-    p.add_argument("term")
+    p.add_argument("term", help=_TERM_HELP)
     p.add_argument("--algebra", required=True, help="algebra JSON file")
     p.set_defaults(func=_cmd_eval)
 
@@ -378,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_algebra)
 
     p = sub.add_parser("rewrite-path", help="search a derivation between terms")
-    p.add_argument("left")
-    p.add_argument("right")
+    p.add_argument("left", help=_TERM_HELP)
+    p.add_argument("right", help=_TERM_HELP)
     p.add_argument("--rules", default="CF_LEGS", help=f"one of {', '.join(RULE_SETS)}")
     p.add_argument("--max-steps", type=int, default=16, help="most rewrite steps")
     p.add_argument(
@@ -404,6 +408,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _read_stdin_term(args) -> None:
+    """Replace the one term given as `-` by standard input, its trailing
+    newline stripped: a long text need not fit in one argument."""
+    dashes = [name for name in ("left", "right", "term") if getattr(args, name, None) == "-"]
+    if len(dashes) > 1:
+        raise ValueError("only one term can be read from standard input ('-')")
+    if dashes:
+        setattr(args, dashes[0], sys.stdin.read().removesuffix("\n"))
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The process's one parser: parse_args keeps no state between calls."""
@@ -419,6 +433,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         try:
+            _read_stdin_term(args)
             code, data, text = args.func(args)
         except _AlgebraFails as e:
             code, data, text = e.args

@@ -3,9 +3,11 @@
 A 2D TQFT is a symmetric monoidal functor, so a diagram's map is the tensor
 product of its connected pieces' maps, placed at their boundary wires by
 `_placed` with no range check or zero filter, which cannot fail there (see
-`_placed`). Maps are keyed as `LinearMap.nums` is, by one flat int
-row * cols + col. `eval_term` walks each piece of `layers.pieces` on its own:
-an int accumulator over the piece's wires starts from the identity on its
+`_placed`). Each piece is placed through a table the algebra keeps, keyed
+by its ports and the two interface widths, with one lookup per entry. Maps
+are keyed as `LinearMap.nums` is, by one flat int row * cols + col.
+`eval_term` walks each piece of `layers.pieces` on its own: an int
+accumulator over the piece's wires starts from the identity on its
 inputs (the scalar 1 for a piece born from units), each layer applies the
 algebra's generator map at its offset among the piece's wires, a `swap`
 between two pieces only reorders them, and zeros left by cancelling sums
@@ -114,7 +116,7 @@ def eval_term(
         widths[p] += b - a
         wires[off : off + a] = [p] * b
     accs = [acc if all(acc.values()) else {k: v for k, v in acc.items() if v} for acc in accs]
-    return _placed(d, state[0], cod, zip(ins, outs, dens, accs))
+    return _placed(alg, state[0], cod, zip(ins, outs, dens, accs))
 
 
 def _check_size(d, pieces, codes, ins, outs, max_entries) -> None:
@@ -145,23 +147,39 @@ def eval_with_endo_override(term, alg: FrobeniusAlgebra, overrides: dict) -> Lin
     return eval_term(term, alg, overrides)
 
 
-def _place_values(ports, width, d):
-    """Global flat offset of each local index over `ports`, a list of
-    wire positions in a width-wire interface (both big-endian)."""
-    out = [0]
-    for wire in ports:
-        step = d ** (width - 1 - wire)
-        out = [g + t * step for g in out for t in range(d)]
-    return out
+class _Places(dict):
+    """Where the entries of a piece go in the placed map, for one layout
+    (ins, outs, dom, cod): its local flat key, row * d**len(ins) + col, to
+    its flat output key. The piece's ports are digits of the output key
+    read as one (cod + dom)-wire interface, outputs first, so a key's place
+    is the sum of its digits' place values. Each is worked out on first use
+    and kept, so a table holds only the keys that some map has used."""
+
+    __slots__ = ("d", "steps")
+
+    def __init__(self, d, ins, outs, dom, cod):
+        super().__init__()
+        # place values of the local key's digits, least significant first
+        self.d, self.steps = d, [d ** (dom - 1 - w) for w in reversed(ins)]
+        self.steps += [d ** (dom + cod - 1 - w) for w in reversed(outs)]
+
+    def __missing__(self, key):
+        out, rest, d = 0, key, self.d
+        for step in self.steps:
+            rest, t = divmod(rest, d)
+            out += t * step
+        self[key] = out
+        return out
 
 
-def _placed(d: int, dom: int, cod: int, pieces) -> LinearMap:
+def _placed(alg: FrobeniusAlgebra, dom: int, cod: int, pieces) -> LinearMap:
     """The product of pieces' maps, given as (in_ports, out_ports, den, nums)
     with no zero in nums. Closed pieces multiply into one scalar. The others
-    own disjoint boundary wires: each entry moves once to its global key by
-    per-port place values, so the keys of different pieces add, and the
-    pieces are multiplied in smallest first. So entries are nonzero and at
-    distinct in-range keys, and `_reduced` checks neither."""
+    own disjoint boundary wires: each is placed through a table the algebra
+    keeps, keyed by its ports and the two interface widths (`_Places`), one
+    lookup per entry, so the keys of different pieces add, and the pieces
+    are multiplied in smallest first. So entries are nonzero and at distinct
+    in-range keys, and `_reduced` checks neither."""
     den, scalar, placed = 1, 1, []
     for ins, outs, pden, nums in pieces:
         den *= pden
@@ -169,17 +187,19 @@ def _placed(d: int, dom: int, cod: int, pieces) -> LinearMap:
             placed.append((ins, outs, nums))
         else:
             scalar *= nums.get(0, 0)
+    d = alg.dim
     if not scalar:
         return LinearMap._reduced(dom, cod, d, 1, {})
     acc = {0: scalar}
-    width = d**dom
     for i, (ins, outs, nums) in enumerate(sorted(placed, key=lambda piece: len(piece[2]))):
-        rows = [r * width for r in _place_values(outs, cod, d)]
-        cols, pc = _place_values(ins, dom, d), d ** len(ins)
+        layout = ins, outs, dom, cod
+        place = alg._places.get(layout)
+        if place is None:
+            place = alg._places[layout] = _Places(d, *layout)
         if i == 0:  # the first piece is placed straight from the scalar
-            acc = {rows[k // pc] + cols[k % pc]: scalar * v for k, v in nums.items()}
+            acc = {place[k]: scalar * v for k, v in nums.items()}
             continue
-        moved = [(rows[k // pc] + cols[k % pc], v) for k, v in nums.items()]
+        moved = [(place[k], v) for k, v in nums.items()]
         acc = {g + m: u * v for g, u in acc.items() for m, v in moved}
     return LinearMap._reduced(dom, cod, d, den, acc)
 
@@ -190,7 +210,7 @@ def eval_semantic(cospan: LabelledCospan, alg: FrobeniusAlgebra) -> LinearMap:
     for c in cospan.components:
         m = alg.surface_map(len(c.in_ports), len(c.out_ports), c.genus, c.primes)
         pieces.append((c.in_ports, c.out_ports, m.den, m.nums))
-    return _placed(alg.dim, cospan.dom, cospan.cod, pieces)
+    return _placed(alg, cospan.dom, cospan.cod, pieces)
 
 
 # -- closed manifolds ----------------------------------------------------------

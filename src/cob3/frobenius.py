@@ -164,6 +164,8 @@ class FrobeniusAlgebra:
             self._generators["pu", label] = _vector_map(vec)
             self._generators["pe", label] = self.element_map(vec)
         self._surfaces: Dict[tuple, LinearMap] = {}
+        # where a piece's entries go in a placed map, by layout (`evaluate._Places`)
+        self._places: Dict[tuple, dict] = {}
 
     def generator(self, name: str, label: Optional[str] = None) -> LinearMap:
         """The map of a generator; pe and pu take the label of a prime."""

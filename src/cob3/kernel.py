@@ -500,13 +500,14 @@ def successors(state, entries, max_layers, until=None):
     Every rewrite by one entry turns an n-layer state into one of
     n - k_pat + k_rep layers, k_pat and k_rep being the layer counts of its
     two sides, so an entry that would exceed `max_layers` is skipped. One
-    `View` finds every side's candidates, `find_matches` runs only on sides
-    with some, and insertion spots are listed once per width.
+    `View` finds every side's candidates, `find_matches` runs once on each
+    side with some, however many entries share it, and insertion spots are
+    listed once per width.
     """
     table = entries if isinstance(entries, Table) else Table(entries)
     n = (len(state) - 1) // 3
     view = View(state, table, max_layers - n)
-    spots = {}
+    spots, matched = {}, {}
     out = []
     for e, pat, rep, k, growth in table.rows:
         if n + growth > max_layers:
@@ -516,8 +517,9 @@ def successors(state, entries, max_layers, until=None):
                 spots[pat[0]] = find_insertions(state, pat[0], view.widths)
             steps = ((e, b, c, 0, apply_insertion(state, b, c, rep)) for b, c in spots[pat[0]])
         elif pat in view.cands:
-            matches = find_matches(state, pat, view)
-            steps = ((e, m[0], m[1], k, apply_match(state, m, rep)) for m in matches)
+            if pat not in matched:
+                matched[pat] = find_matches(state, pat, view)
+            steps = ((e, m[0], m[1], k, apply_match(state, m, rep)) for m in matched[pat])
         else:
             continue
         for step in steps:

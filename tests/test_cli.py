@@ -1,5 +1,6 @@
 """Command line driver: exit codes, output formats, determinism."""
 
+import io
 import json
 import os
 import re
@@ -122,6 +123,27 @@ def test_normalize_both_presentations(capsys):
     assert out == out2  # semantic normal forms of one bordism coincide
     code3, out3, _ = run(capsys, "normalize", "m . swap", "--presentation", "G2")
     assert code3 == OK and out3.strip()
+
+
+def test_a_term_given_as_a_dash_is_read_from_stdin(capsys, monkeypatch, alg_file):
+    text = "m . (pe(P) * (pe(Q) . unit))"
+    for argv in (["normalize"], ["--format", "json", "normalize"], ["eq", "m"]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text + "\n"))
+        assert run(capsys, *argv, "-") == run(capsys, *argv, text)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("tr . pe(P) . unit\n"))
+    want = run(capsys, "eval", "tr . pe(P) . unit", "--algebra", alg_file)
+    assert run(capsys, "eval", "-", "--algebra", alg_file) == want
+    pair = ["pe(P) . m", "m . (pe(P) * id)", "--max-steps", "24", "--max-extra-layers", "4"]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(pair[1]))  # no newline to strip
+    want = run(capsys, "rewrite-path", *pair)
+    assert run(capsys, "rewrite-path", pair[0], "-", *pair[2:]) == want
+
+
+def test_two_dashes_are_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("m\n"))
+    code, out, err = run(capsys, "eq", "-", "-")
+    assert (code, out) == (USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # Two layerings of one 8-layer diagram, one legal interchange apart; the

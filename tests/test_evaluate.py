@@ -267,6 +267,28 @@ def test_pieces_side_by_side_and_across_each_other():
         assert eval_term(text, alg, rot) == fold_eval(parse(text), alg, rot)
 
 
+# the pe(P) piece has ports (0,) and (0,) in each, under other interface
+# widths: (dom, cod) = (1, 1), (2, 2), (1, 2), (2, 1) and (2, 2) again
+SAME_PORTS = ["pe(P)", "pe(P) * id", "pe(P) * unit", "pe(P) * tr", "(pe(P) * m) . (id * comul)"]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "backward"])
+def test_placement_tables_are_kept_per_layout_and_algebra(order):
+    # fresh algebras of one dimension, so the tables start empty and each
+    # text finds those of the texts before it
+    algs = [
+        hadamard_algebra({"P": (2, 3), "Q": (1, -1)}),
+        diagonal_algebra([2, 3], primes={"P": (1, 2), "Q": (5, 1)}),
+    ]
+    for text in SAME_PORTS[::order]:
+        term = parse(text)
+        cos = cospan_of_term(term)
+        for alg in algs:
+            want = fold_eval(term, alg)
+            assert eval_term(term, alg) == want, (text, alg.primes)
+            assert eval_semantic(cos, alg) == want, (text, alg.primes)
+
+
 def test_size_guard_counts_bare_wires_and_widest_cuts():
     d = ALG.dim
     cases = [

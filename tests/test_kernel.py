@@ -417,6 +417,29 @@ def test_successors_equal_the_per_entry_reference(state, extra, seed):
             assert got == ref[: ref.index(stop) + 1]
 
 
+def test_each_distinct_side_is_matched_once_per_state(monkeypatch):
+    # comul . m is the left side of both frobenius_l and frobenius_r, and
+    # comul . pe(?p) and m . pe(?p) * id are each two entries' side in G2_FULL
+    entries, legend = _entries("G2_FULL")
+    pat = nf_of("comul . m")
+    sharing = [legend[e] for e, (side, _rep) in enumerate(entries) if side == pat]
+    assert sharing == [("frobenius_l", "fwd"), ("frobenius_r", "fwd")]
+    state = nf_of("(pe(P) * id) . comul . m . (pe(Q) * id)")
+    bound = n_layers(state) + 3
+    ref = reference_step_list(state, entries, bound)
+    calls = []
+    find_matches = kp.find_matches
+    monkeypatch.setattr(
+        kp, "find_matches", lambda s, p, view=None: calls.append(p) or find_matches(s, p, view)
+    )
+    got = kp.successors(state, entries, bound)
+    assert got == ref
+    assert pat in calls and len(calls) == len(set(calls))
+    assert {t[0] for t in got if legend[t[0]][0].startswith("frobenius")} == {
+        e for e, (side, _rep) in enumerate(entries) if side == pat
+    }
+
+
 def test_a_candidate_with_another_wiring_key_is_rejected_without_nf(monkeypatch):
     # pe(Q) sits on the one wire between m and comul. Both scans for
     # comul . m move it out of the window, onto m's right input below or
