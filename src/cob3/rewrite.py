@@ -290,7 +290,7 @@ class NotFoundWithinBound:
     start: str
     goal: str
     rules: str
-    reason: str  # "max_steps", "budget", or "exhausted"
+    reason: str  # "invariant", "max_steps", "budget" or "exhausted"
     max_steps: int
     budget: int
     explored: int
@@ -328,19 +328,22 @@ def find_path(
     budget caps the total number of distinct canonical states stored;
     max_extra_layers caps how far intermediate diagrams may grow beyond the
     larger endpoint, keeping the space finite. Returns a RewriteTrace or a
-    NotFoundWithinBound value. A negative bound raises ValueError: no
-    search could honour it, and an empty one would report a false
-    "exhausted".
+    NotFoundWithinBound value; its reason is "invariant", with explored 0,
+    when the endpoints' cospans differ, since every rule set preserves the
+    cospan (`verify_ruleset_soundness`) and no derivation can exist. A
+    negative bound raises ValueError: no search could honour it, and an
+    empty one would report a false "exhausted".
 
-    Children are stored as `successors` builds them, keyed by
-    `kernel.wiring_key`, and normalised only when needed: when their side
-    is about to expand them (a level is settled in order, the first child
-    of each normal form kept), when their key is stored on the other side
-    (`nf` equality is then the exact meet test, and `successors` stops
-    there), when a side's next level must be tested for emptiness, and when
-    the stored count, each unsettled child counted once, passes the budget.
-    The result is the one an eager search that normalised every child
-    would give; the key never reaches it.
+    Each side keeps one record per child, stored as `successors` builds it:
+    [state, link, bucket, normal form, new], its bucket the side's records
+    of its `kernel.wiring_key` in stored order. A slide class has one key,
+    so a record is new to its side exactly when it heads its bucket or no
+    earlier record there has its normal form. A record's normal form is
+    computed at most once, and only when the search expands it, tests it
+    for a meet (its key is stored on the other side, and `nf` equality is
+    then exact; `successors` stops there) or compares it inside a shared
+    bucket. The result is the one an eager search that normalised every
+    child would give; the key never reaches it.
     """
     for name, bound in (
         ("max_steps", max_steps),
@@ -357,7 +360,6 @@ def find_path(
     if (s0[0], state_widths(s0)[-1]) != (g0[0], state_widths(g0)[-1]):
         raise ArityMismatch("cannot search: endpoints have different interface widths")
     entries, legend = _entries(rules)
-    s0, g0 = nf(s0), nf(g0)
     start_text = print_term(start)
     goal_text = print_term(goal)
 
@@ -366,29 +368,50 @@ def find_path(
             start_text, goal_text, rules, reason, max_steps, budget, explored
         )
 
+    if cospan_of_term(start) != cospan_of_term(goal):
+        return not_found("invariant", 0)
+    s0, g0 = nf(s0), nf(g0)
     if s0 == g0:
         return RewriteTrace(start_text, goal_text, rules, (), explored=0)
 
     layer_cap = max(_n_layers(s0), _n_layers(g0)) + max_extra_layers
-    # Per side: every state stored, in the order built, as (state, link),
-    # link = (parent, entry_index, bottom, col, k) or None at the root. A
-    # child is stored as built. `level` walks the stored states in order and
-    # settles each the first time any walk reaches it: `settled` holds, for
-    # the prefix reached so far, each state's normal form if it is the first
-    # of its class on its side, else None, so no state is normalised twice.
-    # `parents` maps those normal forms to their links, and `buckets` the
-    # stored states by wiring key.
-    stored = ([(s0, None)], [(g0, None)])
-    settled = ([s0], [g0])
-    parents = ({s0: None}, {g0: None})
-    buckets = ({wiring_key(s0): [stored[0][0]]}, {wiring_key(g0): [stored[1][0]]})
-    heads = [0, 0]  # where each side's next level starts in `stored`
+    # Per side: the records in stored order, and the buckets by wiring key.
+    # A link is (parent record, entry, bottom, col, k), None at a root; a
+    # normal form or newness not yet known is None, and `unsure` holds the
+    # records whose newness was not known when they were stored.
+    records, buckets, unsure = ([], []), ({}, {}), []
+    heads = [0, 0]  # where each side's next level starts in `records`
     depths = [0, 0]
-    explored = 0
+    explored = repeats = 0
     parent = ended = None
 
-    def rebuild(meet):
-        """Stitch the two half-paths at the meet state into one trace.
+    def add(s, key, state, link, normal=None):
+        bucket = buckets[s].setdefault(key, [])
+        record = [state, link, bucket, normal, True if not bucket else None]
+        bucket.append(record)
+        records[s].append(record)
+        if record[4] is None:
+            unsure.append(record)
+        return record
+
+    def norm(record):
+        if record[3] is None:
+            record[3] = nf(record[0])
+        return record[3]
+
+    def new(record):
+        """Whether record is the first of its class on its side."""
+        nonlocal repeats
+        if record[4] is None:
+            n = norm(record)
+            first = next(q for q in record[2] if q is record or norm(q) == n)
+            record[4] = first is record
+            repeats += not record[4]
+        return record[4]
+
+    def rebuild(ends):
+        """Stitch into one trace the half-paths to the meeting records ends,
+        the start side's and the goal side's.
 
         A start-side edge prev -> st is a step as found, its window in the
         step's source. A goal-side edge prev -> st was found away from the
@@ -398,66 +421,45 @@ def find_path(
         """
         halves = ([], [])
         for s, where in ((0, "source"), (1, "result")):
-            st = meet
-            while parents[s][st] is not None:
-                prev, e, b, c, k = parents[s][st]
+            st = ends[s]
+            while st[1] is not None:
+                prev, e, b, c, k = st[1]
                 rn, d = legend[e ^ s]
                 position = {"bottom": b, "layers": k, "offset": c, "in": where}
-                halves[s].append(TraceStep(rn, d, position, print_state(prev if s else st)))
+                halves[s].append(TraceStep(rn, d, position, print_state(norm(prev if s else st))))
                 st = prev
         steps = tuple(halves[0][::-1] + halves[1])
         return RewriteTrace(start_text, goal_text, rules, steps, explored=explored)
 
-    def level(s, lo, hi):
-        """The states new to side s among stored[s][lo:hi], each settled
-        the first time a walk reaches it; lo is at most len(settled[s])."""
-        for i in range(lo, hi):
-            if i == len(settled[s]):
-                state, link = stored[s][i]
-                n = nf(state)
-                settled[s].append(None if n in parents[s] else n)
-                parents[s].setdefault(n, link)
-            if settled[s][i] is not None:
-                yield settled[s][i]
-
     def waiting(s):
-        """Whether side s's next level holds a state new to it."""
-        return next(level(s, heads[s], len(stored[s])), None) is not None
+        """Whether side s's next level holds a record new to it."""
+        return any(new(record) for record in records[s][heads[s]:])
 
     def store(move):
         """Store a child of `parent` on `side`. True when the search ends
-        there: the child meets the other side, or the states stored pass
-        the budget."""
+        there: the child meets the other side, or the records new to their
+        side pass the budget."""
         nonlocal ended
         e, b, c, k, child = move
-        link = (parent, e, b, c, k)
         key = wiring_key(child)
-        if key in buckets[1 - side]:
-            # No normal form is stored on both sides, so a child whose class
-            # is stored on the other side is the meet, and the first state
-            # stored there in that class holds that side's link.
-            meet = nf(child)
-            for state, first in buckets[1 - side][key]:
-                if nf(state) == meet:
-                    parents[side][meet] = link
-                    parents[1 - side][meet] = first
-                    ended = rebuild(meet)
-                    return True
-        entry = (child, link)
-        stored[side].append(entry)
-        buckets[side].setdefault(key, []).append(entry)
-        # Each unsettled state adds at most one normal form, so the exact
-        # count is needed only once this bound passes the budget.
-        unsettled = len(stored[0]) - len(settled[0]) + len(stored[1]) - len(settled[1])
-        if len(parents[0]) + len(parents[1]) + unsettled > budget:
-            for s in (0, 1):
-                for _ in level(s, len(settled[s]), len(stored[s])):
-                    pass
-            if len(parents[0]) + len(parents[1]) > budget:
+        record = add(side, key, child, (parent, e, b, c, k))
+        # No class is stored on both sides, so the first record of the
+        # child's class on the other side is the meet.
+        for other in buckets[1 - side].get(key, ()):
+            if norm(other) == norm(record):
+                ended = rebuild((other, record) if side else (record, other))
+                return True
+        # Records minus known repeats bounds the exact count from above, and
+        # is exact once no record is unsure.
+        while len(records[0]) + len(records[1]) - repeats > budget:
+            if not unsure:
                 ended = not_found("budget", explored)
                 return True
+            new(unsure.pop())
         return False
 
+    add(0, wiring_key(s0), s0, None, s0)
+    add(1, wiring_key(g0), g0, None, g0)
     while True:
         # Pick the side to deepen: strict alternation, but an exhausted or
         # step-capped side cedes its turn.
@@ -468,13 +470,14 @@ def find_path(
         if side is None:
             reason = "max_steps" if waiting(0) or waiting(1) else "exhausted"
             return not_found(reason, explored)
-        lo, hi = heads[side], len(stored[side])
-        heads[side] = hi
-        for parent in level(side, lo, hi):
-            explored += 1
-            successors(parent, entries, layer_cap, store)
-            if ended is not None:
-                return ended
+        level = records[side][heads[side]:]
+        heads[side] = len(records[side])
+        for parent in level:
+            if new(parent):
+                explored += 1
+                successors(norm(parent), entries, layer_cap, store)
+                if ended is not None:
+                    return ended
         depths[side] += 1
 
 

@@ -469,10 +469,23 @@ FOUND_STEP = {
     "position": {"bottom": 0, "layers": 2, "offset": 0, "in": "source"},
     "result": "id",
 }
+# pe(P) and pe(Q) denote different bordisms, so no search runs
 NOT_FOUND = {
     "found": False,
     "start": "pe(P)",
     "goal": "pe(Q)",
+    "rules": "CF",
+    "reason": "invariant",
+    "max_steps": 16,
+    "budget": 200000,
+    "explored": 0,
+}
+# the two sides of legs denote one bordism, but no plain rule derives one
+# from the other
+EXHAUSTED = {
+    "found": False,
+    "start": "m . pe(P) * id",
+    "goal": "m . id * pe(P)",
     "rules": "CF",
     "reason": "exhausted",
     "max_steps": 16,
@@ -662,13 +675,25 @@ PINNED = {
         ("rewrite-path", "pe(P)", "pe(Q)", "--rules", "CF",
          "--max-extra-layers", "0"),
         DIFFER,
-        "NOT FOUND within bounds (reason: exhausted, max_steps 16, explored 2)\n",
+        "NOT FOUND within bounds (reason: invariant, max_steps 16, explored 0)\n",
     ),
     "rewrite-path-not-found-json": (
         ("--format", "json", "rewrite-path", "pe(P)", "pe(Q)", "--rules", "CF",
          "--max-extra-layers", "0"),
         DIFFER,
         _dumps(NOT_FOUND, sort_keys=False),
+    ),
+    "rewrite-path-exhausted-text": (
+        ("rewrite-path", "m . (pe(P) * id)", "m . (id * pe(P))", "--rules", "CF",
+         "--max-extra-layers", "0"),
+        DIFFER,
+        "NOT FOUND within bounds (reason: exhausted, max_steps 16, explored 2)\n",
+    ),
+    "rewrite-path-exhausted-json": (
+        ("--format", "json", "rewrite-path", "m . (pe(P) * id)", "m . (id * pe(P))",
+         "--rules", "CF", "--max-extra-layers", "0"),
+        DIFFER,
+        _dumps(EXHAUSTED, sort_keys=False),
     ),
     "eval-algebra-fails-text": (
         ("eval", "m", "--algebra", "BROKEN"),
@@ -788,8 +813,8 @@ def test_rewrite_path_not_found(capsys):
     code, out, _ = run(
         capsys,
         "rewrite-path",
-        "pe(P)",
-        "pe(Q)",
+        "m . (pe(P) * id)",
+        "m . (id * pe(P))",
         "--rules",
         "CF",
         "--max-extra-layers",

@@ -11,14 +11,15 @@ transposition routes the wires, so a tensor of 1000 pe(P) gives about
 
 rewrite-path searches every input against itself, the short inputs
 against their neighbours, which mostly differ in width, the 40-generator
-inputs against their G1 text, and a 200-layer pe(P) chain against id.
---budget counts the distinct states stored, and the search stops building
-children once that count passes it, so at --budget 100 the longest of
-these searches took 0.11 s (0.74 s when every child was normalised as it
-was built; 2-vCPU x86-64 box, Python 3.11). The 3000-layer inputs are
-searched against themselves only: the 3000-layer chain against id still
-took 1.1 s, since each of the 99 children it stores is normalised, and
-its full child list would hold about 12 000 near-copies of it.
+inputs against their G1 text, and the 200- and 3000-layer pe(P) chains
+against the same chain with a counit pair spliced in, one step away but
+past the budget. --budget counts the distinct states stored, and the
+search stops building children once that count passes it; a child that
+heads its wiring-key bucket is new without being normalised. So at
+--budget 100 the 3000-layer chain search took 0.17 s, against 1.2 s when
+each of the 99 children it stores was normalised (2-vCPU x86-64 box,
+Python 3.11); its full child list would hold about 12 000 near-copies of
+it.
 """
 
 import random
@@ -28,6 +29,7 @@ from cob3 import algebra_to_json, cospan_of_term, hadamard_algebra, parse, print
 from cob3.cli import main
 from cob3.rewrite import g1_text
 from cob3.terms import random_term
+from test_rewrite import spliced_chain
 
 SECONDS_PER_CALL = 5.0
 SEARCH = ("--max-steps", "2", "--budget", "100")
@@ -101,7 +103,8 @@ def calls(alg):
         yield ("rewrite-path", x, y, *SEARCH)
     for x in texts[24:]:
         yield ("rewrite-path", x, g1_text(cospan_of_term(parse(x))), *SEARCH)
-    yield ("rewrite-path", " . ".join(["pe(P)"] * 200), "id", *SEARCH)
+    for n in (200, 3000):
+        yield ("rewrite-path", *spliced_chain(n), *SEARCH)
 
 
 def test_every_call_ends_in_a_documented_exit_code(capsys, tmp_path):

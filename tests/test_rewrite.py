@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -84,11 +85,27 @@ def test_not_found_budget():
 
 
 def test_not_found_exhausted():
-    # no equation in the plain set touches labels, and zero layer slack
-    # keeps the reachable class finite and tiny
-    r = find_path("pe(P)", "pe(Q)", rules="CF", max_steps=8, max_extra_layers=0)
+    # legs is independent of the plain set, and zero layer slack keeps the
+    # reachable class finite and tiny
+    r = find_path("m . (pe(P) * id)", "m . (id * pe(P))", rules="CF", max_steps=8,
+                  max_extra_layers=0)
     assert not r.found and r.reason == "exhausted"
     assert r.explored == 2
+
+
+@pytest.mark.parametrize("rules", ["CF", "CF_LEGS", "G2_FULL"])
+def test_endpoints_of_two_cospans_are_told_apart_without_a_search(rules):
+    # every rule preserves the cospan, so no derivation exists and no bound
+    # matters; the first call also compiles the rule set
+    r = find_path("pe(P)", "pe(Q)", rules=rules)
+    assert (r.found, r.reason, r.explored) == (False, "invariant", 0)
+    assert json.loads(r.to_json())["reason"] == "invariant"
+    # under CF_LEGS's default bounds, this search once stored 92 848 states
+    # over a minute
+    began = time.perf_counter()
+    r = find_path("comul . pe(P)", "comul . pe(Q)", rules=rules)
+    assert time.perf_counter() - began < 0.1
+    assert (r.found, r.reason, r.explored) == (False, "invariant", 0)
 
 
 @pytest.mark.parametrize("bound", ["max_steps", "budget", "max_extra_layers"])
@@ -320,10 +337,13 @@ def search_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(search_cases())
-# the goal side's last level holds only states it stored before: a side
-# whose frontier is empty once normalised cedes its turn, and the search
-# is exhausted
+# a closed piece on one side only: the cospans differ
 @example(("id * unit", "((unit . tr) . unit) * id", "CF_LEGS",
+          {"max_steps": 5, "budget": 200, "max_extra_layers": 1}))
+# a side's last level holds only repeats of records it stored before: a
+# side whose next level holds no new record cedes its turn, and the search
+# is exhausted
+@example(("pe(P) . unit", "pu(P)", "CF",
           {"max_steps": 5, "budget": 200, "max_extra_layers": 1}))
 # the cowaist search stores more than 1000 states before it meets, so the
 # budget's exact count settles every stored state, and the search goes on
@@ -335,8 +355,21 @@ def search_cases(draw):
           {"max_steps": 24, "budget": 400, "max_extra_layers": 4}))
 def test_find_path_gives_the_reference_result(case):
     start, goal, rules, bounds = case
+    got = find_path(start, goal, rules=rules, **bounds)
+    if cospan_of_term(parse(start)) != cospan_of_term(parse(goal)):
+        assert (got.found, got.reason, got.explored) == (False, "invariant", 0)
+        return
     want = reference_find_path(start, goal, rules, **bounds)
-    assert find_path(start, goal, rules=rules, **bounds).to_json() == want.to_json()
+    assert got.to_json() == want.to_json()
+
+
+def spliced_chain(n):
+    """An n-layer pe(P) chain, and the same chain with a counit pair
+    (tr * id) . comul spliced in three quarters of the way up: equal
+    cospans, one counit_l step apart, at a window the start side's first
+    expansion reaches after more than 100 other children."""
+    chain = ["pe(P)"] * n
+    return " . ".join(chain), " . ".join(chain[: n // 4] + ["(tr * id) . comul"] + chain[n // 4:])
 
 
 def test_a_budget_stopped_search_builds_no_child_past_the_budget(monkeypatch):
@@ -347,9 +380,20 @@ def test_a_budget_stopped_search_builds_no_child_past_the_budget(monkeypatch):
     for name in ("apply_insertion", "apply_match"):
         surgery = getattr(kernel, name)
         monkeypatch.setattr(kernel, name, lambda *a, f=surgery: built.append(a) or f(*a))
-    r = find_path(" . ".join(["pe(P)"] * 200), "id", max_steps=2, budget=100)
+    r = find_path(*spliced_chain(200), max_steps=2, budget=100)
     assert (r.reason, r.explored) == ("budget", 1)
     assert len(built) == 99
+
+
+def test_a_budget_stopped_search_normalises_no_record_that_heads_its_bucket(monkeypatch):
+    # the 99 children of the chain have 99 wiring keys, none the goal's: each
+    # is new to its side by its key alone, so only the endpoints are
+    # normalised
+    calls = []
+    monkeypatch.setattr(rewrite, "nf", lambda state, f=rewrite.nf: calls.append(state) or f(state))
+    r = find_path(*spliced_chain(200), max_steps=2, budget=100)
+    assert (r.reason, r.explored) == ("budget", 1)
+    assert len(calls) <= 2
 
 
 def test_colliding_wiring_keys_change_no_result(monkeypatch):
